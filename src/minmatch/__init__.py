@@ -1,6 +1,6 @@
 """Certified small maximal matchings in subcubic graphs."""
 
-from .graph import DegreeCensus, Edge, Graph, edge, is_isomorphic_small, is_k33
+from .graph import DegreeCensus, Edge, Graph, edge, is_k33
 from .matching import (
     BoundReport,
     Matching,
@@ -9,21 +9,17 @@ from .matching import (
     gamma_lower_bound,
     is_matching,
     is_maximal,
-    lambda_times_6,
     matching_within_bound,
 )
 from .oracle import OracleResult, enumerate_maximal_matchings, gamma_exact, gamma_exact_avoiding
 from .solver import (
     PendantConstraint,
     SolveCertificate,
-    apply_step,
-    extend_solution,
     replay,
     select_rule,
     solve,
     solve_all,
     solve_avoiding,
-    solve_bridge_case,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .generators import (
 )
 from .graph import Graph, is_k33
 from .graphio import certificate_dict, parse_edgelist, parse_graph6, write_graph6
-from .matching import gamma_lower_bound, is_maximal, lambda_times_6
+from .matching import gamma_lower_bound, is_maximal
 from .oracle import gamma_exact
 from .solver import solve, solve_all
 
@@ -61,36 +61,6 @@ def _default_budget(value: int | None) -> int | None:
     return int(env) if env else None
 
 
-def _merged_certificate_dict(g: Graph, certs) -> dict:
-    census = g.degree_census()
-    matching = sorted([u, v] for c in certs for (u, v) in c.matching)
-    trace = [s for c in certs for s in c.trace]
-    return {
-        "schema": 1,
-        "n": census.n,
-        "m": census.m,
-        "n1": census.n1,
-        "I": sum(c.bound.cubic for c in certs),
-        "K": sum(c.bound.k2 for c in certs),
-        "lambda_times_6": lambda_times_6(g),
-        "matching": matching,
-        "matching_size": len(matching),
-        "rule_trace": [
-            {
-                "rule": s.rule,
-                "case": s.case,
-                "deleted": sorted(s.deleted),
-                "added": sorted([u, v] for u, v in s.added_edges),
-            }
-            for s in trace
-        ],
-        "components": len(certs),
-        "k33_special": any(c.k33_special for c in certs),
-        "valid": all(c.valid for c in certs),
-        "elapsed_ms": sum(c.elapsed_ms for c in certs),
-    }
-
-
 def cmd_solve(args) -> int:
     try:
         graphs = _input_graphs(args.path, args.format)
@@ -101,7 +71,7 @@ def cmd_solve(args) -> int:
     for ident, g in graphs:
         try:
             if args.per_component:
-                payload = _merged_certificate_dict(g, solve_all(g))
+                payload = certificate_dict(solve_all(g))
             else:
                 payload = certificate_dict(solve(g))
         except Disconnected:

@@ -9,7 +9,6 @@ simple and subcubic by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -389,49 +388,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# -- fixed-pattern isomorphism ------------------------------------------------
-
-def _pattern_edges(name: str) -> tuple[int, list[Edge]]:
-    if name == "K2":
-        return 2, [(0, 1)]
-    if name == "K4":
-        return 4, [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    if name == "K33":
-        return 6, [(i, j) for i in range(3) for j in range(3, 6)]
-    if name == "K33_MINUS":
-        return 6, [(i, j) for i in range(3) for j in range(3, 6) if (i, j) != (0, 3)]
-    raise ValueError(f"unknown pattern {name!r}")
-
-
-def is_isomorphic_small(g: Graph, pattern: str) -> bool:
-    """Isomorphism against one of the fixed patterns K2/K4/K33/K33_MINUS.
-
-    Degree-census filter first, then exhaustive mapping search; the patterns
-    have at most 6 vertices so brute force is cheap.
-    """
-    pn, pedges = _pattern_edges(pattern)
-    if g.n != pn or g.m != len(pedges):
-        return False
-    pat = Graph.from_edges(pedges, vertices=range(pn))
-    cg, cp = g.degree_census(), pat.degree_census()
-    if (cg.n1, cg.n2, cg.n3) != (cp.n1, cp.n2, cp.n3):
-        return False
-    gv = g.vertices()
-    pedge_set = set(pedges)
-    for perm in permutations(range(pn)):
-        ok = True
-        for i in range(pn):
-            for j in range(i + 1, pn):
-                if (edge(perm[i], perm[j]) in pedge_set) != g.has_edge(gv[i], gv[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
 def is_k33(g: Graph) -> bool:
-    """Fast path for the one exceptional graph of the main bound."""
-    return g.n == 6 and g.m == 9 and g.is_cubic() and is_isomorphic_small(g, "K33")
+    """K33 is the only triangle-free cubic graph on 6 vertices."""
+    return g.n == 6 and g.is_cubic() and not any(g._adj[u] & g._adj[v] for u, v in g.edges())

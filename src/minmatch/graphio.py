@@ -174,18 +174,20 @@ def write_edgelist(g: Graph) -> str:
 
 
 def certificate_dict(cert) -> dict:
-    """Stable-order dict form of a SolveCertificate (see emit_certificate_json)."""
-    census = cert.bound.census
-    return {
+    """Stable-order dict form of a SolveCertificate, or of the list that
+    solve_all returns: summed over the components, plus their count."""
+    certs = cert if isinstance(cert, list) else [cert]
+    matching = sorted([u, v] for c in certs for u, v in c.matching)
+    out = {
         "schema": 1,
-        "n": census.n,
-        "m": census.m,
-        "n1": census.n1,
-        "I": cert.bound.cubic,
-        "K": cert.bound.k2,
-        "lambda_times_6": cert.bound.lambda_times_6,
-        "matching": sorted([u, v] for u, v in cert.matching),
-        "matching_size": len(cert.matching),
+        "n": sum(c.bound.census.n for c in certs),
+        "m": sum(c.bound.census.m for c in certs),
+        "n1": sum(c.bound.census.n1 for c in certs),
+        "I": sum(c.bound.cubic for c in certs),
+        "K": sum(c.bound.k2 for c in certs),
+        "lambda_times_6": sum(c.bound.lambda_times_6 for c in certs),
+        "matching": matching,
+        "matching_size": len(matching),
         "rule_trace": [
             {
                 "rule": step.rule,
@@ -193,12 +195,16 @@ def certificate_dict(cert) -> dict:
                 "deleted": sorted(step.deleted),
                 "added": sorted([u, v] for u, v in step.added_edges),
             }
-            for step in cert.trace
+            for c in certs
+            for step in c.trace
         ],
-        "k33_special": cert.k33_special,
-        "valid": cert.valid,
-        "elapsed_ms": cert.elapsed_ms,
     }
+    if cert is certs:
+        out["components"] = len(certs)
+    out["k33_special"] = any(c.k33_special for c in certs)
+    out["valid"] = all(c.valid for c in certs)
+    out["elapsed_ms"] = sum(c.elapsed_ms for c in certs)
+    return out
 
 
 def emit_certificate_json(cert) -> str:

@@ -27,28 +27,16 @@ def as_matching(edges) -> Matching:
 
 def is_matching(g: Graph, M) -> bool:
     """True iff the edges exist in g and are pairwise vertex-disjoint."""
-    covered: set[int] = set()
-    for u, v in M:
-        if not g.has_edge(u, v):
-            raise EdgeNotInGraph(f"edge {edge(u, v)} not in graph")
-        if u in covered or v in covered:
-            return False
-        covered.add(u)
-        covered.add(v)
-    return True
-
-def covered_vertices(M) -> set[int]:
-    out: set[int] = set()
-    for u, v in M:
-        out.add(u)
-        out.add(v)
-    return out
+    status = maximality_status(g, M)
+    if status == 1:
+        _reject_foreign_edges(g, M)
+    return status != 1
 
 
 def maximality_status(g: Graph, M) -> int:
     """One-pass check: 0 = maximal matching, 1 = not a matching in g,
-    2 = matching but extensible.  Fast path for the solver's per-step
-    validation; the public predicates wrap it."""
+    2 = matching but extensible.  The solver's per-step validation; the
+    public predicates wrap it."""
     adj = g._adj
     covered: set[int] = set()
     for u, v in M:
@@ -67,13 +55,17 @@ def maximality_status(g: Graph, M) -> int:
 
 def is_maximal(g: Graph, M) -> bool:
     """True iff M is a matching and every edge of g has a covered endpoint."""
-    if not is_matching(g, M):
+    status = maximality_status(g, M)
+    if status == 1:
+        _reject_foreign_edges(g, M)
         raise NotAMatching("edge set is not a matching")
-    covered = covered_vertices(M)
-    for v, nbrs in g._adj.items():
-        if v not in covered and not nbrs <= covered:
-            return False
-    return True
+    return status == 0
+
+
+def _reject_foreign_edges(g: Graph, M) -> None:
+    for u, v in M:
+        if not g.has_edge(u, v):
+            raise EdgeNotInGraph(f"edge {edge(u, v)} not in graph")
 
 
 @dataclass(frozen=True)
@@ -90,37 +82,23 @@ class BoundReport:
         return self.lambda_times_6 // 6
 
 
-def bound_report(g: Graph) -> BoundReport:
-    """Bound quantities for a connected graph; rejects disconnected input.
+def bound_report(g: Graph, connected: bool = False) -> BoundReport:
+    """Bound quantities for a connected graph; rejects disconnected input
+    unless the caller already knows g is connected (`connected=True` skips
+    the scan, as the solver's per-step checks do).
 
     The solver dispatches per component explicitly, so I and K always refer
     to one connected graph here.
     """
     if g.n == 0:
         raise EmptyGraph("bound undefined for the empty graph")
-    if not g.is_connected():
+    if not connected and not g.is_connected():
         raise Disconnected("bound defined per connected graph")
     census = g.degree_census()
     cubic = 1 if g.is_cubic() else 0
     k2 = 1 if (census.n == 2 and census.m == 1) else 0
     lam6 = 4 * census.n - census.m + 2 * cubic + k2 - census.n1
     return BoundReport(census=census, cubic=cubic, k2=k2, lambda_times_6=lam6)
-
-
-def lambda_times_6(g: Graph) -> int:
-    """Bound numerator for any subcubic graph, summed over components.
-
-    Each K2 component contributes its own K = 1 and each cubic component
-    its own I = 1; this matches the per-component reading used when a
-    reduction disconnects the graph.
-    """
-    census = g.degree_census()
-    cubic = len(g.cubic_components())
-    k2 = sum(
-        1 for comp in g.connected_components()
-        if len(comp) == 2 and g.has_edge(*sorted(comp))
-    )
-    return 4 * census.n - census.m + 2 * cubic + k2 - census.n1
 
 
 def gamma_lower_bound(g: Graph) -> int:

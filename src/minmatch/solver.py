@@ -3,38 +3,40 @@
 Each call on a connected subcubic graph returns a SolveCertificate whose
 matching satisfies 6|M| <= lambda_times_6 (the 6-vertex exceptional graph
 gets |M| = 3 instead).  The solver repeatedly picks the first applicable
-rule, reduces, recurses, and extends the sub-solution through the step's
-recipe, validating maximality, growth budget, and the bound after every
-extension.  Rule priority: small-graph base case, then pendants, bridges,
-adjacent degree-2 pairs, degree-2 vertices with degree-3 neighbours, and
-finally the cubic case.
+rule and reduces, then extends the reduced graph's matching back through
+each step's recipe, validating maximality, growth budget, and the bound
+after every extension.  Rule priority: small-graph base case, then pendants,
+bridges, adjacent degree-2 pairs, degree-2 vertices with degree-3
+neighbours, and finally the cubic case.
+
+One engine does both solve and replay; only the source of each step
+differs, so a replayed trace passes every check a solve does.
 
 Validation failures raise InternalInvariantViolation: the construction
 guarantees they cannot happen, so one firing is always an implementation
-bug, never an input problem.
+bug (or, in replay, a trace that was not produced for this graph), never an
+input problem.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import reductions as R
 from .errors import (
     Disconnected,
     EmptyGraph,
+    GraphError,
     InternalInvariantViolation,
     InvalidConstraint,
-    PreconditionViolated,
 )
 from .graph import Edge, Graph, edge, is_k33
 from .matching import (
     BoundReport,
     Matching,
     bound_report,
-    is_matching,
-    is_maximal,
     matching_within_bound,
     maximality_status,
 )
@@ -54,9 +56,6 @@ __all__ = [
     "solve_avoiding",
     "solve_all",
     "select_rule",
-    "apply_step",
-    "extend_solution",
-    "solve_bridge_case",
     "replay",
     "select_noncubic_edge",
     "choose_crossing_pair",
@@ -79,14 +78,6 @@ class SolveCertificate:
     valid: bool
     k33_special: bool
     elapsed_ms: float
-
-
-def _lambda6_connected(g: Graph) -> int:
-    # connected by context; skips the component scan of the public helper
-    c = g.degree_census()
-    cubic = 1 if g.is_cubic() else 0
-    k2 = 1 if (c.n == 2 and c.m == 1) else 0
-    return 4 * c.n - c.m + 2 * cubic + k2 - c.n1
 
 
 def _check_constraint(g: Graph, c: PendantConstraint) -> None:
@@ -128,188 +119,176 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
     return R.cubic_step(g)
 
 
-def apply_step(g: Graph, step: ReductionStep) -> Graph:
-    """Reduced graph for a linear step (copy); checked subcubic and, when the
-    step adds edges, free of cubic components."""
-    out = g.copy()
-    if step.rule == R.RULE_BRIDGE:
-        return out
-    out.remove_vertices(step.deleted)
-    for e in sorted(step.added_edges):
-        out.add_edge(*e)
-    if step.added_edges:
-        touch = [v for e in step.added_edges for v in e]
-        if out.has_cubic_component_touching(touch):
-            raise InternalInvariantViolation(
-                f"{step.rule}/{step.case} produced a cubic component"
-            )
-    return out
+# -- the engine ------------------------------------------------------------------
+#
+# A task is a connected graph to solve.  A linear step reduces the task's
+# graph in place, pushes a frame holding the undo data, then pushes one task
+# per component of what is left; tasks are popped in preorder, which is the
+# trace order.  Unwinding a frame unions its components' matchings, undoes
+# the reduction and extends through the step's recipe.  A bridge split runs
+# the engine once per candidate subproblem, so the Python stack grows with
+# the nesting depth of bridges only, never with n.
 
-
-def extend_solution(g: Graph, step: ReductionStep, sub: Matching) -> Matching:
-    """Apply the step's recipe to a maximal matching of the reduced graph and
-    validate the result against g."""
-    if step.extension is None:
-        raise PreconditionViolated(f"{step.rule} steps carry no extension recipe")
-    M = step.extension.apply(frozenset(sub))
-    _validate_extension(g, step, sub, M)
-    return M
-
-
-def _validate_extension(g: Graph, step: ReductionStep, sub, M) -> None:
-    if maximality_status(g, M) != 0:
-        raise InternalInvariantViolation(
-            f"extension of {step.rule}/{step.case} is not a maximal matching"
-        )
-    if step.budget is not None and len(M) - len(sub) > step.budget:
-        raise InternalInvariantViolation(
-            f"{step.rule}/{step.case} grew by {len(M) - len(sub)} > {step.budget}"
-        )
-
-
-# -- recursive engine -----------------------------------------------------------
-
-def _solve_graph(g: Graph, steps: list[ReductionStep]) -> Matching:
-    """Solve a possibly disconnected graph, components in sorted order."""
-    if g.n == 0:
-        return frozenset()
-    if g.is_connected():
-        return _solve_connected(g, None, steps, internal=True)
-    out: set[Edge] = set()
-    for comp in g.connected_components():
-        out |= _solve_connected(g.subgraph(comp), None, steps, internal=True)
-    return frozenset(out)
-
-
-def _solve_connected(
+def _run(
     g: Graph,
     constraint: PendantConstraint | None,
-    steps: list[ReductionStep],
     internal: bool,
+    split: bool,
+    steps: list[ReductionStep],
+    recorded: Iterator[ReductionStep] | None,
 ) -> Matching:
-    if g.n <= BASE_SIZE:
-        return _solve_base(g, constraint, steps, internal)
-    step = select_rule(g, constraint)
-    if step.rule == R.RULE_BRIDGE:
-        return _bridge_matching(g, step.meta["bridge"], steps)
-    steps.append(step)
-    saved = g.remove_vertices_with_undo(step.deleted)
+    """Matching of g, appending its steps to `steps`.  Steps come from the
+    rules (solve) or, when `recorded` is given, from a recorded trace
+    (replay).  `split` says g may be empty or disconnected; `internal` that
+    g came out of a reduction, where the exceptional graph must not appear."""
+    results: list[Matching] = []
+    stack = _tasks(g, constraint, internal, split)[::-1]
+    while stack:
+        item = stack.pop()
+        if item[0] == "frame":
+            _, k, g, step, saved, added, constraint = item
+            cut = len(results) - k
+            sub = _union(results[cut:])
+            del results[cut:]
+            for e in reversed(added):
+                g.remove_edge(*e)
+            g.restore_vertices(saved)
+            results.append(_checked(g, step, sub, step.extension.apply(sub), constraint))
+            continue
+        _, g, verts, constraint, internal = item
+        if verts is not None:
+            g = g.subgraph(verts)
+        step = _next_step(g, constraint, recorded)
+        if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
+            steps.append(step)
+            results.append(_leaf(g, step, constraint, internal))
+        elif step.rule == R.RULE_BRIDGE:
+            results.append(_split(g, step, steps, recorded))
+        else:
+            steps.append(step)
+            saved, added = _reduce(g, step)
+            tasks = _tasks(g, None, True, True)
+            stack.append(("frame", len(tasks), g, step, saved, added, constraint))
+            stack.extend(reversed(tasks))
+    return _union(results)
+
+
+def _union(parts: list[Matching]) -> Matching:
+    return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+
+
+def _tasks(g: Graph, constraint, internal: bool, split: bool) -> list[tuple]:
+    """Tasks for g in preorder: g itself, or one per component (copied when
+    popped) when g may be split."""
+    if not split or g.is_connected():
+        return [("task", g, None, constraint, internal)]
+    return [("task", g, comp, constraint, internal) for comp in g.connected_components()]
+
+
+def _next_step(g: Graph, constraint, recorded) -> ReductionStep:
+    """The step source: the recorded trace in replay; in solve, the oracle
+    on small graphs and the first applicable rule otherwise."""
+    if recorded is not None:
+        step = next(recorded, None)
+        if step is None:
+            raise InternalInvariantViolation("trace ended before the graph was consumed")
+        return step
+    if g.n > BASE_SIZE:
+        return select_rule(g, constraint)
+    if constraint is not None:
+        res = gamma_exact_avoiding(g, constraint.forbidden_edge)
+        rule = R.RULE_BASE_SMALL
+        meta = {"oracle_nodes": res.nodes_explored, "avoided": edge(*constraint.forbidden_edge)}
+    else:
+        rule = R.RULE_K33 if is_k33(g) else R.RULE_BASE_SMALL
+        res = gamma_exact(g)
+        meta = {"oracle_nodes": res.nodes_explored}
+    return ReductionStep(
+        rule=rule,
+        case=None,
+        deleted=frozenset(g.iter_vertices()),
+        added_edges=frozenset(),
+        extension=ExtensionRecipe((ExtensionBranch((), (), tuple(sorted(res.witness))),)),
+        budget=None,
+        meta=meta,
+    )
+
+
+def _reduce(g: Graph, step: ReductionStep) -> tuple[dict, list[Edge]]:
+    """A linear step's reduction, in place; returns the undo data."""
+    where = f"{step.rule}/{step.case}"
+    if step.extension is None:
+        raise InternalInvariantViolation(f"{where} carries no extension recipe")
     added = sorted(step.added_edges)
-    for e in added:
-        g.add_edge(*e)
+    if any(v not in g or v in step.deleted for e in added for v in e):
+        raise InternalInvariantViolation(f"an edge added by {where} leaves the graph")
+    try:
+        saved = g.remove_vertices_with_undo(step.deleted)
+        for e in added:
+            g.add_edge(*e)
+    except GraphError as exc:
+        raise InternalInvariantViolation(f"{where} does not fit the graph: {exc}") from None
     if added and g.has_cubic_component_touching([v for e in added for v in e]):
-        raise InternalInvariantViolation(
-            f"{step.rule}/{step.case} produced a cubic component"
-        )
-    sub = _solve_graph(g, steps)
-    for e in reversed(added):
-        g.remove_edge(*e)
-    g.restore_vertices(saved)
-    M = step.extension.apply(sub)
-    _validate_extension(g, step, sub, M)
-    lam6 = _lambda6_connected(g)
-    if 6 * len(M) > lam6:
-        raise InternalInvariantViolation(
-            f"{step.rule}/{step.case}: 6*{len(M)} exceeds bound {lam6}"
-        )
+        raise InternalInvariantViolation(f"{where} produced a cubic component")
+    return saved, added
+
+
+def _leaf(g: Graph, step: ReductionStep, constraint, internal: bool) -> Matching:
+    """A base step: its recipe holds the whole matching of g."""
+    if step.extension is None or step.deleted != frozenset(g.iter_vertices()):
+        raise InternalInvariantViolation("base step does not cover the graph")
+    special = constraint is None and is_k33(g)
+    if (step.rule == R.RULE_K33) != special:
+        raise InternalInvariantViolation(f"{step.rule} step on the wrong kind of graph")
+    if special and internal:
+        raise InternalInvariantViolation("a reduction produced the exceptional 6-vertex component")
+    return _checked(g, step, frozenset(), step.extension.apply(frozenset()), constraint, special)
+
+
+def _checked(g: Graph, step, sub: Matching, M: Matching, constraint, special=False) -> Matching:
+    """M after every check a node passes: a maximal matching of g, within the
+    step's growth budget, within the bound (the exceptional graph: exactly 3
+    edges), and free of the forbidden edge."""
+    where = f"{step.rule}/{step.case}"
+    if maximality_status(g, M) != 0:
+        raise InternalInvariantViolation(f"extension of {where} is not a maximal matching")
+    if step.budget is not None and len(M) - len(sub) > step.budget:
+        raise InternalInvariantViolation(f"{where} grew by {len(M) - len(sub)} > {step.budget}")
+    if special:
+        if len(M) != 3:
+            raise InternalInvariantViolation("exceptional case must give 3 edges")
+    else:
+        lam6 = bound_report(g, connected=True).lambda_times_6
+        if 6 * len(M) > lam6:
+            raise InternalInvariantViolation(f"{where}: 6*{len(M)} exceeds bound {lam6}")
     if constraint is not None and edge(*constraint.forbidden_edge) in M:
         raise InternalInvariantViolation("avoidance constraint violated by extension")
     return M
 
 
-def _solve_base(
-    g: Graph,
-    constraint: PendantConstraint | None,
-    steps: list[ReductionStep],
-    internal: bool,
-) -> Matching:
-    verts = frozenset(g.iter_vertices())
-    if constraint is not None:
-        _check_constraint(g, constraint)
-        res = gamma_exact_avoiding(g, constraint.forbidden_edge)
-        M = res.witness
-        rule = R.RULE_BASE_SMALL
-        special = False
-        meta = {"oracle_nodes": res.nodes_explored, "avoided": edge(*constraint.forbidden_edge)}
-    else:
-        special = is_k33(g)
-        res = gamma_exact(g)
-        M = res.witness
-        rule = R.RULE_K33 if special else R.RULE_BASE_SMALL
-        meta = {"oracle_nodes": res.nodes_explored}
-    if special:
-        if internal:
-            raise InternalInvariantViolation(
-                "a reduction produced the exceptional 6-vertex component"
-            )
-        if len(M) != 3:
-            raise InternalInvariantViolation("exceptional case must give 3 edges")
-    else:
-        lam6 = _lambda6_connected(g)
-        if 6 * len(M) > lam6:
-            raise InternalInvariantViolation(
-                f"small-graph optimum {len(M)} exceeds bound {lam6}/6 on n={g.n}"
-            )
-    steps.append(
-        ReductionStep(
-            rule=rule,
-            case=None,
-            deleted=verts,
-            added_edges=frozenset(),
-            extension=ExtensionRecipe((ExtensionBranch((), (), tuple(sorted(M))),)),
-            budget=None,
-            meta=meta,
-        )
-    )
-    return M
-
-
-def _bridge_matching(g: Graph, bridge: Edge, steps: list[ReductionStep]) -> Matching:
-    """Split at a bridge, solve the pieces, and keep the smallest candidate.
-
-    Candidates: for each side i, a pendant-avoiding matching of that side
-    plus the bridge endpoint of the other side, united with a plain matching
-    of the other side; and, when both sides have 4n_i - m_i divisible by 6,
-    plain matchings of both sides minus their endpoints plus the bridge edge.
-    """
-    u0, u1 = bridge
-    g.remove_edge(u0, u1)
-    side0 = frozenset(g.component_of(u0))
-    side1 = frozenset(g.component_of(u1))
-    g.add_edge(u0, u1)
-    if side1 == side0:
-        raise PreconditionViolated(f"{bridge} is not a bridge")
-    lam6 = _lambda6_connected(g)
-
-    candidates = []
-    for name, own, other, u_other in (
-        ("gamma0", side0, side1, u1),
-        ("gamma1", side1, side0, u0),
-    ):
-        sub_steps: list[ReductionStep] = []
-        h_verts = frozenset(own | {u_other})
-        H = g.subgraph(h_verts)
-        mh = _solve_connected(H, PendantConstraint(u_other, bridge), sub_steps, internal=True)
-        mo = _solve_connected(g.subgraph(other), None, sub_steps, internal=True)
-        candidates.append((name, mh | mo, (h_verts, other), sub_steps))
-    n0, m0 = len(side0), g.subgraph(side0).m
-    n1, m1 = len(side1), g.subgraph(side1).m
-    if (4 * n0 - m0) % 6 == 0 and (4 * n1 - m1) % 6 == 0:
-        sub_steps = []
-        f0 = frozenset(side0 - {u0})
-        f1 = frozenset(side1 - {u1})
-        mf0 = _solve_graph(g.subgraph(f0), sub_steps)
-        mf1 = _solve_graph(g.subgraph(f1), sub_steps)
-        candidates.append(("forest", mf0 | mf1 | {bridge}, (f0, f1), sub_steps))
-
+def _split(g: Graph, step: ReductionStep, steps: list[ReductionStep], recorded) -> Matching:
+    """Split at a bridge, solve each candidate's subproblems, and keep the
+    smallest candidate within the bound (in replay: the recorded one)."""
+    bridge = step.meta["bridge"]
+    candidates = _bridge_candidates(g, bridge)
+    if recorded is not None:
+        candidates = [c for c in candidates if c[0] == step.case]
+        if not candidates:
+            raise InternalInvariantViolation(f"no {step.case} candidate at bridge {bridge}")
+    lam6 = bound_report(g, connected=True).lambda_times_6
     best = None
-    for name, cand, parts, sub_steps in candidates:
-        if maximality_status(g, cand) != 0:
+    for name, parts in candidates:
+        sub_steps: list[ReductionStep] = []
+        M = _union([
+            _run(g.subgraph(verts), c, True, maybe_split, sub_steps, recorded)
+            for verts, c, maybe_split in parts
+        ])
+        if name == "forest":
+            M = M | {bridge}
+        if maximality_status(g, M) != 0:
             raise InternalInvariantViolation(f"bridge candidate {name} not maximal")
-        if 6 * len(cand) > lam6:
-            continue
-        if best is None or len(cand) < len(best[1]):
-            best = (name, cand, parts, sub_steps)
+        if 6 * len(M) <= lam6 and (best is None or len(M) < len(best[1])):
+            best = (name, M, parts, sub_steps)
     if best is None:
         raise InternalInvariantViolation("no bridge candidate meets the bound")
     name, M, parts, sub_steps = best
@@ -321,11 +300,40 @@ def _bridge_matching(g: Graph, bridge: Edge, steps: list[ReductionStep]) -> Matc
             added_edges=frozenset(),
             extension=None,
             budget=None,
-            meta={"bridge": bridge, "candidate": name, "subproblems": parts},
+            meta={"bridge": bridge, "candidate": name, "subproblems": tuple(p[0] for p in parts)},
         )
     )
     steps.extend(sub_steps)
     return M
+
+
+def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
+    """Candidate splits at a bridge of connected g: (name, subproblems), each
+    subproblem (vertex set, constraint, may be disconnected).
+
+    For each side i, a pendant-avoiding matching of that side plus the bridge
+    endpoint of the other side, united with a plain matching of the other
+    side; and, when both sides have 4n_i - m_i divisible by 6, plain
+    matchings of both sides minus their endpoints plus the bridge edge.
+    """
+    u0, u1 = bridge
+    if not g.has_edge(u0, u1):
+        raise InternalInvariantViolation(f"{bridge} is not an edge")
+    g.remove_edge(u0, u1)
+    side0 = frozenset(g.component_of(u0))
+    g.add_edge(u0, u1)
+    if u1 in side0:
+        raise InternalInvariantViolation(f"{bridge} is not a bridge")
+    side1 = frozenset(g.iter_vertices()) - side0
+    candidates = [
+        ("gamma0", ((side0 | {u1}, PendantConstraint(u1, bridge), False), (side1, None, False))),
+        ("gamma1", ((side1 | {u0}, PendantConstraint(u0, bridge), False), (side0, None, False))),
+    ]
+    m0 = (sum(g.degree(v) for v in side0) - 1) // 2
+    m1 = g.m - 1 - m0
+    if (4 * len(side0) - m0) % 6 == 0 and (4 * len(side1) - m1) % 6 == 0:
+        candidates.append(("forest", ((side0 - {u0}, None, True), (side1 - {u1}, None, True))))
+    return candidates
 
 
 # -- public API ------------------------------------------------------------------
@@ -336,18 +344,14 @@ def _prepare(g: Graph) -> Graph:
     if not g.is_connected():
         raise Disconnected("solve requires a connected graph; see solve_all")
     g.validate()
-    limit = 3 * g.n + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
     return g.copy()
 
 
 def solve(g: Graph) -> SolveCertificate:
     """Maximal matching of a connected subcubic graph within the bound."""
     t0 = time.perf_counter()
-    work = _prepare(g)
     steps: list[ReductionStep] = []
-    M = _solve_connected(work, None, steps, internal=False)
+    M = _run(_prepare(g), None, False, False, steps, None)
     return _certify(g, M, steps, t0)
 
 
@@ -357,9 +361,7 @@ def solve_avoiding(g: Graph, constraint: PendantConstraint) -> SolveCertificate:
     work = _prepare(g)
     _check_constraint(work, constraint)
     steps: list[ReductionStep] = []
-    M = _solve_connected(work, constraint, steps, internal=False)
-    if edge(*constraint.forbidden_edge) in M:
-        raise InternalInvariantViolation("avoiding solve returned the forbidden edge")
+    M = _run(work, constraint, False, False, steps, None)
     return _certify(g, M, steps, t0)
 
 
@@ -371,8 +373,8 @@ def solve_all(g: Graph) -> list[SolveCertificate]:
 
 
 def _certify(g: Graph, M: Matching, steps, t0) -> SolveCertificate:
-    report = bound_report(g)
-    valid = is_matching(g, M) and is_maximal(g, M) and matching_within_bound(g, M, report)
+    report = bound_report(g, connected=True)  # _prepare checked it
+    valid = maximality_status(g, M) == 0 and matching_within_bound(g, M, report)
     return SolveCertificate(
         matching=M,
         trace=steps,
@@ -383,62 +385,15 @@ def _certify(g: Graph, M: Matching, steps, t0) -> SolveCertificate:
     )
 
 
-def solve_bridge_case(g: Graph, bridge: Edge) -> Matching:
-    """Public entry for the bridge split on its own (used by tests)."""
-    bridge = edge(*bridge)
-    if bridge not in g.find_bridges():
-        raise PreconditionViolated(f"{bridge} is not a bridge of the graph")
-    if g.min_degree() < 2:
-        raise PreconditionViolated("pendant reductions must be exhausted first")
-    work = g.copy()
-    steps: list[ReductionStep] = []
-    return _bridge_matching(work, bridge, steps)
-
-
-# -- trace replay ----------------------------------------------------------------
-
 def replay(g: Graph, cert: SolveCertificate) -> Matching:
     """Re-derive the certified matching from the recorded trace alone.
 
-    Exercises that steps carry everything needed to rebuild the answer:
-    deletions, added edges, extension recipes, and bridge split bookkeeping.
+    The engine takes each step from the trace instead of the rules, so every
+    check of a solve runs again; a trace that does not fit g, ends early or
+    has steps left over raises InternalInvariantViolation.
     """
-    it = iter(cert.trace)
-    M = _replay_graph(g.copy(), it)
-    leftover = next(it, None)
-    if leftover is not None:
+    recorded = iter(cert.trace)
+    M = _run(_prepare(g), None, False, False, [], recorded)
+    if next(recorded, None) is not None:
         raise InternalInvariantViolation("trace has unconsumed steps")
     return M
-
-
-def _replay_graph(g: Graph, it) -> Matching:
-    if g.n == 0:
-        return frozenset()
-    comps = g.connected_components()
-    if len(comps) == 1:
-        return _replay_connected(g, it)
-    out: set[Edge] = set()
-    for comp in comps:
-        out |= _replay_connected(g.subgraph(comp), it)
-    return frozenset(out)
-
-
-def _replay_connected(g: Graph, it) -> Matching:
-    step = next(it)
-    if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
-        if step.deleted != frozenset(g.iter_vertices()):
-            raise InternalInvariantViolation("base step covers the wrong vertex set")
-        return step.extension.apply(frozenset())
-    if step.rule == R.RULE_BRIDGE:
-        parts = [_replay_graph(g.subgraph(verts), it) for verts in step.meta["subproblems"]]
-        M: set[Edge] = set()
-        for p in parts:
-            M |= p
-        if step.meta["candidate"] == "forest":
-            M.add(step.meta["bridge"])
-        return frozenset(M)
-    g.remove_vertices(step.deleted)
-    for e in sorted(step.added_edges):
-        g.add_edge(*e)
-    sub = _replay_graph(g, it)
-    return step.extension.apply(sub)

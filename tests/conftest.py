@@ -45,6 +45,16 @@ def bridged_pair(n_side: int, seed: int) -> Graph:
     return g
 
 
+def reduced(g: Graph, step) -> Graph:
+    """g after a linear reduction step, rebuilt here without the solver's
+    code so that tests cross-check the engine's in-place reduction."""
+    h = g.copy()
+    h.remove_vertices(step.deleted)
+    for e in step.added_edges:
+        h.add_edge(*e)
+    return h
+
+
 @pytest.fixture(scope="session")
 def corpus_n4():
     return list(enumerate_connected_subcubic(4))

@@ -49,6 +49,19 @@ def test_solve_per_component(capsys, monkeypatch):
     assert code == 2
 
 
+def test_solve_per_component_sums_component_bounds(capsys, monkeypatch):
+    from minmatch.graph import Graph
+
+    g = Graph.from_edges([(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+    code, out, _ = run(
+        capsys, ["solve", "--per-component"], stdin=write_graph6(g) + "\n", monkeypatch=monkeypatch
+    )
+    assert code == 0
+    payload = json.loads(out.strip())
+    assert (payload["n"], payload["m"], payload["n1"], payload["I"], payload["K"]) == (6, 5, 2, 0, 1)
+    assert payload["lambda_times_6"] == 6 + 12  # K2 part and C4 part
+
+
 def test_exact_known_values(capsys, monkeypatch):
     lines = (
         write_graph6(gen_named("K4"))

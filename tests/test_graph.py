@@ -11,7 +11,7 @@ from minmatch.errors import (
     UnknownVertex,
 )
 from minmatch.generators import enumerate_connected_subcubic, gen_named, gen_random_cubic
-from minmatch.graph import Graph, is_isomorphic_small, is_k33
+from minmatch.graph import Graph, is_k33
 
 
 def test_add_edge_builds_k2():
@@ -25,7 +25,7 @@ def test_add_edge_builds_k2():
 def test_add_edge_closes_cycle():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
     g.add_edge(0, 3)
-    assert is_isomorphic_small(g, "K4") is False
+    assert not g.is_cubic()
     assert g.degree_census().n2 == 4  # C4
 
 
@@ -150,19 +150,19 @@ def test_census_sum_identity():
             assert c.n1 + 2 * c.n2 + 3 * c.n3 == 2 * c.m
 
 
-def test_is_isomorphic_small():
-    assert not is_isomorphic_small(gen_named("C_n", 4), "K33")
+def test_is_k33():
+    assert is_k33(gen_named("K33"))
     relabeled = Graph.from_edges(
         (10 * i, 10 * j + 1) for i in range(3) for j in range(3, 6)
     )
-    assert is_isomorphic_small(relabeled, "K33")
-    g = gen_named("K33")
-    g.remove_edge(2, 5)
-    assert is_isomorphic_small(g, "K33_MINUS")
-    assert is_isomorphic_small(gen_named("K4"), "K4")
-    assert is_isomorphic_small(gen_named("K2"), "K2")
-    assert is_k33(gen_named("K33"))
+    assert is_k33(relabeled)
+    prism = Graph.from_edges(
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    assert prism.is_cubic() and not is_k33(prism)
     assert not is_k33(gen_named("K33_MINUS"))
+    assert not is_k33(gen_named("C_n", 6))
+    assert not is_k33(gen_named("K4"))
 
 
 def test_validate_on_generated_graphs():

@@ -9,7 +9,6 @@ from minmatch.matching import (
     gamma_lower_bound,
     is_matching,
     is_maximal,
-    lambda_times_6,
     matching_within_bound,
 )
 from minmatch.oracle import enumerate_maximal_matchings, gamma_exact
@@ -42,6 +41,8 @@ def test_is_maximal_k4():
 def test_is_maximal_requires_matching():
     with pytest.raises(NotAMatching):
         is_maximal(gen_named("C_n", 4), as_matching([(0, 1), (1, 2)]))
+    with pytest.raises(EdgeNotInGraph):
+        is_maximal(gen_named("C_n", 4), as_matching([(0, 2)]))
 
 
 def brute_force_maximal(g, M):
@@ -73,11 +74,6 @@ def test_bound_report_rejects_disconnected():
     g = Graph.from_edges([(0, 1), (2, 3)])
     with pytest.raises(Disconnected):
         bound_report(g)
-
-
-def test_lambda_times_6_sums_components():
-    g = Graph.from_edges([(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
-    assert lambda_times_6(g) == 6 + 12  # K2 part and C4 part
 
 
 def test_gamma_lower_bound():

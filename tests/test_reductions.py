@@ -7,12 +7,12 @@ one deterministic sweep that pins the full variant checklist.
 
 import random
 
-from conftest import random_connected_subcubic
+from conftest import random_connected_subcubic, reduced
 from minmatch.graph import Graph
 from minmatch.matching import is_maximal
 from minmatch.oracle import gamma_exact
 from minmatch.reductions import ExtensionBranch, ExtensionRecipe, adjacent_deg2_step
-from minmatch.solver import apply_step, extend_solution, replay, select_rule, solve
+from minmatch.solver import replay, select_rule, solve
 
 
 def test_deg2_231_shared_third_neighbour_hexagon():
@@ -39,9 +39,8 @@ def test_deg2_231_shared_third_neighbour_hexagon():
     assert replay(g, cert) == cert.matching
 
     # exercise all three recipe branches against oracle sub-solutions
-    reduced = apply_step(g, step)
-    for sub in (M for M in _all_maximal(reduced)):
-        M = extend_solution(g, step, sub)
+    for sub in _all_maximal(reduced(g, step)):
+        M = step.extension.apply(sub)
         assert is_maximal(g, M)
         assert len(M) - len(sub) <= step.budget
 

@@ -1,13 +1,18 @@
+import inspect
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bridged_pair, random_connected_subcubic
+from conftest import bridged_pair, random_connected_subcubic, reduced
+from minmatch import solver
 from minmatch.errors import (
     Disconnected,
     EmptyGraph,
+    InternalInvariantViolation,
     InvalidConstraint,
     PreconditionViolated,
 )
@@ -26,16 +31,13 @@ from minmatch.matching import (
 from minmatch.oracle import gamma_exact
 from minmatch.solver import (
     PendantConstraint,
-    apply_step,
     choose_crossing_pair,
-    extend_solution,
     replay,
     select_noncubic_edge,
     select_rule,
     solve,
     solve_all,
     solve_avoiding,
-    solve_bridge_case,
 )
 
 
@@ -97,10 +99,11 @@ def test_degree1_step_on_p4():
     step = select_rule(g)
     assert step.rule == "DEGREE1"
     assert step.deleted == {0, 1, 2}
-    reduced = apply_step(g, step)
-    assert reduced.vertices() == [3] and reduced.m == 0
-    M = extend_solution(g, step, frozenset())
+    h = reduced(g, step)
+    assert h.vertices() == [3] and h.m == 0
+    M = step.extension.apply(frozenset())
     assert M == frozenset({(1, 2)})
+    assert is_maximal(g, M)
 
 
 def test_degree1_prefers_support_of_degree_two():
@@ -118,14 +121,15 @@ def test_adjacent_deg2_contraction_on_c6():
     assert (step.rule, step.case) == ("ADJ_DEG2", "contract")
     assert step.deleted == {0, 1}
     assert step.added_edges == {(2, 5)}
-    reduced = apply_step(g, step)
-    assert (reduced.n, reduced.m) == (4, 4)
-    assert reduced.degree_census().n2 == 4  # a 4-cycle
+    h = reduced(g, step)
+    assert (h.n, h.m) == (4, 4)
+    assert h.degree_census().n2 == 4  # a 4-cycle
     # both extension branches add exactly one edge
-    M = extend_solution(g, step, frozenset({(3, 4), (2, 5)}))
+    M = step.extension.apply(frozenset({(3, 4), (2, 5)}))
     assert len(M) == 3 and (0, 5) in M and (1, 2) in M and (2, 5) not in M
-    M2 = extend_solution(g, step, frozenset({(2, 3), (4, 5)}))
+    M2 = step.extension.apply(frozenset({(2, 3), (4, 5)}))
     assert M2 == frozenset({(2, 3), (4, 5), (0, 1)})
+    assert is_maximal(g, M) and is_maximal(g, M2)
 
 
 def test_adjacent_deg2_triangle_case():
@@ -140,8 +144,8 @@ def test_adjacent_deg2_triangle_case():
     step = adjacent_deg2_step(g)
     assert (step.rule, step.case) == ("ADJ_DEG2", "triangle")
     assert step.deleted == {0, 1, 2}
-    sub = gamma_exact(apply_step(g, step)).witness
-    M = extend_solution(g, step, sub)
+    sub = gamma_exact(reduced(g, step)).witness
+    M = step.extension.apply(sub)
     assert is_maximal(g, M)
     assert (0, 2) in M
 
@@ -151,9 +155,9 @@ def test_cubic_finish_on_q3():
     step = select_rule(g)
     assert (step.rule, step.case) == ("CUBIC_FINISH", "crossing")
     assert step.deleted == {0, 1}
-    reduced = apply_step(g, step)
-    assert reduced.n == 6
-    assert reduced.cubic_components() == []
+    h = reduced(g, step)
+    assert h.n == 6
+    assert h.cubic_components() == []
 
 
 def test_cubic_finish_shared_neighbour():
@@ -165,7 +169,7 @@ def test_cubic_finish_shared_neighbour():
     step = select_rule(prism)
     assert step.rule == "CUBIC_FINISH"
     assert step.case == "shared-neighbour"
-    M = extend_solution(prism, step, solve(apply_step(prism, step)).matching)
+    M = step.extension.apply(solve(reduced(prism, step)).matching)
     assert is_maximal(prism, M)
 
 
@@ -242,14 +246,6 @@ def test_choose_crossing_pair_shared_vertex():
     assert_sound(g, cert)
 
 
-def test_apply_step_keeps_original_intact():
-    g = gen_named("CUBE_Q3")
-    before = g.copy()
-    step = select_rule(g)
-    apply_step(g, step)
-    assert g == before
-
-
 # -- bridge handling ---------------------------------------------------------------
 
 def two_triangles_bridge():
@@ -258,41 +254,50 @@ def two_triangles_bridge():
     )
 
 
-def test_bridge_two_triangles():
+def split_at_bridge(g, bridge, monkeypatch):
+    """Solve with the base case lowered below g's size, so that the split at
+    the bridge runs even on these small graphs."""
+    monkeypatch.setattr(solver, "BASE_SIZE", 5)
+    cert = solve(g)
+    assert_sound(g, cert)
+    assert (cert.trace[0].rule, cert.trace[0].meta["bridge"]) == ("BRIDGE", bridge)
+    assert replay(g, cert) == cert.matching
+    return cert
+
+
+def test_bridge_two_triangles(monkeypatch):
     g = two_triangles_bridge()
-    M = solve_bridge_case(g, (2, 3))
-    assert is_maximal(g, M)
+    M = split_at_bridge(g, (2, 3), monkeypatch).matching
     assert len(M) <= 2  # floor((24-7)/6)
     assert gamma_exact(g).gamma == 2
 
 
-def test_bridge_two_squares():
+def test_bridge_two_squares(monkeypatch):
     g = Graph.from_edges(
         [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7), (0, 4)]
     )
-    M = solve_bridge_case(g, (0, 4))
-    assert is_maximal(g, M)
+    M = split_at_bridge(g, (0, 4), monkeypatch).matching
     assert len(M) <= 3  # floor(23/6)
 
 
-def test_bridge_two_k4_minus():
+def test_bridge_two_k4_minus(monkeypatch):
     half = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)]  # K4 minus (0,3)
     other = [(u + 4, v + 4) for u, v in half]
     g = Graph.from_edges(half + other + [(0, 7)])
     assert (g.n, g.m) == (8, 11)
-    M = solve_bridge_case(g, (0, 7))
-    assert is_maximal(g, M)
+    M = split_at_bridge(g, (0, 7), monkeypatch).matching
     assert len(M) <= 3  # floor(21/6)
     assert gamma_exact(g).gamma <= len(M)
 
 
-def test_bridge_preconditions():
+def test_bridge_preconditions(monkeypatch):
+    # a recorded split must name a bridge of the graph it is replayed on
     g = two_triangles_bridge()
-    with pytest.raises(PreconditionViolated):
-        solve_bridge_case(g, (0, 1))
-    p4 = gen_named("P_n", 4)
-    with pytest.raises(PreconditionViolated):
-        solve_bridge_case(p4, (1, 2))
+    cert = split_at_bridge(g, (2, 3), monkeypatch)
+    for bad in ((0, 1), (0, 4)):  # an edge on a cycle, and no edge at all
+        step = replace(cert.trace[0], meta={**cert.trace[0].meta, "bridge": bad})
+        with pytest.raises(InternalInvariantViolation):
+            replay(g, replace(cert, trace=[step] + cert.trace[1:]))
 
 
 def test_solve_on_bridged_blobs():
@@ -372,6 +377,35 @@ def test_replay_reproduces_matching_small(corpus_n6):
         assert replay(g, cert) == cert.matching
 
 
+def test_replay_rejects_truncated_trace():
+    g = gen_random_cubic(40, 3)
+    cert = solve(g)
+    with pytest.raises(InternalInvariantViolation):
+        replay(g, replace(cert, trace=cert.trace[:-1]))
+
+
+def test_replay_rejects_extra_step():
+    g = gen_random_cubic(40, 3)
+    cert = solve(g)
+    with pytest.raises(InternalInvariantViolation):
+        replay(g, replace(cert, trace=cert.trace[:1] + cert.trace))
+
+
+def test_replay_rejects_tampered_recipe():
+    # the last base step loses one edge of its matching
+    g = gen_random_cubic(40, 3)
+    cert = solve(g)
+    i = max(i for i, s in enumerate(cert.trace) if s.rule == "BASE_SMALL")
+    (branch,) = cert.trace[i].extension.branches
+    tampered = replace(
+        cert.trace[i],
+        extension=replace(cert.trace[i].extension, branches=(replace(branch, add=branch.add[1:]),)),
+    )
+    trace = cert.trace[:i] + [tampered] + cert.trace[i + 1:]
+    with pytest.raises(InternalInvariantViolation):
+        replay(g, replace(cert, trace=trace))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([12, 20, 40, 80]), st.integers(0, 3))
 def test_randomized_soundness(seed, n, deletions):
@@ -430,6 +464,26 @@ def test_deep_reduction_chains():
     assert 6 * len(cert.matching) <= cert.bound.lambda_times_6
 
 
+@pytest.fixture
+def low_recursion_limit():
+    old = sys.getrecursionlimit()
+    limit = len(inspect.stack(0)) + 60
+    sys.setrecursionlimit(limit)
+    yield limit
+    sys.setrecursionlimit(old)
+
+
+def test_solve_leaves_recursion_limit_alone(low_recursion_limit):
+    # the engine keeps its own stack: reduction chains far deeper than the
+    # interpreter's limit neither overflow it nor make the solver raise it
+    for g in (gen_named("P_n", 600), gen_named("C_n", 601)):
+        cert = solve(g)
+        assert cert.valid
+        assert len(cert.trace) > low_recursion_limit
+        assert replay(g, cert) == cert.matching
+        assert sys.getrecursionlimit() == low_recursion_limit
+
+
 def test_solver_handles_noncontiguous_vertex_ids():
     g = gen_random_cubic(30, 4)
     relabeled = Graph.from_edges(
@@ -480,13 +534,13 @@ def test_deg2_232_delta_counts():
                 break
             if step.rule == "DEG2_TWO_DEG3" and step.case == "2.3.2" and step.meta.get("variant") == "main":
                 before = (work.n, work.m)
-                nxt = apply_step(work, step)
+                nxt = reduced(work, step)
                 assert before[0] - nxt.n == 5
                 assert before[1] - nxt.m == 8
                 found = True
             if step.rule in ("BASE_SMALL", "K33_SPECIAL"):
                 break
-            work = apply_step(work, step)
+            work = reduced(work, step)
         if found:
             break
     assert found

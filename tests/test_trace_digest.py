@@ -1,0 +1,36 @@
+"""Pinned digest of the reduction traces on a seeded corpus.
+
+The digest covers (rule, case, sorted deleted, sorted added) of every step of
+every certificate, in order.  A change that only restructures the solver must
+leave it unchanged; a change that alters rule choice, case analysis or trace
+order shows up here first.
+"""
+
+import hashlib
+import json
+
+from conftest import bridged_pair
+from minmatch.generators import enumerate_connected_subcubic, gen_random_cubic
+from minmatch.solver import solve
+
+EXPECTED = "f64957e3e929673bc80db7b9a8dab93bb5f4cd53af2bf575467d8cbb5c940add"
+
+
+def corpus():
+    small = [g for n in range(1, 7) for g in enumerate_connected_subcubic(n)]
+    return small[::11] + [gen_random_cubic(100, seed) for seed in (1, 2, 3)] + [bridged_pair(10, 0)]
+
+
+def trace_digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        for s in solve(g).trace:
+            row = [s.rule, s.case, sorted(s.deleted), sorted(list(e) for e in s.added_edges)]
+            h.update(json.dumps(row, separators=(",", ":")).encode("ascii"))
+            h.update(b"\n")
+        h.update(b"--\n")
+    return h.hexdigest()
+
+
+def test_trace_digest_pinned():
+    assert trace_digest(corpus()) == EXPECTED
