@@ -135,12 +135,6 @@ class Graph:
         """Vertices of degree d, for d in {0, 1, 2} (live view, do not mutate)."""
         return self._buckets[d]
 
-    def min_degree(self) -> int:
-        for d in (0, 1, 2):
-            if self._buckets[d]:
-                return d
-        return MAX_DEGREE if self._adj else 0
-
     def is_cubic(self) -> bool:
         return bool(self._adj) and not (
             self._buckets[0] or self._buckets[1] or self._buckets[2]

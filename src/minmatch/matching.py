@@ -77,9 +77,12 @@ class BoundReport:
     k2: int     # the indicator K
     lambda_times_6: int
 
-    @property
-    def floor_lambda(self) -> int:
-        return self.lambda_times_6 // 6
+
+def lambda6(g: Graph) -> int:
+    """lambda_times_6 = 4n - m + 2I + K - n1 of a graph the caller knows to be
+    connected and non-empty: the one formula of the bound."""
+    n, m = g.n, g.m
+    return 4 * n - m + 2 * g.is_cubic() + (n == 2 and m == 1) - len(g.degree_bucket(1))
 
 
 def bound_report(g: Graph, connected: bool = False) -> BoundReport:
@@ -95,10 +98,7 @@ def bound_report(g: Graph, connected: bool = False) -> BoundReport:
     if not connected and not g.is_connected():
         raise Disconnected("bound defined per connected graph")
     census = g.degree_census()
-    cubic = 1 if g.is_cubic() else 0
-    k2 = 1 if (census.n == 2 and census.m == 1) else 0
-    lam6 = 4 * census.n - census.m + 2 * cubic + k2 - census.n1
-    return BoundReport(census=census, cubic=cubic, k2=k2, lambda_times_6=lam6)
+    return BoundReport(census, int(g.is_cubic()), int(census.n == 2 and census.m == 1), lambda6(g))
 
 
 def gamma_lower_bound(g: Graph) -> int:

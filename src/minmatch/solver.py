@@ -7,7 +7,9 @@ rule and reduces, then extends the reduced graph's matching back through
 each step's recipe, validating maximality, growth budget, and the bound
 after every extension.  Rule priority: small-graph base case, then pendants,
 bridges, adjacent degree-2 pairs, degree-2 vertices with degree-3
-neighbours, and finally the cubic case.
+neighbours, and finally the cubic case.  At a bridge only one candidate split
+is solved, chosen by bound arithmetic before any solving, so the matching
+may be larger than the best candidate's, though always within the bound.
 
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
@@ -37,6 +39,7 @@ from .matching import (
     BoundReport,
     Matching,
     bound_report,
+    lambda6,
     matching_within_bound,
     maximality_status,
 )
@@ -121,28 +124,25 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
 
 # -- the engine ------------------------------------------------------------------
 #
-# A task is a connected graph to solve.  A linear step reduces the task's
-# graph in place, pushes a frame holding the undo data, then pushes one task
-# per component of what is left; tasks are popped in preorder, which is the
-# trace order.  Unwinding a frame unions its components' matchings, undoes
-# the reduction and extends through the step's recipe.  A bridge split runs
-# the engine once per candidate subproblem, so the Python stack grows with
-# the nesting depth of bridges only, never with n.
+# A task is a connected graph to solve.  A step pushes a frame holding its
+# undo data, then one task per subproblem, popped in preorder (the trace
+# order): the components left by a linear step's in-place reduction, or
+# copies of the parts of a bridge split's candidate.  Unwinding a frame
+# unions the subproblems' matchings, undoes the reduction and extends through
+# the step's recipe.  The stack is the engine's own, so the Python stack
+# grows neither with n nor with the nesting depth of bridges.
 
 def _run(
     g: Graph,
     constraint: PendantConstraint | None,
-    internal: bool,
-    split: bool,
     steps: list[ReductionStep],
     recorded: Iterator[ReductionStep] | None,
 ) -> Matching:
-    """Matching of g, appending its steps to `steps`.  Steps come from the
-    rules (solve) or, when `recorded` is given, from a recorded trace
-    (replay).  `split` says g may be empty or disconnected; `internal` that
-    g came out of a reduction, where the exceptional graph must not appear."""
+    """Matching of connected g, appending its steps to `steps`.  Steps come
+    from the rules (solve) or, when `recorded` is given, from a recorded
+    trace (replay)."""
     results: list[Matching] = []
-    stack = _tasks(g, constraint, internal, split)[::-1]
+    stack: list[tuple] = [("task", g, constraint, False)]
     while stack:
         item = stack.pop()
         if item[0] == "frame":
@@ -155,34 +155,34 @@ def _run(
             g.restore_vertices(saved)
             results.append(_checked(g, step, sub, step.extension.apply(sub), constraint))
             continue
-        _, g, verts, constraint, internal = item
-        if verts is not None:
-            g = g.subgraph(verts)
+        _, g, constraint, internal = item  # internal: no exceptional graph allowed
         step = _next_step(g, constraint, recorded)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             steps.append(step)
             results.append(_leaf(g, step, constraint, internal))
-        elif step.rule == R.RULE_BRIDGE:
-            results.append(_split(g, step, steps, recorded))
+            continue
+        if step.rule == R.RULE_BRIDGE:
+            step, tasks = _split(g, step, recorded is None)
+            saved, added = {}, []
         else:
-            steps.append(step)
             saved, added = _reduce(g, step)
-            tasks = _tasks(g, None, True, True)
-            stack.append(("frame", len(tasks), g, step, saved, added, constraint))
-            stack.extend(reversed(tasks))
-    return _union(results)
+            tasks = _tasks(g, None)
+        steps.append(step)
+        stack.append(("frame", len(tasks), g, step, saved, added, constraint))
+        stack.extend(reversed(tasks))
+    return results[0]
 
 
 def _union(parts: list[Matching]) -> Matching:
     return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
 
-def _tasks(g: Graph, constraint, internal: bool, split: bool) -> list[tuple]:
-    """Tasks for g in preorder: g itself, or one per component (copied when
-    popped) when g may be split."""
-    if not split or g.is_connected():
-        return [("task", g, None, constraint, internal)]
-    return [("task", g, comp, constraint, internal) for comp in g.connected_components()]
+def _tasks(g: Graph, constraint) -> list[tuple]:
+    """Tasks for g in preorder: g itself if connected, else a copy of each
+    component (an empty g gives none)."""
+    if g.is_connected():
+        return [("task", g, constraint, True)]
+    return [("task", g.subgraph(comp), constraint, True) for comp in g.connected_components()]
 
 
 def _next_step(g: Graph, constraint, recorded) -> ReductionStep:
@@ -258,7 +258,7 @@ def _checked(g: Graph, step, sub: Matching, M: Matching, constraint, special=Fal
         if len(M) != 3:
             raise InternalInvariantViolation("exceptional case must give 3 edges")
     else:
-        lam6 = bound_report(g, connected=True).lambda_times_6
+        lam6 = lambda6(g)
         if 6 * len(M) > lam6:
             raise InternalInvariantViolation(f"{where}: 6*{len(M)} exceeds bound {lam6}")
     if constraint is not None and edge(*constraint.forbidden_edge) in M:
@@ -266,50 +266,43 @@ def _checked(g: Graph, step, sub: Matching, M: Matching, constraint, special=Fal
     return M
 
 
-def _split(g: Graph, step: ReductionStep, steps: list[ReductionStep], recorded) -> Matching:
-    """Split at a bridge, solve each candidate's subproblems, and keep the
-    smallest candidate within the bound (in replay: the recorded one)."""
+def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep, list[tuple]]:
+    """The bridge step to record, and the tasks of its candidate's parts:
+    in solve the smallest a-priori bound (ties in the order gamma0, gamma1,
+    forest), in replay the recorded candidate.  Each subproblem's matching is
+    checked against its own lambda, so the sum of their floor(lambda/6), plus
+    1 for forest's bridge edge, bounds the candidate before anything is
+    solved; the construction guarantees that it meets floor(lambda(g)/6)."""
     bridge = step.meta["bridge"]
-    candidates = _bridge_candidates(g, bridge)
-    if recorded is not None:
-        candidates = [c for c in candidates if c[0] == step.case]
-        if not candidates:
-            raise InternalInvariantViolation(f"no {step.case} candidate at bridge {bridge}")
-    lam6 = bound_report(g, connected=True).lambda_times_6
     best = None
-    for name, parts in candidates:
-        sub_steps: list[ReductionStep] = []
-        M = _union([
-            _run(g.subgraph(verts), c, True, maybe_split, sub_steps, recorded)
-            for verts, c, maybe_split in parts
-        ])
-        if name == "forest":
-            M = M | {bridge}
-        if maximality_status(g, M) != 0:
-            raise InternalInvariantViolation(f"bridge candidate {name} not maximal")
-        if 6 * len(M) <= lam6 and (best is None or len(M) < len(best[1])):
-            best = (name, M, parts, sub_steps)
+    for name, parts in _bridge_candidates(g, bridge):
+        if not solving and name != step.case:
+            continue
+        tasks = [t for verts, c in parts for t in _tasks(g.subgraph(verts), c)]
+        bound = sum(lambda6(t[1]) // 6 for t in tasks) + (name == "forest")
+        if best is None or bound < best[0]:
+            best = (bound, name, parts, tasks)
     if best is None:
-        raise InternalInvariantViolation("no bridge candidate meets the bound")
-    name, M, parts, sub_steps = best
-    steps.append(
-        ReductionStep(
-            rule=R.RULE_BRIDGE,
-            case=name,
-            deleted=frozenset(),
-            added_edges=frozenset(),
-            extension=None,
-            budget=None,
-            meta={"bridge": bridge, "candidate": name, "subproblems": tuple(p[0] for p in parts)},
-        )
+        raise InternalInvariantViolation(f"no {step.case} candidate at bridge {bridge}")
+    bound, name, parts, tasks = best
+    if bound > lambda6(g) // 6:
+        raise InternalInvariantViolation(f"bridge candidate {name} misses the bound a priori")
+    add = (bridge,) if name == "forest" else ()
+    step = ReductionStep(
+        rule=R.RULE_BRIDGE,
+        case=name,
+        deleted=frozenset(),
+        added_edges=frozenset(),
+        extension=ExtensionRecipe((ExtensionBranch((), (), add),)),
+        budget=None,
+        meta={"bridge": bridge, "candidate": name, "subproblems": tuple(p[0] for p in parts)},
     )
-    steps.extend(sub_steps)
-    return M
+    return step, tasks
 
 
 def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
     """Candidate splits at a bridge of connected g: (name, subproblems), each
-    subproblem (vertex set, constraint, may be disconnected).
+    subproblem (vertex set, constraint).
 
     For each side i, a pendant-avoiding matching of that side plus the bridge
     endpoint of the other side, united with a plain matching of the other
@@ -326,13 +319,13 @@ def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
         raise InternalInvariantViolation(f"{bridge} is not a bridge")
     side1 = frozenset(g.iter_vertices()) - side0
     candidates = [
-        ("gamma0", ((side0 | {u1}, PendantConstraint(u1, bridge), False), (side1, None, False))),
-        ("gamma1", ((side1 | {u0}, PendantConstraint(u0, bridge), False), (side0, None, False))),
+        ("gamma0", ((side0 | {u1}, PendantConstraint(u1, bridge)), (side1, None))),
+        ("gamma1", ((side1 | {u0}, PendantConstraint(u0, bridge)), (side0, None))),
     ]
     m0 = (sum(g.degree(v) for v in side0) - 1) // 2
     m1 = g.m - 1 - m0
     if (4 * len(side0) - m0) % 6 == 0 and (4 * len(side1) - m1) % 6 == 0:
-        candidates.append(("forest", ((side0 - {u0}, None, True), (side1 - {u1}, None, True))))
+        candidates.append(("forest", ((side0 - {u0}, None), (side1 - {u1}, None))))
     return candidates
 
 
@@ -351,7 +344,7 @@ def solve(g: Graph) -> SolveCertificate:
     """Maximal matching of a connected subcubic graph within the bound."""
     t0 = time.perf_counter()
     steps: list[ReductionStep] = []
-    M = _run(_prepare(g), None, False, False, steps, None)
+    M = _run(_prepare(g), None, steps, None)
     return _certify(g, M, steps, t0)
 
 
@@ -361,7 +354,7 @@ def solve_avoiding(g: Graph, constraint: PendantConstraint) -> SolveCertificate:
     work = _prepare(g)
     _check_constraint(work, constraint)
     steps: list[ReductionStep] = []
-    M = _run(work, constraint, False, False, steps, None)
+    M = _run(work, constraint, steps, None)
     return _certify(g, M, steps, t0)
 
 
@@ -393,7 +386,7 @@ def replay(g: Graph, cert: SolveCertificate) -> Matching:
     has steps left over raises InternalInvariantViolation.
     """
     recorded = iter(cert.trace)
-    M = _run(_prepare(g), None, False, False, [], recorded)
+    M = _run(_prepare(g), None, [], recorded)
     if next(recorded, None) is not None:
         raise InternalInvariantViolation("trace has unconsumed steps")
     return M

@@ -45,6 +45,32 @@ def bridged_pair(n_side: int, seed: int) -> Graph:
     return g
 
 
+def bridge_chain(k: int, seed: int, n_blob: int = 12) -> Graph:
+    """k random cubic blobs in a row, each joined to the next by a bridge.
+
+    Each blob loses the first edge whose removal keeps it connected; one
+    freed endpoint takes the bridge from the previous blob, the other the
+    bridge to the next, so the graph stays subcubic with k - 1 bridges or
+    more.
+    """
+    g = Graph()
+    prev = None
+    for i in range(k):
+        blob = gen_random_cubic(n_blob, seed + i)
+        for a, b in blob.edges():
+            blob.remove_edge(a, b)
+            if blob.is_connected():
+                break
+            blob.add_edge(a, b)
+        off = i * n_blob
+        for u, v in blob.edges():
+            g.add_edge(u + off, v + off)
+        if prev is not None:
+            g.add_edge(prev, a + off)
+        prev = b + off
+    return g
+
+
 def reduced(g: Graph, step) -> Graph:
     """g after a linear reduction step, rebuilt here without the solver's
     code so that tests cross-check the engine's in-place reduction."""

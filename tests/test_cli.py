@@ -1,5 +1,9 @@
 import json
+from dataclasses import replace
 
+import pytest
+
+from minmatch import cli, matching
 from minmatch.cli import main
 from minmatch.generators import gen_gk, gen_named, gen_random_cubic
 from minmatch.graphio import write_graph6
@@ -199,3 +203,26 @@ def test_verify_edgelist_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", str(target), "--format", "edgelist"])
     assert code == 0
     assert json.loads(out.strip())["matching_size"] == 1
+
+
+def test_verify_rejects_format_option(tmp_path, capsys):
+    # verify reads graph6 only; an edge-list option it would ignore is refused
+    target = tmp_path / "tri.txt"
+    target.write_text("0 1\n1 2\n0 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "edgelist", str(target)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_verify_checks_maximality_without_the_certifying_scan(tmp_path, capsys, monkeypatch):
+    # a solver bug that also broke the shared maximality scan must still show
+    # as not_maximal: verify's own check does not go through that scan
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda g: replace(real_solve(g), matching=frozenset()))
+    monkeypatch.setattr(matching, "maximality_status", lambda g, M: 0)
+    target = tmp_path / "k4.g6"
+    target.write_text(write_graph6(gen_named("K4")) + "\n")
+    code, out, _ = run(capsys, ["verify", str(target)])
+    assert code == 3
+    assert json.loads(out)["failures"] == [{"id": "line:1", "property": "not_maximal"}]

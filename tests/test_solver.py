@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bridged_pair, random_connected_subcubic, reduced
+from conftest import bridge_chain, bridged_pair, random_connected_subcubic, reduced
 from minmatch import solver
 from minmatch.errors import (
     Disconnected,
@@ -24,6 +24,7 @@ from minmatch.generators import (
 )
 from minmatch.graph import Graph, edge
 from minmatch.matching import (
+    bound_report,
     is_matching,
     is_maximal,
     matching_within_bound,
@@ -300,6 +301,29 @@ def test_bridge_preconditions(monkeypatch):
             replay(g, replace(cert, trace=[step] + cert.trace[1:]))
 
 
+def test_some_bridge_candidate_meets_the_bound_a_priori(corpus_n6):
+    # the paper's counting argument: at every bridge of a pendant-free graph,
+    # the floors of the subproblems' own bounds (plus the bridge edge for
+    # forest) already fit within floor(lambda/6) for some candidate
+    graphs = [g for g in corpus_n6 if not g.degree_bucket(1)]
+    graphs += [bridge_chain(k, seed) for k in (2, 3, 5) for seed in range(4)]
+    splits = 0
+    for g in graphs:
+        target = bound_report(g).lambda_times_6 // 6
+        for bridge in sorted(g.find_bridges()):
+            bounds = []
+            for name, parts in solver._bridge_candidates(g, bridge):
+                total = int(name == "forest")
+                for verts, _ in parts:
+                    part = g.subgraph(verts)
+                    for comp in part.connected_components():
+                        total += bound_report(part.subgraph(comp)).lambda_times_6 // 6
+                bounds.append(total)
+            assert min(bounds) <= target, (g.edges(), bridge, bounds)
+            splits += 1
+    assert splits > 50
+
+
 def test_solve_on_bridged_blobs():
     for seed in range(5):
         g = bridged_pair(10, seed)
@@ -474,9 +498,10 @@ def low_recursion_limit():
 
 
 def test_solve_leaves_recursion_limit_alone(low_recursion_limit):
-    # the engine keeps its own stack: reduction chains far deeper than the
-    # interpreter's limit neither overflow it nor make the solver raise it
-    for g in (gen_named("P_n", 600), gen_named("C_n", 601)):
+    # the engine keeps its own stack: reduction chains and bridge nestings far
+    # deeper than the interpreter's limit neither overflow it nor make the
+    # solver raise it
+    for g in (gen_named("P_n", 600), gen_named("C_n", 601), bridge_chain(40, 7)):
         cert = solve(g)
         assert cert.valid
         assert len(cert.trace) > low_recursion_limit

@@ -13,7 +13,7 @@ from conftest import bridged_pair
 from minmatch.generators import enumerate_connected_subcubic, gen_random_cubic
 from minmatch.solver import solve
 
-EXPECTED = "f64957e3e929673bc80db7b9a8dab93bb5f4cd53af2bf575467d8cbb5c940add"
+EXPECTED = "26ea04cd76dbeda79d3132b933bc05c11354abfad76f64d1330b890904c6bccf"
 
 
 def corpus():
