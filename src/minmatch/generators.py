@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator
 
 from .errors import BadParameter, InternalInvariantViolation, RejectionLimitExceeded, TooLarge
@@ -161,12 +160,8 @@ def gen_random_cubic(n: int, seed: int) -> Graph:
 _ENUM_LIMIT = 7
 
 
-def enumerate_connected_subcubic(n: int, dedup: bool = False) -> Iterator[Graph]:
-    """Stream all connected labeled graphs on n vertices with max degree 3.
-
-    Labeled enumeration is the default corpus; dedup=True filters to one
-    representative per isomorphism class (fine for n <= 6, slow at 7).
-    """
+def enumerate_connected_subcubic(n: int) -> Iterator[Graph]:
+    """Stream all connected labeled graphs on n vertices with max degree 3."""
     if n < 1:
         raise BadParameter("need n >= 1")
     if n > _ENUM_LIMIT:
@@ -178,7 +173,6 @@ def enumerate_connected_subcubic(n: int, dedup: bool = False) -> Iterator[Graph]
     deg = [0] * n
     adj = [0] * n
     chosen: list[Edge] = []
-    seen_canon: set[tuple] = set()
 
     def connected() -> bool:
         stack = [0]
@@ -195,21 +189,10 @@ def enumerate_connected_subcubic(n: int, dedup: bool = False) -> Iterator[Graph]
                 stack.append(bit.bit_length() - 1)
         return count == n
 
-    def emit() -> Graph | None:
-        if not connected():
-            return None
-        if dedup:
-            canon = _canonical_form(n, chosen, deg)
-            if canon in seen_canon:
-                return None
-            seen_canon.add(canon)
-        return Graph.from_edges(list(chosen), vertices=range(n))
-
     def rec(idx: int) -> Iterator[Graph]:
         if idx == len(pairs):
-            g = emit()
-            if g is not None:
-                yield g
+            if connected():
+                yield Graph.from_edges(list(chosen), vertices=range(n))
             return
         yield from rec(idx + 1)
         i, j = pairs[idx]
@@ -228,25 +211,3 @@ def enumerate_connected_subcubic(n: int, dedup: bool = False) -> Iterator[Graph]
 
     yield from rec(0)
 
-
-def _canonical_form(n: int, edges: list[Edge], deg: list[int]) -> tuple:
-    """Lexicographically minimal edge set over degree-sorted relabelings.
-
-    Only permutations sending each vertex to a slot of its own degree are
-    tried; the slot degrees come from the (isomorphism-invariant) sorted
-    degree sequence, so equal forms mean isomorphic graphs and vice versa.
-    """
-    edge_set = set(edges)
-    target = sorted(deg, reverse=True)
-    best: tuple | None = None
-    for perm in permutations(range(n)):
-        if any(deg[v] != target[perm[v]] for v in range(n)):
-            continue
-        mapped = tuple(sorted(
-            (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in edge_set
-        ))
-        if best is None or mapped < best:
-            best = mapped
-    assert best is not None
-    return best

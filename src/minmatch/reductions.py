@@ -106,79 +106,44 @@ def _incident_edges(g: Graph, vs: set[int]) -> int:
 
 # -- edge selection that avoids cubic components --------------------------------
 
-def select_noncubic_edge(g: Graph, v0: set[int], estar: list[Edge]) -> Edge:
-    """Pick e from `estar`, absent from g, with g - v0 + e free of cubic
-    components.  Candidates are tried in sorted order with an early-exit
-    component scan; existence is guaranteed by the structure around v0
-    (bridgeless, and the candidate graph on the neighbours is connected
-    enough), so running out of candidates is an internal error.
+def first_noncubic_insertion(
+    g: Graph, v0: set[int], trials: list[tuple[Edge, ...]]
+) -> tuple[Edge, ...]:
+    """The first of `trials`, each a tuple of edges between neighbours of
+    v0, with g - v0 + those edges free of cubic components.  Trials holding
+    an edge of g are skipped; the rest are tried in the given order with an
+    early-exit component scan.  Existence is guaranteed by the structure
+    around v0 (bridgeless, and the candidate graph on the neighbours is
+    connected enough), so running out of trials is an internal error.
     """
-    v0 = set(v0)
-    outside = set()
-    for v in v0:
-        outside |= g.neighbors(v)
-    outside -= v0
-    for a, b in estar:
-        if a not in outside or b not in outside:
+    outside = set().union(*(g.neighbors(v) for v in v0)) - v0
+    for trial in trials:
+        if any(v not in outside for e in trial for v in e):
             raise PreconditionViolated(
-                f"candidate endpoint not a neighbour of the deleted set: {(a, b)}"
+                f"candidate endpoint not a neighbour of the deleted set: {trial}"
             )
-    candidates = sorted({edge(a, b) for a, b in estar if not g.has_edge(a, b)})
-    if not candidates:
-        raise PreconditionViolated("every candidate pair is already an edge")
+    trials = [t for t in trials if not any(g.has_edge(*e) for e in t)]
+    if not trials:
+        raise PreconditionViolated("no candidate that is not already an edge")
     saved = g.remove_vertices_with_undo(v0)
-    chosen = None
     try:
-        for e in candidates:
-            g.add_edge(*e)
-            cubic = g.has_cubic_component_touching(e)
-            g.remove_edge(*e)
+        for trial in trials:
+            for e in trial:
+                g.add_edge(*e)
+            cubic = g.has_cubic_component_touching([v for e in trial for v in e])
+            for e in reversed(trial):
+                g.remove_edge(*e)
             if not cubic:
-                chosen = e
-                break
+                return trial
     finally:
         g.restore_vertices(saved)
-    if chosen is None:
-        raise InternalInvariantViolation("no candidate edge avoids a cubic component")
-    return chosen
+    raise InternalInvariantViolation("no candidate insertion avoids a cubic component")
 
 
-def choose_crossing_pair(
-    g: Graph,
-    v0: set[int],
-    w11: int,
-    q1_candidates: list[int],
-    w22: int,
-    q2_candidates: list[int],
-) -> tuple[int, int]:
-    """Pick (q1, q2) so that g - v0 + w11q1 + w22q2 has no cubic component.
-
-    Exhaustive trial over at most four pairs with a component scan; the
-    connectivity structure guarantees some pair works.
-    """
-    if not q1_candidates or not q2_candidates:
-        raise PreconditionViolated("empty candidate list for crossing pair")
-    saved = g.remove_vertices_with_undo(set(v0))
-    found = None
-    try:
-        for q1 in sorted(q1_candidates):
-            for q2 in sorted(q2_candidates):
-                e1, e2 = edge(w11, q1), edge(w22, q2)
-                g.add_edge(*e1)
-                g.add_edge(*e2)
-                cubic = g.has_cubic_component_touching((w11, q1, w22, q2))
-                g.remove_edge(*e2)
-                g.remove_edge(*e1)
-                if not cubic:
-                    found = (q1, q2)
-                    break
-            if found:
-                break
-    finally:
-        g.restore_vertices(saved)
-    if found is None:
-        raise InternalInvariantViolation("no crossing pair avoids a cubic component")
-    return found
+def _noncubic_edge(g: Graph, v0: set[int], estar: list[Edge]) -> Edge:
+    """One edge from `estar`, tried in sorted order."""
+    (e,) = first_noncubic_insertion(g, v0, [(e,) for e in sorted({edge(a, b) for a, b in estar})])
+    return e
 
 
 # -- pendant rule ---------------------------------------------------------------
@@ -318,7 +283,7 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep:
         (w11, w12), (w21, w22) = (w21, w22), (w11, w12)
     xs = sorted(g.neighbors(w11) - {v1})
     estar = [(x, wt) for x in xs for wt in (w21, w22)]
-    e = select_noncubic_edge(g, {u1, u2, v1, v2, w11}, estar)
+    e = _noncubic_edge(g, {u1, u2, v1, v2, w11}, estar)
     x = e[0] if e[0] in xs else e[1]
     wt = e[1] if x == e[0] else e[0]
     return _step(
@@ -438,7 +403,7 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
     (x11,) = sorted(g.neighbors(w11) - {v1, w12})
     (x12,) = sorted(g.neighbors(w12) - {v1, w11})
     estar = [(x, wt) for x in (x11, x12) for wt in (w21, w22)]
-    e = select_noncubic_edge(g, short, estar)
+    e = _noncubic_edge(g, short, estar)
     xa = e[0] if e[0] in (x11, x12) else e[1]
     wb = e[1] if xa == e[0] else e[0]
     w_own, w_other = (w11, w12) if xa == x11 else (w12, w11)
@@ -497,7 +462,7 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22, cross):
             ((), (), ((v1, w12), (v2, w21))),
         )),
     ]
-    e = select_noncubic_edge(g, short, [p for p, _ in labelled])
+    e = _noncubic_edge(g, short, [p for p, _ in labelled])
     recipe = next(r for p, r in labelled if p == e)
     return _step(RULE_DEG2, "2.2", short, (e,), recipe, budget=2, variant="rewire")
 
@@ -588,8 +553,9 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
     if not q1_cands or not q2_cands:
         raise InternalInvariantViolation("triple common neighbourhood missed earlier")
     v0 = {u, v1, v2, w12, w21}
-    q1, q2 = choose_crossing_pair(g, v0, w11, q1_cands, w22, q2_cands)
-    e1, e2 = edge(w11, q1), edge(w22, q2)
+    trials = [(edge(w11, q1), edge(w22, q2)) for q1 in q1_cands for q2 in q2_cands]
+    e1, e2 = first_noncubic_insertion(g, v0, trials)
+    q1, q2 = sum(e1) - w11, sum(e2) - w22
     side1_in = ((e1,), ((v1, w11), (w12, q1)))
     side1_out = ((), ((v1, w12),))
     side2_in = ((e2,), ((v2, w22), (w21, q2)))
@@ -619,7 +585,7 @@ def cubic_step(g: Graph) -> ReductionStep:
     v11, v12 = sorted(g.neighbors(u1) - {u2})
     v21, v22 = sorted(g.neighbors(u2) - {u1})
     estar = [(a, b) for a in (v11, v12) for b in (v21, v22)]
-    e = select_noncubic_edge(g, {u1, u2}, estar)
+    e = _noncubic_edge(g, {u1, u2}, estar)
     a = e[0] if e[0] in (v11, v12) else e[1]
     b = e[1] if a == e[0] else e[0]
     return _step(

@@ -10,6 +10,9 @@ bridges, adjacent degree-2 pairs, degree-2 vertices with degree-3
 neighbours, and finally the cubic case.  At a bridge only one candidate split
 is solved, chosen by bound arithmetic before any solving, so the matching
 may be larger than the best candidate's, though always within the bound.
+Its parts are carved out of the working graph in place, like the components
+a reduction leaves: the largest stays in the graph, only the others are
+copied, so each vertex has one live copy however deep bridges nest.
 
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
@@ -44,13 +47,7 @@ from .matching import (
     maximality_status,
 )
 from .oracle import gamma_exact, gamma_exact_avoiding
-from .reductions import (
-    ExtensionBranch,
-    ExtensionRecipe,
-    ReductionStep,
-    choose_crossing_pair,
-    select_noncubic_edge,
-)
+from .reductions import ExtensionBranch, ExtensionRecipe, ReductionStep
 
 __all__ = [
     "PendantConstraint",
@@ -60,8 +57,6 @@ __all__ = [
     "solve_all",
     "select_rule",
     "replay",
-    "select_noncubic_edge",
-    "choose_crossing_pair",
 ]
 
 BASE_SIZE = 9
@@ -126,11 +121,13 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
 #
 # A task is a connected graph to solve.  A step pushes a frame holding its
 # undo data, then one task per subproblem, popped in preorder (the trace
-# order): the components left by a linear step's in-place reduction, or
-# copies of the parts of a bridge split's candidate.  Unwinding a frame
-# unions the subproblems' matchings, undoes the reduction and extends through
-# the step's recipe.  The stack is the engine's own, so the Python stack
-# grows neither with n nor with the nesting depth of bridges.
+# order): the components left by a linear step's in-place reduction, or the
+# parts of a bridge split's candidate.  Either way _carve keeps the largest
+# subproblem in the working graph itself and copies only the others.
+# Unwinding a frame unions the subproblems' matchings, puts back what the
+# carving and the reduction removed, and extends through the step's recipe.
+# The stack is the engine's own, so the Python stack grows neither with n nor
+# with the nesting depth of bridges.
 
 def _run(
     g: Graph,
@@ -146,10 +143,11 @@ def _run(
     while stack:
         item = stack.pop()
         if item[0] == "frame":
-            _, k, g, step, saved, added, constraint = item
+            _, k, g, step, carved, saved, added, constraint = item
             cut = len(results) - k
             sub = _union(results[cut:])
             del results[cut:]
+            g.restore_vertices(carved)
             for e in reversed(added):
                 g.remove_edge(*e)
             g.restore_vertices(saved)
@@ -162,13 +160,16 @@ def _run(
             results.append(_leaf(g, step, constraint, internal))
             continue
         if step.rule == R.RULE_BRIDGE:
-            step, tasks = _split(g, step, recorded is None)
+            step, carved, tasks = _split(g, step, recorded is None)
             saved, added = {}, []
         else:
             saved, added = _reduce(g, step)
-            tasks = _tasks(g, None)
+            if g.is_connected():
+                carved, tasks = {}, [("task", g, None, True)]
+            else:
+                carved, tasks = _carve(g, [(comp, None) for comp in g.connected_components()])
         steps.append(step)
-        stack.append(("frame", len(tasks), g, step, saved, added, constraint))
+        stack.append(("frame", len(tasks), g, step, carved, saved, added, constraint))
         stack.extend(reversed(tasks))
     return results[0]
 
@@ -177,12 +178,14 @@ def _union(parts: list[Matching]) -> Matching:
     return parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
 
-def _tasks(g: Graph, constraint) -> list[tuple]:
-    """Tasks for g in preorder: g itself if connected, else a copy of each
-    component (an empty g gives none)."""
-    if g.is_connected():
-        return [("task", g, constraint, True)]
-    return [("task", g.subgraph(comp), constraint, True) for comp in g.connected_components()]
+def _carve(g: Graph, parts) -> tuple[dict, list[tuple]]:
+    """Tasks for connected parts of g, given in preorder as (vertex set,
+    constraint), and the undo data of the carving: the largest part (the
+    first of equal size) stays in g itself, every other is copied, and every
+    vertex outside the largest part is removed from g."""
+    keep = max(parts, key=lambda p: len(p[0]), default=((), None))
+    tasks = [("task", g if p is keep else g.subgraph(p[0]), p[1], True) for p in parts]
+    return g.remove_vertices_with_undo([v for v in g.iter_vertices() if v not in keep[0]]), tasks
 
 
 def _next_step(g: Graph, constraint, recorded) -> ReductionStep:
@@ -266,8 +269,8 @@ def _checked(g: Graph, step, sub: Matching, M: Matching, constraint, special=Fal
     return M
 
 
-def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep, list[tuple]]:
-    """The bridge step to record, and the tasks of its candidate's parts:
+def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep, dict, list[tuple]]:
+    """The bridge step to record, and g carved into its candidate's parts:
     in solve the smallest a-priori bound (ties in the order gamma0, gamma1,
     forest), in replay the recorded candidate.  Each subproblem's matching is
     checked against its own lambda, so the sum of their floor(lambda/6), plus
@@ -278,13 +281,14 @@ def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep,
     for name, parts in _bridge_candidates(g, bridge):
         if not solving and name != step.case:
             continue
-        tasks = [t for verts, c in parts for t in _tasks(g.subgraph(verts), c)]
+        carved, tasks = _carve(g, parts)
         bound = sum(lambda6(t[1]) // 6 for t in tasks) + (name == "forest")
+        g.restore_vertices(carved)
         if best is None or bound < best[0]:
-            best = (bound, name, parts, tasks)
+            best = (bound, name, parts)
     if best is None:
         raise InternalInvariantViolation(f"no {step.case} candidate at bridge {bridge}")
-    bound, name, parts, tasks = best
+    bound, name, parts = best
     if bound > lambda6(g) // 6:
         raise InternalInvariantViolation(f"bridge candidate {name} misses the bound a priori")
     add = (bridge,) if name == "forest" else ()
@@ -295,19 +299,21 @@ def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep,
         added_edges=frozenset(),
         extension=ExtensionRecipe((ExtensionBranch((), (), add),)),
         budget=None,
-        meta={"bridge": bridge, "candidate": name, "subproblems": tuple(p[0] for p in parts)},
+        meta={"bridge": bridge, "candidate": name},
     )
-    return step, tasks
+    carved, tasks = _carve(g, parts)
+    return step, carved, tasks
 
 
 def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
-    """Candidate splits at a bridge of connected g: (name, subproblems), each
-    subproblem (vertex set, constraint).
+    """Candidate splits at a bridge of connected g: (name, connected parts in
+    preorder), each part (vertex set, constraint).
 
     For each side i, a pendant-avoiding matching of that side plus the bridge
     endpoint of the other side, united with a plain matching of the other
     side; and, when both sides have 4n_i - m_i divisible by 6, plain
-    matchings of both sides minus their endpoints plus the bridge edge.
+    matchings of the components of g minus both endpoints (side 0's first)
+    plus the bridge edge.
     """
     u0, u1 = bridge
     if not g.has_edge(u0, u1):
@@ -325,7 +331,11 @@ def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
     m0 = (sum(g.degree(v) for v in side0) - 1) // 2
     m1 = g.m - 1 - m0
     if (4 * len(side0) - m0) % 6 == 0 and (4 * len(side1) - m1) % 6 == 0:
-        candidates.append(("forest", ((side0 - {u0}, None), (side1 - {u1}, None))))
+        saved = g.remove_vertices_with_undo(bridge)
+        comps = g.connected_components()
+        g.restore_vertices(saved)
+        comps.sort(key=lambda c: next(iter(c)) not in side0)  # stable: preorder per side
+        candidates.append(("forest", tuple((comp, None) for comp in comps)))
     return candidates
 
 

@@ -147,13 +147,6 @@ def test_enumeration_small_counts():
     assert sum(1 for _ in enumerate_connected_subcubic(3)) == 4  # 3 paths + triangle
 
 
-def test_enumeration_dedup_classes():
-    n3 = list(enumerate_connected_subcubic(3, dedup=True))
-    assert len(n3) == 2  # path and triangle
-    n4 = list(enumerate_connected_subcubic(4, dedup=True))
-    assert len(n4) == 6
-
-
 def test_enumeration_contains_k33():
     # 6! / (2 * 3! * 3!) = 10 labelings of K33
     assert sum(is_k33(g) for g in enumerate_connected_subcubic(6)) == 10

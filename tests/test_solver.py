@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -30,11 +31,10 @@ from minmatch.matching import (
     matching_within_bound,
 )
 from minmatch.oracle import gamma_exact
+from minmatch.reductions import first_noncubic_insertion
 from minmatch.solver import (
     PendantConstraint,
-    choose_crossing_pair,
     replay,
-    select_noncubic_edge,
     select_rule,
     solve,
     solve_all,
@@ -177,8 +177,8 @@ def test_cubic_finish_shared_neighbour():
 def test_select_noncubic_edge_q3():
     g = gen_named("CUBE_Q3")
     v0 = {0, 1}
-    estar = [(2, 3), (2, 5), (4, 3), (4, 5)]
-    e = select_noncubic_edge(g, v0, estar)
+    estar = [(2, 3), (2, 5), (3, 4), (4, 5)]
+    (e,) = first_noncubic_insertion(g, v0, [(p,) for p in estar])
     assert e not in set(g.edges())
     h = g.copy()
     h.remove_vertices(v0)
@@ -192,8 +192,8 @@ def test_select_noncubic_edge_petersen():
     u1, u2 = 0, 1
     v1s = sorted(g.neighbors(u1) - {u2})
     v2s = sorted(g.neighbors(u2) - {u1})
-    estar = [(a, b) for a in v1s for b in v2s]
-    e = select_noncubic_edge(g, {u1, u2}, estar)
+    trials = [(e,) for e in sorted(edge(a, b) for a in v1s for b in v2s)]
+    (e,) = first_noncubic_insertion(g, {u1, u2}, trials)
     h = g.copy()
     h.remove_vertices({u1, u2})
     h.add_edge(*e)
@@ -203,7 +203,9 @@ def test_select_noncubic_edge_petersen():
 def test_select_noncubic_edge_preconditions():
     g = gen_named("CUBE_Q3")
     with pytest.raises(PreconditionViolated):
-        select_noncubic_edge(g, {0, 1}, [(6, 7)])  # not neighbours of v0
+        first_noncubic_insertion(g, {0, 1}, [((6, 7),)])  # not neighbours of v0
+    with pytest.raises(PreconditionViolated):
+        first_noncubic_insertion(g, {0, 1}, [])  # no candidate at all
 
 
 def test_choose_crossing_pair_rejects_cubic_closing_choice():
@@ -221,8 +223,8 @@ def test_choose_crossing_pair_rejects_cubic_closing_choice():
     bad.add_edge(3, 7)
     bad.add_edge(6, 9)
     assert bad.cubic_components() == [{6, 9, 12, 13}]
-    q1, q2 = choose_crossing_pair(g, {0, 1, 2, 4, 5}, 3, [7, 8], 6, [9, 10])
-    assert (q1, q2) == (7, 10)
+    trials = [((3, q1), (6, q2)) for q1 in (7, 8) for q2 in (9, 10)]
+    assert first_noncubic_insertion(g, {0, 1, 2, 4, 5}, trials) == ((3, 7), (6, 10))
     step = select_rule(g)
     assert (step.case, step.meta.get("variant")) == ("2.3.2", "main")
     assert step.added_edges == {(3, 7), (6, 10)}
@@ -507,6 +509,28 @@ def test_solve_leaves_recursion_limit_alone(low_recursion_limit):
         assert len(cert.trace) > low_recursion_limit
         assert replay(g, cert) == cert.matching
         assert sys.getrecursionlimit() == low_recursion_limit
+
+
+def test_bridge_chain_memory_grows_linearly():
+    # a bridge split carves its parts out of the working graph, as a linear
+    # step does, and its step records no vertex sets; a frame that kept its
+    # level's whole graph, or a step that listed its parts, would hold about
+    # k^2/2 blob copies on a chain of k blobs
+    def peak(k):
+        g = bridge_chain(k, 7)
+        tracemalloc.start()
+        try:
+            cert = solve(g)
+            assert replay(g, cert) == cert.matching
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) < 6 * peak(25)
+    g = bridge_chain(25, 7)
+    metas = [s.meta for s in solve(g).trace if s.rule == "BRIDGE"]
+    assert len(metas) >= 24
+    assert all(meta.keys() == {"bridge", "candidate"} for meta in metas)
 
 
 def test_solver_handles_noncontiguous_vertex_ids():

@@ -9,16 +9,22 @@ order shows up here first.
 import hashlib
 import json
 
-from conftest import bridged_pair
+from conftest import bridge_chain, bridged_pair, random_connected_subcubic
 from minmatch.generators import enumerate_connected_subcubic, gen_random_cubic
 from minmatch.solver import solve
 
-EXPECTED = "26ea04cd76dbeda79d3132b933bc05c11354abfad76f64d1330b890904c6bccf"
+EXPECTED = "3e0ad4836096a166a5720c6d7d876634039ed31c3f85a96ba0565c3655764126"
 
 
 def corpus():
     small = [g for n in range(1, 7) for g in enumerate_connected_subcubic(n)]
-    return small[::11] + [gen_random_cubic(100, seed) for seed in (1, 2, 3)] + [bridged_pair(10, 0)]
+    return small[::11] + [gen_random_cubic(100, seed) for seed in (1, 2, 3)] + [
+        bridged_pair(10, 0),
+        random_connected_subcubic(40, 14),  # forest splits
+        random_connected_subcubic(40, 25, 6),  # forest splits
+        random_connected_subcubic(40, 28, 2),  # gamma1, then gamma0
+        bridge_chain(5, 0),
+    ]
 
 
 def trace_digest(graphs) -> str:
