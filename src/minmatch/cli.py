@@ -2,7 +2,11 @@
 
 stdout carries machine-readable payload only (NDJSON or graph6 lines);
 diagnostics go to stderr.  Exit codes: 0 success, 2 bad input or parameters,
-3 contract violation, 4 oracle budget exhausted.
+3 contract violation, 4 oracle budget exhausted.  An input that cannot be
+read (a missing file, a non-ASCII byte) is one line on stderr and exit 2.
+``verify`` reports each line on its own: a line that does not parse is a
+``bad_input:<ErrorClass>`` failure and the other lines still run; the exit
+code is 2 if any line was bad input, otherwise 3 on any failure, otherwise 0.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ EXIT_CONTRACT = 3
 EXIT_BUDGET = 4
 
 BUDGET_ENV = "MMM_ORACLE_BUDGET"
+
+# what reading and parsing an input can raise; each is reported as bad input
+_INPUT_ERRORS = (MinmatchError, OSError, UnicodeDecodeError)
 
 
 def _read_text(path: str | None) -> str:
@@ -64,7 +71,7 @@ def _default_budget(value: int | None) -> int | None:
 def cmd_solve(args) -> int:
     try:
         graphs = _input_graphs(args.path, args.format)
-    except MinmatchError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     all_valid = True
@@ -88,7 +95,7 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     try:
         graphs = _input_graphs(args.path, args.format)
-    except MinmatchError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     budget = _default_budget(args.budget)
@@ -157,7 +164,10 @@ def cmd_gen(args) -> int:
 
 def _verify_one(payload) -> dict:
     ident, line, with_oracle, budget = payload
-    g = parse_graph6(line)
+    try:
+        g = parse_graph6(line)
+    except MinmatchError as exc:
+        return {"id": ident, "failures": [f"bad_input:{type(exc).__name__}"]}
     failures = []
     record: dict = {"id": ident, "n": g.n, "m": g.m}
     try:
@@ -204,7 +214,7 @@ def _verify_one(payload) -> dict:
 def cmd_verify(args) -> int:
     try:
         text = _read_text(args.path)
-    except OSError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     budget = _default_budget(args.budget)
@@ -233,6 +243,8 @@ def cmd_verify(args) -> int:
                         f"{r['lambda_times_6'] / 6.0},{r['gamma_lower']}\n"
                     )
     print(json.dumps(report, separators=(",", ":")))
+    if any(f["property"].startswith("bad_input:") for f in report["failures"]):
+        return EXIT_INPUT
     return EXIT_OK if not report["failures"] else EXIT_CONTRACT
 
 

@@ -3,11 +3,18 @@
 The graph6 parser is strict: one graph per line, no whitespace tolerance
 beyond a trailing newline, and any decoded degree above 3 is rejected so
 nothing non-subcubic can enter through this door.
+
+Both graph6 codecs leave the n(n-1)/2 adjacency bits to C-level byte
+operations (binascii's base64 codec and bytes.translate): their cost is
+linear in the line length plus O(m) Python work, one step per edge.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
+import re
+from math import isqrt
 
 from .errors import (
     DegreeOverflow,
@@ -20,30 +27,32 @@ from .errors import (
 from .graph import Graph
 
 _OFFSET = 63
-
-
-def _bits_from_bytes(data: bytes) -> list[int]:
-    bits = []
-    for byte in data:
-        val = byte - _OFFSET
-        if val < 0 or val > 63:
-            raise MalformedGraph6(f"byte {byte} outside graph6 range")
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    return bits
+_HEADER = b">>graph6<<"
+# graph6 packs six bits per byte, big-endian, as chr(63 + value); base64 packs
+# them the same way over another alphabet, so its C codec does the bit work
+_G6_ALPHABET = bytes(range(_OFFSET, _OFFSET + 64))
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64 = bytes.maketrans(_G6_ALPHABET, _B64_ALPHABET)
+_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_ALPHABET)
+_NONZERO = re.compile(rb"[^\x00]")
+# up to about this many decoded bytes (n near 250) a Python loop over every
+# byte costs less than one regex match object per nonzero byte
+_SHORT = 4096
 
 
 def parse_graph6(line: str | bytes) -> Graph:
     """Decode one graph6 line into a Graph, enforcing the degree cap."""
     if isinstance(line, str):
-        line = line.encode("ascii")
+        try:
+            line = line.encode("ascii")
+        except UnicodeEncodeError:
+            raise MalformedGraph6("non-ASCII character in graph6 line") from None
     line = line.rstrip(b"\n")
+    if line.startswith(_HEADER):
+        line = line[len(_HEADER):]
     if not line:
         raise MalformedGraph6("empty line")
-    if line.startswith(b">>graph6<<"):
-        line = line[len(b">>graph6<<"):]
-    pos = 0
-    if line[pos] == 126:  # '~' extended size header
+    if line[0] == 126:  # '~' extended size header
         if len(line) >= 2 and line[1] == 126:
             raise MalformedGraph6("8-byte size header not supported (n too large)")
         if len(line) < 4:
@@ -54,37 +63,43 @@ def parse_graph6(line: str | bytes) -> Graph:
             if val < 0 or val > 63:
                 raise MalformedGraph6("bad byte in size header")
             n = (n << 6) | val
-        pos = 4
+        body = line[4:]
     else:
         n = line[0] - _OFFSET
         if n < 0 or n > 62:
             raise MalformedGraph6("bad size byte")
-        pos = 1
+        body = line[1:]
     nbits = n * (n - 1) // 2
-    body = line[pos:]
     expected = (nbits + 5) // 6
     if len(body) != expected:
         raise MalformedGraph6(f"body has {len(body)} bytes, expected {expected}")
-    bits = _bits_from_bytes(body)
-    if any(bits[nbits:]):
+    bad = body.translate(None, _G6_ALPHABET)
+    if bad:
+        raise MalformedGraph6(f"byte {bad[0]} outside graph6 range")
+    # the padding bits are the low bits of the last body byte
+    if body and (body[-1] - _OFFSET) & ((1 << (6 * expected - nbits)) - 1):
         raise MalformedGraph6("nonzero padding bits")
+    b64 = body.translate(_TO_B64)
+    data = binascii.a2b_base64(b64 + b"A" * (-len(b64) % 4))
+    if len(data) <= _SHORT:
+        nonzero = enumerate(data)
+    else:
+        nonzero = [(m.start(), data[m.start()]) for m in _NONZERO.finditer(data)]
     g = Graph()
     for v in range(n):
         g.add_vertex(v)
-    degrees = [0] * n
-    idx = 0
-    edges = []
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                degrees[i] += 1
-                degrees[j] += 1
-                if degrees[i] > 3 or degrees[j] > 3:
-                    raise NotSubcubic("decoded graph has a vertex of degree > 3")
-                edges.append((i, j))
-            idx += 1
-    for i, j in edges:
-        g.add_edge(i, j)
+    # bit p = j(j-1)/2 + i is the pair i < j; ascending p adds the edges in
+    # column order, j first, as a pair-by-pair decoder would
+    for k, byte in nonzero:
+        while byte:
+            top = byte.bit_length() - 1
+            byte ^= 1 << top
+            p = 8 * k + 7 - top
+            j = (1 + isqrt(1 + 8 * p)) // 2
+            try:
+                g.add_edge(p - j * (j - 1) // 2, j)
+            except DegreeOverflow:
+                raise NotSubcubic("decoded graph has a vertex of degree > 3") from None
     return g
 
 
@@ -103,19 +118,14 @@ def write_graph6(g: Graph) -> str:
         head = bytes([n + _OFFSET])
     else:
         head = bytes([126, (n >> 12) + _OFFSET, ((n >> 6) & 63) + _OFFSET, (n & 63) + _OFFSET])
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(ids[i], ids[j]) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        body.append(val + _OFFSET)
-    return (head + bytes(body)).decode("ascii")
+    nbits = n * (n - 1) // 2
+    bits = bytearray((nbits + 23) // 24 * 3)  # whole base64 groups: no '=' padding
+    for u, v in g.edges():
+        i, j = index[u], index[v]  # u < v, and the relabeling keeps the order
+        p = j * (j - 1) // 2 + i
+        bits[p >> 3] |= 128 >> (p & 7)
+    body = binascii.b2a_base64(bits, newline=False).translate(_TO_G6)
+    return (head + body[:(nbits + 5) // 6]).decode("ascii")
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -226,3 +226,34 @@ def test_verify_checks_maximality_without_the_certifying_scan(tmp_path, capsys, 
     code, out, _ = run(capsys, ["verify", str(target)])
     assert code == 3
     assert json.loads(out)["failures"] == [{"id": "line:1", "property": "not_maximal"}]
+
+
+def test_missing_input_file_is_one_line_exit_2(capsys):
+    code, out, err = run(capsys, ["solve", "/nonexistent/graphs.g6"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "No such file" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "exact", "verify"])
+def test_non_ascii_input_is_one_line_exit_2(tmp_path, capsys, command):
+    target = tmp_path / "bad.g6"
+    target.write_bytes(b"A_\n\xe9\n")
+    code, out, err = run(capsys, [command, str(target)])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "ascii" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_bad_lines_per_record(tmp_path, capsys, jobs):
+    target = tmp_path / "mixed.g6"
+    target.write_text("Bw\n!!\nBw\n>>graph6<<\n")
+    code, out, _ = run(capsys, ["verify", "--jobs", jobs, str(target)])
+    assert code == 2
+    report = json.loads(out)
+    assert (report["total"], report["passed"]) == (4, 2)
+    assert report["failures"] == [
+        {"id": "line:2", "property": "bad_input:MalformedGraph6"},
+        {"id": "line:4", "property": "bad_input:MalformedGraph6"},
+    ]

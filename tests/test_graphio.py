@@ -1,6 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmatch.errors import (
     DuplicateEdge,
@@ -9,7 +12,7 @@ from minmatch.errors import (
     NotSubcubic,
     SelfLoop,
 )
-from minmatch.generators import enumerate_connected_subcubic, gen_gk, gen_named
+from minmatch.generators import enumerate_connected_subcubic, gen_gk, gen_named, gen_random_cubic
 from minmatch.graph import Graph
 from minmatch.graphio import (
     emit_certificate_json,
@@ -22,7 +25,7 @@ from minmatch.solver import solve
 
 
 def reference_graph6(g: Graph) -> str:
-    """Independent tiny encoder used as the round-trip oracle (n <= 62)."""
+    """Independent pair-by-pair encoder used as the round-trip oracle."""
     ids = sorted(g.vertices())
     n = len(ids)
     bits = []
@@ -30,10 +33,44 @@ def reference_graph6(g: Graph) -> str:
         for i in range(j):
             bits.append(1 if g.has_edge(ids[i], ids[j]) else 0)
     bits += [0] * (-len(bits) % 6)
-    out = [chr(n + 63)]
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         out.append(chr(int("".join(map(str, bits[k:k + 6])), 2) + 63))
     return "".join(out)
+
+
+def reference_parse(line: bytes) -> Graph:
+    """Independent pair-by-pair decoder: the spec's checks, in its order."""
+    line = line.rstrip(b"\n")
+    if line.startswith(b">>graph6<<"):
+        line = line[10:]
+    if not line:
+        raise MalformedGraph6("empty")
+    if line[0] == 126:
+        header = line[1:4]
+        if len(header) < 3 or any(not 63 <= c <= 126 for c in header) or header[0] == 126:
+            raise MalformedGraph6("size header")
+        n = sum((c - 63) << shift for c, shift in zip(header, (12, 6, 0)))
+        body = line[4:]
+    else:
+        if not 63 <= line[0] <= 125:
+            raise MalformedGraph6("size byte")
+        n, body = line[0] - 63, line[1:]
+    nbits = n * (n - 1) // 2
+    if len(body) != -(-nbits // 6) or any(not 63 <= c <= 126 for c in body):
+        raise MalformedGraph6("body")
+    bits = [(c - 63) >> (5 - b) & 1 for c in body for b in range(6)]
+    if any(bits[nbits:]):
+        raise MalformedGraph6("padding")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = [pair for pair, bit in zip(pairs, bits) if bit]
+    for v in range(n):
+        if sum(v in e for e in edges) > 3:
+            raise NotSubcubic("degree")
+    return Graph.from_edges(edges, vertices=range(n))
 
 
 def test_k2_is_A_underscore():
@@ -96,9 +133,69 @@ def test_extended_header_roundtrip():
     assert parse_graph6(line) == g
 
 
+def test_extended_header_matches_reference_encoder():
+    for n in (64, 200, 500):
+        g = gen_random_cubic(n, 3)
+        line = write_graph6(g)
+        assert line == reference_graph6(g)
+        assert parse_graph6(line) == g
+
+
+def test_noncontiguous_ids_match_reference_encoder():
+    g = Graph.from_edges([(u * 7 + 3, v * 7 + 3) for u, v in gen_random_cubic(70, 5).edges()])
+    line = write_graph6(g)
+    assert line == reference_graph6(g)
+    back = parse_graph6(line)
+    assert (back.n, back.m) == (70, 105)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([b"", b"@", b"B", b"D", b"F", b"~", b"~??"]),
+    st.binary(max_size=6) | st.lists(st.integers(60, 130), max_size=6).map(bytes),
+)
+def test_parse_agrees_with_reference_decoder(head, tail):
+    line = head + tail
+    try:
+        want = reference_parse(line)
+    except (MalformedGraph6, NotSubcubic) as exc:
+        with pytest.raises(type(exc)):
+            parse_graph6(line)
+    else:
+        assert parse_graph6(line) == want
+
+
+def test_degree_cap_on_long_lines():
+    g = gen_random_cubic(300, 2)
+    line = bytearray(write_graph6(g), "ascii")
+    i, j = next((i, j) for j in range(1, 300) for i in range(j) if not g.has_edge(i, j))
+    p = j * (j - 1) // 2 + i
+    line[4 + p // 6] += 32 >> (p % 6)  # one more edge on a cubic graph
+    with pytest.raises(NotSubcubic, match="degree"):
+        parse_graph6(bytes(line))
+
+
+def test_roundtrip_memory_stays_linear_in_line_length():
+    # the n(n-1)/2 adjacency bits of n = 8000 would need about 256 MB as a
+    # list of Python ints; the 5.3 MB line itself is the scale to stay near
+    g = gen_random_cubic(8000, 1)
+    tracemalloc.start()
+    try:
+        back = parse_graph6(write_graph6(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert peak < 40 * 2**20
+
+
 def test_malformed_graph6():
     with pytest.raises(MalformedGraph6):
         parse_graph6("")
+    with pytest.raises(MalformedGraph6):
+        parse_graph6(">>graph6<<")  # header only
+    with pytest.raises(MalformedGraph6):
+        parse_graph6("A\u00e9")  # non-ASCII str
     with pytest.raises(MalformedGraph6):
         parse_graph6("C")  # truncated body
     with pytest.raises(MalformedGraph6):
