@@ -3,7 +3,8 @@
 stdout carries machine-readable payload only (NDJSON or graph6 lines);
 diagnostics go to stderr.  Exit codes: 0 success, 2 bad input or parameters,
 3 contract violation, 4 oracle budget exhausted.  An input that cannot be
-read (a missing file, a non-ASCII byte) is one line on stderr and exit 2.
+read (a missing file, a non-ASCII byte, from a file or from stdin alike) is
+one line on stderr and exit 2.
 ``verify`` reports each line on its own: a line that does not parse is a
 ``bad_input:<ErrorClass>`` failure and the other lines still run; the exit
 code is 2 if any line was bad input, otherwise 3 on any failure, otherwise 0.
@@ -42,10 +43,13 @@ _INPUT_ERRORS = (MinmatchError, OSError, UnicodeDecodeError)
 
 
 def _read_text(path: str | None) -> str:
+    """The input's bytes decoded as strict ASCII, from stdin as from a file."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data.decode("ascii")
 
 
 def _input_graphs(path: str | None, fmt: str) -> list[tuple[str, Graph]]:

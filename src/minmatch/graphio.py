@@ -35,6 +35,8 @@ _B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789
 _TO_B64 = bytes.maketrans(_G6_ALPHABET, _B64_ALPHABET)
 _TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_ALPHABET)
 _NONZERO = re.compile(rb"[^\x00]")
+# int() alone would also take "+3", "1_0" and non-ASCII digits such as "１"
+_VERTEX_ID = re.compile(r"[0-9]+")
 # up to about this many decoded bytes (n near 250) a Python loop over every
 # byte costs less than one regex match object per nonzero byte
 _SHORT = 4096
@@ -131,6 +133,8 @@ def write_graph6(g: Graph) -> str:
 def parse_edgelist(text: str) -> Graph:
     """Parse "u v" lines; '#' comments ignored; optional leading "n m" header.
 
+    Every field is a run of ASCII digits 0-9.
+
     A first data line (a, b) is read as a header exactly when the remaining
     data-line count equals b, all edge endpoints are below a, and parsing the
     rest as edges succeeds; otherwise every line is an edge.
@@ -143,13 +147,9 @@ def parse_edgelist(text: str) -> Graph:
         parts = stripped.split()
         if len(parts) != 2:
             raise MalformedLine(f"line {lineno}: expected two fields, got {stripped!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLine(f"line {lineno}: non-integer field in {stripped!r}") from None
-        if a < 0 or b < 0:
-            raise MalformedLine(f"line {lineno}: negative vertex id in {stripped!r}")
-        data_lines.append((a, b))
+        if not (_VERTEX_ID.fullmatch(parts[0]) and _VERTEX_ID.fullmatch(parts[1])):
+            raise MalformedLine(f"line {lineno}: vertex id not in [0-9]+ in {stripped!r}")
+        data_lines.append((int(parts[0]), int(parts[1])))
     if not data_lines:
         raise MalformedLine("no edges in input")
 

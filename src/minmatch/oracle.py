@@ -1,15 +1,31 @@
 """Exact minimum maximal matching by branch and bound.
 
 Ground truth for the tests and the base-case solver for small graphs.
-Vertices are packed into bitmasks, so the practical range is n <= ~40.
+Vertices are packed into bitmasks.  The search is exponential; README
+gives measured times on random cubic graphs up to n = 46.
 
-Branching: take the lowest-id vertex u that still has an undominated
-incident edge, let v be its lowest undominated neighbour, and branch on
-every edge at u or v whose endpoints are both uncovered.  Any maximal
-matching must dominate uv, so one of those edges is in it; the branching
-is therefore complete.  Pruning uses the domination count: one matching
-edge dominates at most 5 edges in a subcubic graph, so a state needs at
-least ceil(undominated / 5) further edges.
+Each search node makes one pass over the edge masks, which are in sorted
+order.  The pass counts the undominated edges (neither endpoint covered),
+and its first undominated edge uv gives the branch: u is the lowest vertex
+with an undominated edge and v its lowest undominated neighbour.  The node
+branches on every edge at u or v whose endpoints are both uncovered.  Any
+maximal matching must dominate uv, so one of those edges is in it; the
+branching is therefore complete.
+
+Two lower bounds on the edges still needed prune the search:
+- the count bound: one matching edge dominates at most 5 edges in a
+  subcubic graph, so a node needs at least ceil(undominated / 5) more;
+- the packing bound: undominated edges whose endpoints are pairwise neither
+  equal nor adjacent share no dominating edge, so each needs its own.  Only
+  when the count bound does not prune, a second pass packs such edges
+  greedily, and stops once the packing reaches the room under the incumbent.
+A node is pruned iff its size plus the larger bound reaches the incumbent.
+Both bounds are valid, so a pruned subtree never holds a strictly better
+leaf: the search meets the same incumbents, in the same order, as with the
+count bound alone, and returns the same witness in fewer nodes.
+
+The search runs on an explicit stack, so its depth is not bounded by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -33,93 +49,93 @@ class _Search:
     def __init__(self, g: Graph, forbidden: Edge | None, budget: int | None):
         self.ids = g.vertices()
         index = {v: i for i, v in enumerate(self.ids)}
-        self.nv = len(self.ids)
-        self.adj = [0] * self.nv
-        self.edge_masks: list[int] = []
-        self.edge_pairs: list[tuple[int, int]] = []
-        for u, v in g.edges():
-            iu, iv = index[u], index[v]
-            self.adj[iu] |= 1 << iv
-            self.adj[iv] |= 1 << iu
-            if forbidden is not None and edge(u, v) == forbidden:
-                continue
-            self.edge_pairs.append((iu, iv) if iu < iv else (iv, iu))
-        self.edge_pairs.sort()
-        self.edge_pair_set = set(self.edge_pairs)
-        self.all_edge_masks = []
-        for u, v in g.edges():
-            self.all_edge_masks.append((1 << index[u]) | (1 << index[v]))
+        # g.edges() is sorted and the id -> index map is monotone, so the
+        # pairs are (a, b) with a < b, in lexicographic order
+        self.edge_pairs = [(index[u], index[v]) for u, v in g.edges()]
+        self.adj = [0] * len(self.ids)
+        self.edge_masks = []
+        for a, b in self.edge_pairs:
+            self.adj[a] |= 1 << b
+            self.adj[b] |= 1 << a
+            self.edge_masks.append((1 << a) | (1 << b))
+        # an edge's endpoints and their neighbours: an edge that misses this
+        # mask shares no dominating edge with it
+        self.blocks = {
+            mask: mask | self.adj[a] | self.adj[b]
+            for mask, (a, b) in zip(self.edge_masks, self.edge_pairs)
+        }
+        self.forbidden = None if forbidden is None else (index[forbidden[0]], index[forbidden[1]])
         self.budget = budget
         self.nodes = 0
         self.best_size: int | None = None
         self.best: list[tuple[int, int]] | None = None
-        self.stack: list[tuple[int, int]] = []
 
     def seed_greedy(self) -> None:
         """Lexicographic greedy maximal matching as the initial incumbent."""
         covered = 0
         chosen = []
-        for iu, iv in self.edge_pairs:
-            if not (covered >> iu) & 1 and not (covered >> iv) & 1:
-                chosen.append((iu, iv))
-                covered |= (1 << iu) | (1 << iv)
+        for a, b in self.edge_pairs:
+            if (a, b) != self.forbidden and not (covered >> a) & 1 and not (covered >> b) & 1:
+                chosen.append((a, b))
+                covered |= (1 << a) | (1 << b)
         # with a forbidden edge the greedy result may fail maximality
-        for mask in self.all_edge_masks:
+        for mask in self.edge_masks:
             if not mask & covered:
                 return
         self.best_size = len(chosen)
         self.best = chosen
 
-    def undominated(self, covered: int) -> int:
-        count = 0
-        for mask in self.all_edge_masks:
-            if not mask & covered:
-                count += 1
-        return count
-
     def run(self) -> None:
+        """Depth-first search on an explicit stack of (covered, size, edge
+        taken); children are pushed in reverse, so they pop in sorted order."""
         self.seed_greedy()
-        self._explore(0, 0)
-
-    def _explore(self, covered: int, size: int) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded("oracle node budget exhausted", self.result(exact=False))
-        u = -1
-        for i in range(self.nv):
-            if not (covered >> i) & 1 and self.adj[i] & ~covered:
-                u = i
-                break
-        if u == -1:
-            if self.best_size is None or size < self.best_size:
-                self.best_size = size
-                self.best = list(self.stack)
-            return
-        if self.best_size is not None:
-            need = -(-self.undominated(covered) // 5)
-            if size + need >= self.best_size:
-                return
-        free_u = self.adj[u] & ~covered
-        v = (free_u & -free_u).bit_length() - 1
-        candidates = set()
-        rest = free_u
-        while rest:
-            bit = rest & -rest
-            x = bit.bit_length() - 1
-            rest ^= bit
-            candidates.add((u, x) if u < x else (x, u))
-        rest = self.adj[v] & ~covered
-        while rest:
-            bit = rest & -rest
-            y = bit.bit_length() - 1
-            rest ^= bit
-            candidates.add((v, y) if v < y else (y, v))
-        for a, b in sorted(candidates):
-            if (a, b) not in self.edge_pair_set:
-                continue  # only the forbidden edge is ever filtered here
-            self.stack.append((a, b))
-            self._explore(covered | (1 << a) | (1 << b), size + 1)
-            self.stack.pop()
+        adj, masks, blocks = self.adj, self.edge_masks, self.blocks
+        forbidden, budget = self.forbidden, self.budget
+        path: list[tuple[int, int]] = []
+        stack: list[tuple[int, int, tuple[int, int] | None]] = [(0, 0, None)]
+        while stack:
+            covered, size, taken = stack.pop()
+            if taken is not None:
+                del path[size - 1:]
+                path.append(taken)
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                raise BudgetExceeded("oracle node budget exhausted", self.result(exact=False))
+            free = [mask for mask in masks if not mask & covered]
+            if not free:
+                if self.best_size is None or size < self.best_size:
+                    self.best_size = size
+                    self.best = list(path)
+                continue
+            if self.best_size is not None:
+                room = self.best_size - size
+                if -(-len(free) // 5) >= room:
+                    continue
+                blocked, packed = covered, 0
+                for mask in free:
+                    if not mask & blocked:
+                        packed += 1
+                        if packed == room:
+                            break
+                        blocked |= blocks[mask]
+                if packed == room:
+                    continue
+            # the first undominated edge uv: u is the lowest vertex with an
+            # undominated edge and v its lowest undominated neighbour, so
+            # every edge at u sorts before every edge at v
+            first = free[0]
+            ubit = first & -first
+            u, v = ubit.bit_length() - 1, first.bit_length() - 1
+            children = []
+            for w, rest in ((u, adj[u] & ~covered), (v, adj[v] & ~covered & ~ubit)):
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    y = bit.bit_length() - 1
+                    pair = (y, w) if y < w else (w, y)
+                    if pair != forbidden:
+                        children.append((covered | (1 << w) | bit, size + 1, pair))
+            stack.extend(reversed(children))
 
     def result(self, exact: bool = True) -> OracleResult | None:
         if self.best_size is None:

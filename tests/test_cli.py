@@ -10,11 +10,13 @@ from minmatch.graphio import write_graph6
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
+    """main(argv) with `stdin` (str or bytes) as the bytes behind sys.stdin."""
     if stdin is not None:
         assert monkeypatch is not None
         import io
         import sys as _sys
-        monkeypatch.setattr(_sys, "stdin", io.StringIO(stdin))
+        data = stdin.encode("utf-8") if isinstance(stdin, str) else stdin
+        monkeypatch.setattr(_sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -243,6 +245,20 @@ def test_non_ascii_input_is_one_line_exit_2(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "ascii" in err
+
+
+def test_stdin_decodes_as_a_file_does(tmp_path, capsys, monkeypatch):
+    data = "0 \uff11\n".encode("utf-8")  # a fullwidth digit one
+    target = tmp_path / "wide.txt"
+    target.write_bytes(data)
+    argv = ["solve", "--format", "edgelist"]
+    from_file = run(capsys, argv + [str(target)])
+    from_stdin = run(capsys, argv, stdin=data, monkeypatch=monkeypatch)
+    assert from_stdin == from_file
+    code, out, err = from_stdin
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("input error:")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

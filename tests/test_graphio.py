@@ -235,6 +235,9 @@ def test_edgelist_errors():
         parse_edgelist("0 1 2")
     with pytest.raises(MalformedLine):
         parse_edgelist("a b")
+    for field in ("1_0", "+3", "-1", "\uff11"):  # int() parses each of these
+        with pytest.raises(MalformedLine):
+            parse_edgelist(f"0 {field}")
     with pytest.raises(MalformedLine):
         parse_edgelist("")
     with pytest.raises(NotSubcubic):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -146,3 +148,33 @@ def test_isolated_vertices_and_empty():
 def test_gamma_on_disconnected_input():
     g = Graph.from_edges([(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
     assert gamma_exact(g).gamma == 3  # 1 for the edge, 2 for the square
+
+
+# sha256 of (gamma, sorted witness) over the corpus of test_witnesses_pinned,
+# computed before the packing bound and the explicit-stack search went in
+WITNESS_DIGEST = "b3e7136c4c85ef5156f39d2d32abaa864bd69fb9cf42a74650976717a19f106a"
+
+
+def test_witnesses_pinned():
+    """A stronger bound prunes only subtrees with no strictly better leaf, so
+    the search meets the same incumbents in the same order: every witness,
+    and with it every BASE_SMALL recipe, stays the same."""
+    small = [g for n in range(1, 7) for g in enumerate_connected_subcubic(n)]
+    graphs = small[::7] + [gen_random_cubic(n, s) for n in range(10, 31, 2) for s in range(3)]
+    h = hashlib.sha256()
+    for g in graphs:
+        results = [gamma_exact(g)]
+        for e in g.edges()[:3]:
+            try:
+                results.append(gamma_exact_avoiding(g, e))
+            except Infeasible:
+                results.append(None)
+        for res in results:
+            row = None if res is None else [res.gamma, sorted(list(e) for e in res.witness)]
+            h.update(json.dumps(row, separators=(",", ":")).encode("ascii") + b"\n")
+    assert h.hexdigest() == WITNESS_DIGEST
+
+
+def test_packing_bound_prunes():
+    # the count bound alone explores 356,604 nodes here
+    assert gamma_exact(gen_random_cubic(40, 0)).nodes_explored < 100_000
