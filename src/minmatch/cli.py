@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from multiprocessing import Pool
 
@@ -35,8 +34,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 EXIT_BUDGET = 4
-
-BUDGET_ENV = "MMM_ORACLE_BUDGET"
 
 # what reading and parsing an input can raise; each is reported as bad input
 _INPUT_ERRORS = (MinmatchError, OSError, UnicodeDecodeError)
@@ -63,13 +60,6 @@ def _input_graphs(path: str | None, fmt: str) -> list[tuple[str, Graph]]:
             continue
         out.append((f"line:{lineno}", parse_graph6(line)))
     return out
-
-
-def _default_budget(value: int | None) -> int | None:
-    if value is not None:
-        return value
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else None
 
 
 def cmd_solve(args) -> int:
@@ -102,10 +92,9 @@ def cmd_exact(args) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    budget = _default_budget(args.budget)
     for ident, g in graphs:
         try:
-            res = gamma_exact(g, budget=budget)
+            res = gamma_exact(g, budget=args.budget)
         except BudgetExceeded as exc:
             print(f"{ident}: {exc}", file=sys.stderr)
             if exc.result is not None:
@@ -221,9 +210,8 @@ def cmd_verify(args) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    budget = _default_budget(args.budget)
     work = [
-        (f"line:{i}", line, args.with_oracle, budget)
+        (f"line:{i}", line, args.with_oracle, args.budget)
         for i, line in enumerate(text.splitlines(), start=1)
         if line.strip()
     ]

@@ -2,8 +2,9 @@
 
 Vertex identities are plain ints and stay stable across deletions, so a
 reduction trace can always name vertices of the original input.  The degree
-cap is enforced at mutation time; every graph reachable through this API is
-simple and subcubic by construction.
+cap is enforced wherever an edge enters a graph (add_edge and the one-pass
+builder from_edges); every graph reachable through this API is simple and
+subcubic by construction.
 """
 
 from __future__ import annotations
@@ -61,11 +62,39 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], vertices: Iterable[int] = ()) -> "Graph":
-        g = cls()
-        for v in vertices:
-            g.add_vertex(v)
+        """The graph on `vertices` and the edges' endpoints, built in one pass.
+
+        Vertices enter in the order given, then each edge's endpoints as
+        add_edge inserts them, so adjacency iterates as if the graph were
+        built edge by edge; a self-loop, duplicate or degree overflow raises
+        add_edge's error at the same edge.  The buckets are filled at the end.
+        """
+        adj: dict[int, set[int]] = {v: set() for v in vertices}
+        m = 0
         for u, v in edges:
-            g.add_edge(u, v)
+            if u == v:
+                raise SelfLoop(f"self-loop at {u}")
+            nu = adj.get(u)
+            if nu is None:
+                nu = adj[u] = set()
+            nv = adj.get(v)
+            if nv is None:
+                nv = adj[v] = set()
+            if v in nu:
+                raise DuplicateEdge(f"edge {edge(u, v)} already present")
+            if len(nu) >= MAX_DEGREE or len(nv) >= MAX_DEGREE:
+                raise DegreeOverflow(f"edge {edge(u, v)} would exceed degree {MAX_DEGREE}")
+            nu.add(v)
+            nv.add(u)
+            m += 1
+        g = cls()
+        g._adj = adj
+        g._m = m
+        buckets = g._buckets
+        for v, nbrs in adj.items():
+            d = len(nbrs)
+            if d < MAX_DEGREE:
+                buckets[d].add(v)
         return g
 
     def copy(self) -> "Graph":
@@ -81,14 +110,10 @@ class Graph:
         missing = keep - self._adj.keys()
         if missing:
             raise UnknownVertex(f"vertices not in graph: {sorted(missing)}")
-        g = Graph()
-        for v in keep:
-            g.add_vertex(v)
-        for v in keep:
-            for w in self._adj[v]:
-                if w in keep and v < w:
-                    g.add_edge(v, w)
-        return g
+        adj = self._adj
+        return Graph.from_edges(
+            ((v, w) for v in keep for w in adj[v] if v < w and w in keep), keep
+        )
 
     # -- basic accessors ------------------------------------------------------
 

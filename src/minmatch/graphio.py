@@ -1,4 +1,4 @@
-"""graph6 and edge-list serialization, plus certificate JSON emission.
+"""graph6 and edge-list parsing, graph6 writing, and the certificate dict.
 
 The graph6 parser is strict: one graph per line, no whitespace tolerance
 beyond a trailing newline, and any decoded degree above 3 is rejected so
@@ -12,18 +12,10 @@ linear in the line length plus O(m) Python work, one step per edge.
 from __future__ import annotations
 
 import binascii
-import json
 import re
 from math import isqrt
 
-from .errors import (
-    DegreeOverflow,
-    DuplicateEdge,
-    MalformedGraph6,
-    MalformedLine,
-    NotSubcubic,
-    SelfLoop,
-)
+from .errors import DegreeOverflow, MalformedGraph6, MalformedLine, NotSubcubic
 from .graph import Graph
 
 _OFFSET = 63
@@ -87,22 +79,20 @@ def parse_graph6(line: str | bytes) -> Graph:
         nonzero = enumerate(data)
     else:
         nonzero = [(m.start(), data[m.start()]) for m in _NONZERO.finditer(data)]
-    g = Graph()
-    for v in range(n):
-        g.add_vertex(v)
-    # bit p = j(j-1)/2 + i is the pair i < j; ascending p adds the edges in
+    # bit p = j(j-1)/2 + i is the pair i < j; ascending p lists the edges in
     # column order, j first, as a pair-by-pair decoder would
+    pairs = []
     for k, byte in nonzero:
         while byte:
             top = byte.bit_length() - 1
             byte ^= 1 << top
             p = 8 * k + 7 - top
             j = (1 + isqrt(1 + 8 * p)) // 2
-            try:
-                g.add_edge(p - j * (j - 1) // 2, j)
-            except DegreeOverflow:
-                raise NotSubcubic("decoded graph has a vertex of degree > 3") from None
-    return g
+            pairs.append((p - j * (j - 1) // 2, j))
+    try:
+        return Graph.from_edges(pairs, range(n))
+    except DegreeOverflow:
+        raise NotSubcubic("decoded graph has a vertex of degree > 3") from None
 
 
 def write_graph6(g: Graph) -> str:
@@ -136,8 +126,10 @@ def parse_edgelist(text: str) -> Graph:
     Every field is a run of ASCII digits 0-9.
 
     A first data line (a, b) is read as a header exactly when the remaining
-    data-line count equals b, all edge endpoints are below a, and parsing the
-    rest as edges succeeds; otherwise every line is an edge.
+    data-line count equals b and all edge endpoints are below a; otherwise
+    every line is an edge.  A header reading whose rest fails to build does
+    not fall back to the all-edges reading: that reading holds the same
+    self-loop, duplicate or degree overflow.
     """
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -153,34 +145,16 @@ def parse_edgelist(text: str) -> Graph:
     if not data_lines:
         raise MalformedLine("no edges in input")
 
-    def build(pairs, declared_n=None) -> Graph:
-        g = Graph()
-        top = declared_n - 1 if declared_n is not None else max(max(p) for p in pairs)
-        for v in range(top + 1):
-            g.add_vertex(v)
-        for u, v in pairs:
-            if u == v:
-                raise SelfLoop(f"self-loop {u} {v}")
-            if g.has_edge(u, v):
-                raise DuplicateEdge(f"duplicate edge {u} {v}")
-            try:
-                g.add_edge(u, v)
-            except DegreeOverflow:
-                raise NotSubcubic(f"vertex degree above 3 at edge {u} {v}") from None
-        return g
-
     first_n, first_m = data_lines[0]
     rest = data_lines[1:]
     if len(rest) == first_m and rest and all(u < first_n and v < first_n for u, v in rest):
-        return build(rest, declared_n=first_n)
-    return build(data_lines)
-
-
-def write_edgelist(g: Graph) -> str:
-    census = g.degree_census()
-    lines = [f"{census.n} {census.m}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+        pairs, n = rest, first_n
+    else:
+        pairs, n = data_lines, max(max(p) for p in data_lines) + 1
+    try:
+        return Graph.from_edges(pairs, range(n))
+    except DegreeOverflow as exc:
+        raise NotSubcubic(f"vertex degree above 3: {exc}") from None
 
 
 def certificate_dict(cert) -> dict:
@@ -215,8 +189,3 @@ def certificate_dict(cert) -> dict:
     out["valid"] = all(c.valid for c in certs)
     out["elapsed_ms"] = sum(c.elapsed_ms for c in certs)
     return out
-
-
-def emit_certificate_json(cert) -> str:
-    """One-line JSON for a solve certificate, stable key order."""
-    return json.dumps(certificate_dict(cert), separators=(",", ":"))

@@ -98,11 +98,14 @@ def test_exact_budget_exit(capsys, monkeypatch):
     assert payload["exact"] is False
 
 
-def test_exact_budget_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("MMM_ORACLE_BUDGET", "3")
+def test_exact_ignores_budget_environment_variable(capsys, monkeypatch):
+    # the node limit is --budget alone; an environment variable sets nothing
+    monkeypatch.setenv("MMM_ORACLE_BUDGET", "abc")
     line = write_graph6(gen_gk(3).graph)
-    code, _, _ = run(capsys, ["exact"], stdin=line + "\n", monkeypatch=monkeypatch)
-    assert code == 4
+    code, out, err = run(capsys, ["exact"], stdin=line + "\n", monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    payload = json.loads(out.strip())
+    assert (payload["gamma"], payload["exact"]) == (7, True)
 
 
 def test_gen_gk3(capsys):

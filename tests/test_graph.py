@@ -191,3 +191,79 @@ def test_subgraph_induced():
     h = g.subgraph({0, 1, 3, 4})
     assert h.n == 4 and h.m == 4
     h.validate()
+    with pytest.raises(UnknownVertex):
+        g.subgraph({0, 1, 6})
+
+
+def reference_build(edges, vertices=()) -> Graph:
+    """The graph built the slow way, one add_vertex / add_edge at a time."""
+    g = Graph()
+    for v in vertices:
+        g.add_vertex(v)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+def layout(g: Graph):
+    """Everything iteration can see: vertex order and each neighbour set's order."""
+    return [(v, list(g.neighbors(v))) for v in g.iter_vertices()], g.m
+
+
+def assert_builds_like_reference(edges, vertices=()):
+    g = Graph.from_edges(edges, vertices)
+    g.validate()
+    ref = reference_build(edges, vertices)
+    assert layout(g) == layout(ref)
+    assert [g.degree_bucket(d) for d in range(3)] == [ref.degree_bucket(d) for d in range(3)]
+
+
+def shuffled_edges(g: Graph, rng: random.Random) -> list:
+    """g's edges in a random order, each in a random orientation."""
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in g.edges()]
+    rng.shuffle(edges)
+    return edges
+
+
+def test_from_edges_matches_reference_on_small_graphs():
+    rng = random.Random(7)
+    for n in range(2, 6):
+        for g in enumerate_connected_subcubic(n):
+            assert_builds_like_reference(g.edges(), range(n))
+            assert_builds_like_reference(shuffled_edges(g, rng))
+
+
+def test_from_edges_matches_reference_on_random_cubic():
+    rng = random.Random(11)
+    for n, seed in ((10, 0), (50, 1), (200, 2), (1000, 3)):
+        g = gen_random_cubic(n, seed)
+        assert_builds_like_reference(shuffled_edges(g, rng), range(n))
+        assert_builds_like_reference(shuffled_edges(g, rng))
+
+
+def test_from_edges_isolated_and_noncontiguous_ids():
+    rng = random.Random(13)
+    edges = [(7 * u + 3, 7 * v + 3) for u, v in shuffled_edges(gen_random_cubic(30, 4), rng)]
+    assert_builds_like_reference(edges, [500, 10, 3, 10, 1000])
+    assert_builds_like_reference([], [9, 2, 5])
+    g = Graph.from_edges([(4, 8)], [12, 8])
+    assert list(g.iter_vertices()) == [12, 8, 4]
+    assert g.degree_bucket(0) == {12} and g.degree_bucket(1) == {4, 8}
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        ([(0, 1), (2, 2)], SelfLoop),
+        ([(0, 1), (1, 2), (2, 1)], DuplicateEdge),
+        ([(0, 1), (1, 2), (0, 1)], DuplicateEdge),
+        ([(0, 1), (0, 2), (0, 3), (4, 5), (0, 4)], DegreeOverflow),
+        ([(1, 0), (2, 0), (3, 0), (4, 0)], DegreeOverflow),
+    ],
+)
+def test_from_edges_raises_what_add_edge_raises(edges, error):
+    with pytest.raises(error) as ref:
+        reference_build(edges)
+    with pytest.raises(error) as got:
+        Graph.from_edges(edges)
+    assert str(got.value) == str(ref.value)  # the message names the same edge

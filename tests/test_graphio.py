@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import pytest
@@ -14,13 +13,7 @@ from minmatch.errors import (
 )
 from minmatch.generators import enumerate_connected_subcubic, gen_gk, gen_named, gen_random_cubic
 from minmatch.graph import Graph
-from minmatch.graphio import (
-    emit_certificate_json,
-    parse_edgelist,
-    parse_graph6,
-    write_graph6,
-    write_edgelist,
-)
+from minmatch.graphio import certificate_dict, parse_edgelist, parse_graph6, write_graph6
 from minmatch.solver import solve
 
 
@@ -244,21 +237,16 @@ def test_edgelist_errors():
         parse_edgelist("0 1\n0 2\n0 3\n0 4")
 
 
-def test_edgelist_roundtrip():
-    g = gen_named("PETERSEN")
-    assert parse_edgelist(write_edgelist(g)) == g
-
-
 def test_edgelist_and_graph6_agree():
     g = gen_named("CUBE_Q3")
     a = parse_graph6(write_graph6(g))
-    b = parse_edgelist(write_edgelist(g))
+    b = parse_edgelist(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
     assert a == b
 
 
 def test_certificate_json_fields_and_order():
     cert = solve(gen_named("K33"))
-    payload = json.loads(emit_certificate_json(cert))
+    payload = certificate_dict(cert)
     assert list(payload) == [
         "schema", "n", "m", "n1", "I", "K", "lambda_times_6", "matching",
         "matching_size", "rule_trace", "k33_special", "valid", "elapsed_ms",
@@ -271,8 +259,8 @@ def test_certificate_json_fields_and_order():
 
 
 def test_certificate_json_k2_and_chain():
-    k2 = json.loads(emit_certificate_json(solve(gen_named("K2"))))
+    k2 = certificate_dict(solve(gen_named("K2")))
     assert (k2["matching_size"], k2["lambda_times_6"]) == (1, 6)
-    g3 = json.loads(emit_certificate_json(solve(gen_gk(3).graph)))
+    g3 = certificate_dict(solve(gen_gk(3).graph))
     assert g3["matching_size"] <= 7
     assert g3["valid"] is True
