@@ -1,13 +1,14 @@
 """Command-line surface: solve, exact oracle, generation, batch verification.
 
-stdout carries machine-readable payload only (NDJSON or graph6 lines);
-diagnostics go to stderr.  Exit codes: 0 success, 2 bad input or parameters,
-3 contract violation, 4 oracle budget exhausted.  An input that cannot be
-read (a missing file, a non-ASCII byte, from a file or from stdin alike) is
-one line on stderr and exit 2.
-``verify`` reports each line on its own: a line that does not parse is a
-``bad_input:<ErrorClass>`` failure and the other lines still run; the exit
-code is 2 if any line was bad input, otherwise 3 on any failure, otherwise 0.
+stdout carries payload only (NDJSON or graph6 lines); diagnostics go to
+stderr.  An unreadable input (a missing file, a non-ASCII byte, from a file
+or stdin alike) is one stderr line, exit 2, and no record runs.  Otherwise
+every record runs: the whole edge list, or each non-blank graph6 line
+(``line:N``).  ``solve`` and ``exact`` print a record's payload before they
+parse the next, and a failed record is one stderr line naming its id;
+``verify`` lists failures in its report.  All three exit 2 if any record was
+bad input (it does not parse, or is disconnected or empty for ``solve``),
+else 3 if any broke the contract, else 4 if an oracle budget ran out, else 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 from multiprocessing import Pool
 
-from .errors import BudgetExceeded, Disconnected, MinmatchError
+from .errors import BudgetExceeded, Disconnected, EmptyGraph, MinmatchError
 from .generators import (
     enumerate_connected_subcubic,
     gen_gk,
@@ -35,73 +36,94 @@ EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 EXIT_BUDGET = 4
 
-# what reading and parsing an input can raise; each is reported as bad input
-_INPUT_ERRORS = (MinmatchError, OSError, UnicodeDecodeError)
 
-
-def _read_text(path: str | None) -> str:
-    """The input's bytes decoded as strict ASCII, from stdin as from a file."""
-    if path is None or path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return data.decode("ascii")
-
-
-def _input_graphs(path: str | None, fmt: str) -> list[tuple[str, Graph]]:
-    """(identifier, graph) pairs; graph6 is one graph per line."""
-    text = _read_text(path)
+def _records(path: str | None, fmt: str) -> list[tuple[str, str]] | None:
+    """(identifier, text) per record: the whole input for an edge list, each
+    non-blank line for graph6.  The input is read whole and decoded as strict
+    ASCII, from stdin as from a file; if that fails, one `input error:` line
+    goes to stderr and None comes back."""
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.buffer.read().decode("ascii")
+        else:
+            with open(path, "rb") as fh:
+                text = fh.read().decode("ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return None
     if fmt == "edgelist":
-        return [("edgelist:1", parse_edgelist(text))]
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        out.append((f"line:{lineno}", parse_graph6(line)))
-    return out
+        return [("edgelist:1", text)]
+    return [
+        (f"line:{i}", line)
+        for i, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+
+
+def _failure(exc: MinmatchError) -> str:
+    """A record's failure name for an error that solving or the oracle raised;
+    a graph that solve and solve_all cannot take is bad input."""
+    if isinstance(exc, BudgetExceeded):
+        return "oracle_budget_exceeded"
+    kind = "bad_input" if isinstance(exc, (Disconnected, EmptyGraph)) else "solver_error"
+    return f"{kind}:{type(exc).__name__}"
+
+
+def _exit_code(failures) -> int:
+    """The one exit code policy, from the failure names of a batch's records:
+    2 if any was bad input, else 3 if any broke the contract, else 4 if an
+    oracle budget ran out, else 0."""
+    kinds = {f.split(":")[0] for f in failures}
+    if "bad_input" in kinds:
+        return EXIT_INPUT
+    if kinds - {"oracle_budget_exceeded"}:
+        return EXIT_CONTRACT
+    return EXIT_BUDGET if kinds else EXIT_OK
+
+
+def _run_records(args, run) -> int:
+    """Parse each record and print what `run(g)` makes of it before the next.
+
+    `run` returns (payload or None, failure name or None), or raises.  A
+    failed record is one stderr line: its id, failure name and message.
+    """
+    records = _records(args.path, args.format)
+    if records is None:
+        return EXIT_INPUT
+    parse = parse_edgelist if args.format == "edgelist" else parse_graph6
+    failures = []
+    for ident, text in records:
+        g = payload = failure = None
+        try:
+            g = parse(text)
+            payload, failure = run(g)
+        except MinmatchError as exc:
+            name = _failure(exc) if g is not None else f"bad_input:{type(exc).__name__}"
+            failure = f"{name}: {exc}"
+        if payload is not None:
+            print(json.dumps(payload, separators=(",", ":")))
+        if failure is not None:
+            print(f"{ident}: {failure}", file=sys.stderr)
+            failures.append(failure)
+    return _exit_code(failures)
 
 
 def cmd_solve(args) -> int:
-    try:
-        graphs = _input_graphs(args.path, args.format)
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    all_valid = True
-    for ident, g in graphs:
-        try:
-            if args.per_component:
-                payload = certificate_dict(solve_all(g))
-            else:
-                payload = certificate_dict(solve(g))
-        except Disconnected:
-            print(f"{ident}: disconnected input (use --per-component)", file=sys.stderr)
-            return EXIT_INPUT
-        except MinmatchError as exc:
-            print(f"{ident}: {exc}", file=sys.stderr)
-            return EXIT_CONTRACT
-        print(json.dumps(payload, separators=(",", ":")))
-        all_valid = all_valid and payload["valid"]
-    return EXIT_OK if all_valid else EXIT_CONTRACT
+    def run(g):
+        payload = certificate_dict(solve_all(g) if args.per_component else solve(g))
+        return payload, None if payload["valid"] else "certificate_invalid"
+
+    return _run_records(args, run)
 
 
 def cmd_exact(args) -> int:
-    try:
-        graphs = _input_graphs(args.path, args.format)
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    for ident, g in graphs:
+    def run(g):
         try:
-            res = gamma_exact(g, budget=args.budget)
+            return _exact_dict(g, gamma_exact(g, budget=args.budget)), None
         except BudgetExceeded as exc:
-            print(f"{ident}: {exc}", file=sys.stderr)
-            if exc.result is not None:
-                print(json.dumps(_exact_dict(g, exc.result), separators=(",", ":")))
-            return EXIT_BUDGET
-        print(json.dumps(_exact_dict(g, res), separators=(",", ":")))
-    return EXIT_OK
+            return _exact_dict(g, exc.result), f"{_failure(exc)}: {exc}"
+
+    return _run_records(args, run)
 
 
 def _exact_dict(g: Graph, res) -> dict:
@@ -116,21 +138,14 @@ def _exact_dict(g: Graph, res) -> dict:
     }
 
 
+# gen's flags for named graphs, in output order
+_NAMED = (("k2", "K2"), ("k4", "K4"), ("k33", "K33"), ("k33_minus", "K33_MINUS"),
+          ("petersen", "PETERSEN"), ("cube", "CUBE_Q3"))
+
+
 def cmd_gen(args) -> int:
     try:
-        graphs: list[Graph] = []
-        if args.k2:
-            graphs.append(gen_named("K2"))
-        if args.k4:
-            graphs.append(gen_named("K4"))
-        if args.k33:
-            graphs.append(gen_named("K33"))
-        if args.k33_minus:
-            graphs.append(gen_named("K33_MINUS"))
-        if args.petersen:
-            graphs.append(gen_named("PETERSEN"))
-        if args.cube:
-            graphs.append(gen_named("CUBE_Q3"))
+        graphs = [gen_named(name) for flag, name in _NAMED if getattr(args, flag)]
         if args.cycle is not None:
             graphs.append(gen_named("C_n", args.cycle))
         if args.path_n is not None:
@@ -178,11 +193,8 @@ def _verify_one(payload) -> dict:
             failures.append("not_maximal")
         trace_rules = {s.rule for s in cert.trace}
         record["rules"] = sorted(trace_rules)
-    except Disconnected:
-        failures.append("disconnected")
-        cert = None
     except MinmatchError as exc:
-        failures.append(f"solver_error:{type(exc).__name__}")
+        failures.append(_failure(exc))
         cert = None
     if with_oracle and cert is not None:
         try:
@@ -205,25 +217,15 @@ def _verify_one(payload) -> dict:
 
 
 def cmd_verify(args) -> int:
-    try:
-        text = _read_text(args.path)
-    except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    records = _records(args.path, "graph6")
+    if records is None:
         return EXIT_INPUT
-    work = [
-        (f"line:{i}", line, args.with_oracle, args.budget)
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    try:
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                records = list(pool.imap(_verify_one, work, chunksize=16))
-        else:
-            records = [_verify_one(item) for item in work]
-    except MinmatchError as exc:
-        print(f"verify error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    work = [(ident, line, args.with_oracle, args.budget) for ident, line in records]
+    if args.jobs > 1:
+        with Pool(args.jobs) as pool:
+            records = list(pool.imap(_verify_one, work, chunksize=16))
+    else:
+        records = [_verify_one(item) for item in work]
     report = _batch_report(records)
     if args.plot_data:
         with open(args.plot_data, "w", encoding="ascii") as fh:
@@ -235,9 +237,7 @@ def cmd_verify(args) -> int:
                         f"{r['lambda_times_6'] / 6.0},{r['gamma_lower']}\n"
                     )
     print(json.dumps(report, separators=(",", ":")))
-    if any(f["property"].startswith("bad_input:") for f in report["failures"]):
-        return EXIT_INPUT
-    return EXIT_OK if not report["failures"] else EXIT_CONTRACT
+    return _exit_code(f["property"] for f in report["failures"])
 
 
 def _batch_report(records) -> dict:
@@ -278,6 +278,13 @@ def _batch_report(records) -> dict:
     }
 
 
+def _positive(text: str) -> int:
+    """argparse type for a count or limit: an integer of at least 1."""
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minmatch",
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact minimum maximal matching")
     add_io(p)
-    p.add_argument("--budget", type=int, default=None, help="oracle node limit")
+    p.add_argument("--budget", type=_positive, default=None, help="oracle node limit")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("gen", help="emit graph6 lines for generated graphs")
@@ -310,15 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", dest="path_n", type=int, metavar="N")
     p.add_argument("--gk", type=int, metavar="K")
     p.add_argument("--random-cubic", nargs=2, type=int, metavar=("N", "SEED"))
-    p.add_argument("--count", type=int, default=1, help="graphs per --random-cubic")
+    p.add_argument("--count", type=_positive, default=1, help="graphs per --random-cubic")
     p.add_argument("--enumerate", type=int, metavar="N")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="batch verification report (JSON)")
     p.add_argument("path", nargs="?", help="graph6 input file (default: stdin)")
     p.add_argument("--with-oracle", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--jobs", type=_positive, default=1)
+    p.add_argument("--budget", type=_positive, default=None)
     p.add_argument("--plot-data", metavar="FILE")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -123,7 +123,9 @@ def write_graph6(g: Graph) -> str:
 def parse_edgelist(text: str) -> Graph:
     """Parse "u v" lines; '#' comments ignored; optional leading "n m" header.
 
-    Every field is a run of ASCII digits 0-9.
+    Every field is a run of ASCII digits 0-9.  Ids are taken as given: the
+    vertices are the ids that appear, in sorted order, or range(n) under a
+    header.
 
     A first data line (a, b) is read as a header exactly when the remaining
     data-line count equals b and all edge endpoints are below a; otherwise
@@ -148,11 +150,11 @@ def parse_edgelist(text: str) -> Graph:
     first_n, first_m = data_lines[0]
     rest = data_lines[1:]
     if len(rest) == first_m and rest and all(u < first_n and v < first_n for u, v in rest):
-        pairs, n = rest, first_n
+        pairs, vertices = rest, range(first_n)
     else:
-        pairs, n = data_lines, max(max(p) for p in data_lines) + 1
+        pairs, vertices = data_lines, sorted({v for p in data_lines for v in p})
     try:
-        return Graph.from_edges(pairs, range(n))
+        return Graph.from_edges(pairs, vertices)
     except DegreeOverflow as exc:
         raise NotSubcubic(f"vertex degree above 3: {exc}") from None
 

@@ -57,10 +57,6 @@ class ExtensionRecipe:
                 return frozenset(out)
         raise InternalInvariantViolation("no extension branch matched")
 
-    @property
-    def max_growth(self) -> int:
-        return max(len(b.add) - len(b.remove) for b in self.branches)
-
 
 def _recipe(*branches: tuple) -> ExtensionRecipe:
     return ExtensionRecipe(

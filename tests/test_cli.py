@@ -276,3 +276,155 @@ def test_verify_reports_bad_lines_per_record(tmp_path, capsys, jobs):
         {"id": "line:2", "property": "bad_input:MalformedGraph6"},
         {"id": "line:4", "property": "bad_input:MalformedGraph6"},
     ]
+
+
+# good, malformed, disconnected (K2 + K2), empty, good
+MIXED = "Bw\n!!\nC`\n?\nBw\n"
+
+
+def test_solve_runs_every_record_of_a_mixed_batch(tmp_path, capsys):
+    target = tmp_path / "mixed.g6"
+    target.write_text(MIXED)
+    code, out, err = run(capsys, ["solve", str(target)])
+    assert code == 2
+    assert [json.loads(l)["n"] for l in out.splitlines()] == [3, 3]
+    # one stderr line per failed record: its id and the failure name verify uses
+    assert [l.split(": ")[:2] for l in err.splitlines()] == [
+        ["line:2", "bad_input:MalformedGraph6"],
+        ["line:3", "bad_input:Disconnected"],
+        ["line:4", "bad_input:EmptyGraph"],
+    ]
+
+
+def test_exact_runs_every_record_of_a_mixed_batch(tmp_path, capsys):
+    # the oracle takes disconnected and empty graphs; only the parse fails
+    target = tmp_path / "mixed.g6"
+    target.write_text(MIXED)
+    code, out, err = run(capsys, ["exact", str(target)])
+    assert code == 2
+    assert [json.loads(l)["gamma"] for l in out.splitlines()] == [1, 2, 0, 1]
+    assert err.splitlines() == ["line:2: bad_input:MalformedGraph6: bad size byte"]
+
+
+def test_verify_reports_unsolvable_records_as_bad_input(tmp_path, capsys):
+    target = tmp_path / "mixed.g6"
+    target.write_text(MIXED)
+    code, out, _ = run(capsys, ["verify", str(target)])
+    assert code == 2
+    assert json.loads(out)["failures"] == [
+        {"id": "line:2", "property": "bad_input:MalformedGraph6"},
+        {"id": "line:3", "property": "bad_input:Disconnected"},
+        {"id": "line:4", "property": "bad_input:EmptyGraph"},
+    ]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_empty_graph_is_bad_input(tmp_path, capsys, command):
+    target = tmp_path / "empty.g6"
+    target.write_text("?\n")
+    code, _, _ = run(capsys, [command, str(target)])
+    assert code == 2
+
+
+def test_budget_only_batch_exits_4(tmp_path, capsys):
+    target = tmp_path / "budget.g6"
+    target.write_text("".join(
+        write_graph6(g) + "\n"
+        for g in (gen_named("K4"), gen_named("PETERSEN"), gen_gk(3).graph)
+    ))
+    code, out, err = run(capsys, ["exact", "--budget", "3", str(target)])
+    assert code == 4
+    assert [json.loads(l)["exact"] for l in out.splitlines()] == [True, False, False]
+    assert [l.split(": ")[:2] for l in err.splitlines()] == [
+        ["line:2", "oracle_budget_exceeded"], ["line:3", "oracle_budget_exceeded"],
+    ]
+    code, out, _ = run(capsys, ["verify", "--with-oracle", "--budget", "3", str(target)])
+    assert code == 4
+    assert {f["property"] for f in json.loads(out)["failures"]} == {"oracle_budget_exceeded"}
+
+
+def test_contract_only_batch_exits_3(tmp_path, capsys, monkeypatch):
+    # a solver error on the first record and an invalid certificate on the
+    # second: both are contract failures, and the second record still runs
+    from minmatch.errors import InternalInvariantViolation
+
+    real_solve = cli.solve
+
+    def broken(g):
+        if g.n == 4:
+            raise InternalInvariantViolation("broken on purpose")
+        return replace(real_solve(g), matching=frozenset(), valid=False)
+
+    monkeypatch.setattr(cli, "solve", broken)
+    target = tmp_path / "contract.g6"
+    target.write_text(write_graph6(gen_named("K4")) + "\n" + write_graph6(gen_named("K33")) + "\n")
+    code, out, err = run(capsys, ["solve", str(target)])
+    assert code == 3
+    assert [json.loads(l)["valid"] for l in out.splitlines()] == [False]
+    assert [l.split(": ")[:2] for l in err.splitlines()] == [
+        ["line:1", "solver_error:InternalInvariantViolation"], ["line:2", "certificate_invalid"],
+    ]
+    code, out, _ = run(capsys, ["verify", str(target)])
+    assert code == 3
+    assert json.loads(out)["failures"] == [
+        {"id": "line:1", "property": "solver_error:InternalInvariantViolation"},
+        {"id": "line:2", "property": "certificate_invalid"},
+        {"id": "line:2", "property": "not_maximal"},
+    ]
+
+
+def test_edgelist_ids_are_taken_as_given(tmp_path, capsys):
+    target = tmp_path / "gap.txt"
+    target.write_text("0 2\n")
+    code, out, _ = run(capsys, ["solve", str(target), "--format", "edgelist"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n"], payload["matching"]) == (2, [[0, 2]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--jobs", "0"],
+    ["verify", "--jobs", "-3"],
+])
+def test_jobs_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exact", "verify"])
+def test_budget_must_be_positive(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_count_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--random-cubic", "8", "1", "--count", "0"])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payloads", [("solve", 2), ("exact", 4), ("verify", 1)])
+def test_cli_process_exit_status(tmp_path, command, payloads):
+    # the real process, through `sys.exit(main())`: exit status and stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import minmatch
+
+    target = tmp_path / "mixed.g6"
+    target.write_text(MIXED)
+    env = dict(os.environ, PYTHONPATH=str(Path(minmatch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minmatch.cli", command, str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout.splitlines()) == payloads

@@ -264,3 +264,13 @@ def test_certificate_json_k2_and_chain():
     g3 = certificate_dict(solve(gen_gk(3).graph))
     assert g3["matching_size"] <= 7
     assert g3["valid"] is True
+
+
+def test_edgelist_ids_are_taken_as_given():
+    # without a header the vertices are the ids that appear, not range(max + 1)
+    g = parse_edgelist("0 1000000")
+    assert (g.n, g.m) == (2, 1)
+    assert g.vertices() == [0, 1000000]
+    assert parse_edgelist("0 2").is_connected()
+    # a header still declares n, isolated vertices included
+    assert parse_edgelist("3 1\n0 2").n == 3

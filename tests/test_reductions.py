@@ -126,4 +126,3 @@ def test_extension_recipe_first_match_semantics():
     assert recipe.apply(frozenset({e1, e2})) == frozenset({e2, (4, 5)})
     assert recipe.apply(frozenset({e1})) == frozenset()
     assert recipe.apply(frozenset({e2})) == frozenset({e2, (6, 7)})
-    assert recipe.max_growth == 1
