@@ -288,50 +288,59 @@ class Graph:
         """
         adj = self._adj
         preorder: dict[int, int] = {}
-        parent: dict[int, int | None] = {}
         bridges: set[Edge] = set()
-        counter = 0
         for root in adj:
-            if root in preorder:
-                continue
-            parent[root] = None
-            stack = [root]
-            order = []
-            while stack:
-                v = stack.pop()
-                if v in preorder:
-                    continue
-                preorder[v] = counter
-                counter += 1
-                order.append(v)
-                for w in adj[v]:
-                    if w not in preorder:
-                        parent[w] = v  # the final writer becomes the tree parent
-                        stack.append(w)
-            # low[v] = smallest preorder reachable from v's subtree via one
-            # non-tree edge; initialise with direct neighbours (the parent
-            # skipped once, which is sound in a simple graph), then fold
-            # children into parents in reverse preorder
-            low = {}
-            for v in order:
-                pv = parent[v]
-                best = preorder[v]
-                for w in adj[v]:
-                    if w != pv:
-                        pw = preorder[w]
-                        if pw < best:
-                            best = pw
-                low[v] = best
-            for v in reversed(order):
-                p = parent[v]
-                if p is None:
-                    continue
-                lv = low[v]
-                if lv > preorder[p]:
-                    bridges.add(edge(p, v))
-                if lv < low[p]:
-                    low[p] = lv
+            if root not in preorder:
+                _, parent, cut = _lowlink_tree(adj, root, preorder, adj)
+                bridges.update(edge(parent[v], v) for v in cut)
         return bridges
+
+    def joined_without_bridges(self, seeds: Iterable[int]) -> bool:
+        """True if the seeds are proved to lie in one 2-edge-connected
+        component of some subgraph of g; False proves nothing.
+
+        The subgraph is induced by a ball grown by breadth-first layers
+        around the seeds, checked with the lowlink method and doubled until
+        the check succeeds, the ball is the seeds' whole component, or it
+        holds more than half of g.  The cost is linear in the last ball, not
+        in g.
+        """
+        adj = self._adj
+        seeds = set(seeds)
+        if len(seeds) < 2:
+            return True
+        root = next(iter(seeds))
+        ball = set(seeds)
+        frontier = ball
+        size = 8 * len(ball)
+        while True:
+            while frontier and len(ball) < size:
+                frontier = set().union(*[adj[v] for v in frontier]) - ball
+                ball |= frontier
+            # peel, from the outermost layer in, the vertices left with at
+            # most one edge inside: no cycle passes through them, so a
+            # peeled seed is a 2-edge-connected component by itself
+            inside = set(ball)
+            todo = [*frontier, *seeds]
+            while todo:
+                v = todo.pop()
+                if v in inside:
+                    left = adj[v] & inside
+                    if len(left) < 2:
+                        inside.discard(v)
+                        todo += left
+            if seeds <= inside:
+                order, parent, cut = _lowlink_tree(adj, root, {}, inside)
+                cut = set(cut)
+                label = {}
+                for v in order:  # preorder: each parent is labelled before its children
+                    p = parent[v]
+                    label[v] = v if p is None or v in cut else label[p]
+                if all(label.get(s) == root for s in seeds):
+                    return True
+            if not frontier or 2 * len(ball) > len(adj):
+                return False
+            size = 2 * len(ball)
 
     def cubic_components(self) -> list[set[int]]:
         """Components in which every vertex has degree exactly 3."""
@@ -405,6 +414,54 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int], inside):
+    """One lowlink DFS (Tarjan) over root's component of the subgraph of
+    `adj` induced by the vertices `inside`, numbering them on from
+    len(preorder) into `preorder`: returns the vertices in preorder, their
+    tree parents (the root's is None), and the vertices whose tree edge to
+    their parent is a bridge.
+
+    Two passes, no recursion: a stack traversal in which the last vertex to
+    push w becomes its parent gives a DFS tree; then, in reverse preorder,
+    each vertex's low (the smallest preorder its subtree reaches by one
+    non-tree edge) is its children's folded with its own neighbours', the
+    parent skipped once, which is sound in a simple graph.
+    """
+    parent: dict[int, int | None] = {root: None}
+    counter = len(preorder)
+    stack = [root]
+    order = []
+    while stack:
+        v = stack.pop()
+        if v in preorder:
+            continue
+        preorder[v] = counter
+        counter += 1
+        order.append(v)
+        for w in adj[v]:
+            if w not in preorder and w in inside:
+                parent[w] = v  # the final writer becomes the tree parent
+                stack.append(w)
+    low: dict[int, int] = {}
+    cut = []
+    number = preorder.get
+    for v in reversed(order):
+        p = parent[v]
+        best = low.get(v, preorder[v])
+        for w in adj[v]:
+            if w != p:
+                pw = number(w)  # None outside `inside`
+                if pw is not None and pw < best:
+                    best = pw
+        if p is None:
+            continue
+        if best > preorder[p]:
+            cut.append(v)
+        elif best < low.get(p, best + 1):
+            low[p] = best
+    return order, parent, cut
 
 
 def is_k33(g: Graph) -> bool:

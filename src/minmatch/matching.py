@@ -33,11 +33,38 @@ def is_matching(g: Graph, M) -> bool:
     return status != 1
 
 
-def maximality_status(g: Graph, M) -> int:
+def maximality_status(g: Graph, M, region=None) -> int:
     """One-pass check: 0 = maximal matching, 1 = not a matching in g,
     2 = matching but extensible.  The solver's per-step validation; the
-    public predicates wrap it."""
+    public predicates wrap it.
+
+    With `region`, only the vertices of region in g and their edges are
+    examined, in time linear in the region: the caller vouches that M is a
+    maximal matching of g everywhere else, and that every edge of M at a
+    vertex of region is an edge of g.
+    """
     adj = g._adj
+    if region is not None:
+        region = [v for v in region if v in adj]
+        hits = {}  # vertex -> edges of M at it (outside region: 0 or 1)
+        for v in region:
+            k = 0
+            for w in adj[v]:
+                if ((v, w) if v < w else (w, v)) in M:
+                    k += 1
+            if k > 1:
+                return 1
+            hits[v] = k
+        for v in region:
+            if hits[v]:
+                continue
+            for w in adj[v]:
+                k = hits.get(w)
+                if k is None:
+                    k = hits[w] = any(((w, x) if w < x else (x, w)) in M for x in adj[w])
+                if not k:
+                    return 2
+        return 0
     covered: set[int] = set()
     for u, v in M:
         if u in covered or v in covered:

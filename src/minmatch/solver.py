@@ -14,6 +14,22 @@ Its parts are carved out of the working graph in place, like the components
 a reduction leaves: the largest stays in the graph, only the others are
 copied, so each vertex has one live copy however deep bridges nest.
 
+Connectivity and bridges are not rescanned after every step.  Call a
+connected graph clean if every bridge in it is a pendant edge.  Lemma: let G
+be clean, and let a linear step delete D != {} and add the edges A, giving
+G'.  The step's boundary is B = (N(D) - D) | V(A); B* is B with each vertex
+of degree 1 in G' replaced by its neighbour (one of degree 0 gives no
+certificate).  If B* lies in one 2-edge-connected component of some subgraph
+of G', then G' is connected and clean.  A component of G' with no boundary
+vertex would already have been a component of G, which is connected and
+holds D; a non-pendant bridge of G' with no B* vertex on one side would
+already have been a non-pendant bridge of G.  The solver seeks that subgraph
+in a ball around B* (Graph.joined_without_bridges); when none is found it
+runs the full connectivity check and bridge search, so the bridge it splits
+at, and with it every trace, is the one the full scans give.  Likewise each
+extension is checked for maximality only where it can differ from the
+sub-matching (_checked); the `valid` verdict (_certify) scans it whole once.
+
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
 
@@ -90,15 +106,21 @@ def _check_constraint(g: Graph, c: PendantConstraint) -> None:
         raise InvalidConstraint("a single-edge graph has no avoiding maximal matching")
 
 
-def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> ReductionStep:
-    """First applicable reduction in priority order (callers handle n <= 9)."""
+def select_rule(
+    g: Graph, constraint: PendantConstraint | None = None, clean: bool = False
+) -> ReductionStep:
+    """First applicable reduction in priority order (callers handle n <= 9).
+
+    `clean` says the caller knows every bridge of g to be a pendant edge, so
+    a graph without pendants has none and the search for one is skipped.
+    """
     if constraint is not None:
         _check_constraint(g, constraint)
         return R.degree1_step(g, constraint.vertex, anchored=True)
     pendants = g.degree_bucket(1)
     if pendants:
         return R.degree1_step(g, min(pendants))
-    bridges = g.find_bridges()
+    bridges = () if clean else g.find_bridges()
     if bridges:
         return ReductionStep(
             rule=R.RULE_BRIDGE,
@@ -128,6 +150,13 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
 # carving and the reduction removed, and extends through the step's recipe.
 # The stack is the engine's own, so the Python stack grows neither with n nor
 # with the nesting depth of bridges.
+#
+# A task also carries whether it is known to be clean (see the module
+# docstring): in solve, a task is clean once select_rule has searched it for
+# a bridge and found none, and stays clean across linear steps for as long as
+# the boundary certificate holds.  Only then are the connectivity check after
+# the step and the bridge search before the next one skipped; every other
+# task runs both, so the bridge chosen, and with it the trace, is the same.
 
 def _run(
     g: Graph,
@@ -139,7 +168,7 @@ def _run(
     from the rules (solve) or, when `recorded` is given, from a recorded
     trace (replay)."""
     results: list[Matching] = []
-    stack: list[tuple] = [("task", g, constraint, False)]
+    stack: list[tuple] = [("task", g, constraint, False, False)]
     while stack:
         item = stack.pop()
         if item[0] == "frame":
@@ -153,8 +182,8 @@ def _run(
             g.restore_vertices(saved)
             results.append(_checked(g, step, sub, step.extension.apply(sub), constraint))
             continue
-        _, g, constraint, internal = item  # internal: no exceptional graph allowed
-        step = _next_step(g, constraint, recorded)
+        _, g, constraint, internal, clean = item  # internal: no exceptional graph allowed
+        step = _next_step(g, constraint, recorded, clean)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             steps.append(step)
             results.append(_leaf(g, step, constraint, internal))
@@ -163,9 +192,13 @@ def _run(
             step, carved, tasks = _split(g, step, recorded is None)
             saved, added = {}, []
         else:
+            # with no constraint and no pendant, select_rule found no bridge
+            clean = clean or (recorded is None and constraint is None and not g.degree_bucket(1))
             saved, added = _reduce(g, step)
-            if g.is_connected():
-                carved, tasks = {}, [("task", g, None, True)]
+            if clean and g.n > BASE_SIZE and _stays_clean(g, saved, added):
+                carved, tasks = {}, [("task", g, None, True, True)]
+            elif g.is_connected():
+                carved, tasks = {}, [("task", g, None, True, False)]
             else:
                 carved, tasks = _carve(g, [(comp, None) for comp in g.connected_components()])
         steps.append(step)
@@ -184,11 +217,29 @@ def _carve(g: Graph, parts) -> tuple[dict, list[tuple]]:
     first of equal size) stays in g itself, every other is copied, and every
     vertex outside the largest part is removed from g."""
     keep = max(parts, key=lambda p: len(p[0]), default=((), None))
-    tasks = [("task", g if p is keep else g.subgraph(p[0]), p[1], True) for p in parts]
+    tasks = [("task", g if p is keep else g.subgraph(p[0]), p[1], True, False) for p in parts]
     return g.remove_vertices_with_undo([v for v in g.iter_vertices() if v not in keep[0]]), tasks
 
 
-def _next_step(g: Graph, constraint, recorded) -> ReductionStep:
+def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
+    """The boundary certificate: True proves that g, just reduced in place
+    from a clean graph by deleting the vertices in `saved` (their undo data)
+    and adding `added`, is connected and clean; False proves nothing."""
+    boundary = set().union(*saved.values()).difference(saved)
+    boundary.update(v for e in added for v in e)
+    seeds = set()
+    for b in boundary:
+        nbrs = g.neighbors(b)
+        if len(nbrs) == 1:
+            seeds |= nbrs  # a pendant edge may be a bridge: certify its other end
+        elif nbrs:
+            seeds.add(b)
+        else:
+            return False
+    return g.joined_without_bridges(seeds)
+
+
+def _next_step(g: Graph, constraint, recorded, clean: bool) -> ReductionStep:
     """The step source: the recorded trace in replay; in solve, the oracle
     on small graphs and the first applicable rule otherwise."""
     if recorded is not None:
@@ -197,7 +248,7 @@ def _next_step(g: Graph, constraint, recorded) -> ReductionStep:
             raise InternalInvariantViolation("trace ended before the graph was consumed")
         return step
     if g.n > BASE_SIZE:
-        return select_rule(g, constraint)
+        return select_rule(g, constraint, clean=clean)
     if constraint is not None:
         res = gamma_exact_avoiding(g, constraint.forbidden_edge)
         rule = R.RULE_BASE_SMALL
@@ -251,9 +302,29 @@ def _leaf(g: Graph, step: ReductionStep, constraint, internal: bool) -> Matching
 def _checked(g: Graph, step, sub: Matching, M: Matching, constraint, special=False) -> Matching:
     """M after every check a node passes: a maximal matching of g, within the
     step's growth budget, within the bound (the exceptional graph: exactly 3
-    edges), and free of the forbidden edge."""
+    edges), and free of the forbidden edge.
+
+    M is the step's recipe applied to sub, the union of maximal matchings of
+    the step's subproblems (empty at a base step, whose recipe covers g).  So
+    an edge of M outside g is one the step names: an added edge, a recipe
+    edge or a split's bridge; and a vertex covered twice, or an edge left
+    undominated, has an endpoint that was deleted, that a named edge
+    touches, or that a removed recipe edge uncovered.  Only those vertices
+    are examined; at a base step they are all of g, scanned whole.
+    """
     where = f"{step.rule}/{step.case}"
-    if maximality_status(g, M) != 0:
+    named = list(step.added_edges)
+    for br in step.extension.branches:
+        named += br.requires + br.remove + br.add
+    if "bridge" in step.meta:
+        named.append(step.meta["bridge"])
+    if any(e in M and (e[0] >= e[1] or not g.has_edge(*e)) for e in named):
+        status = 1
+    elif len(step.deleted) == g.n:
+        status = maximality_status(g, M)
+    else:
+        status = maximality_status(g, M, step.deleted.union(*named))
+    if status != 0:
         raise InternalInvariantViolation(f"extension of {where} is not a maximal matching")
     if step.budget is not None and len(M) - len(sub) > step.budget:
         raise InternalInvariantViolation(f"{where} grew by {len(M) - len(sub)} > {step.budget}")
@@ -277,19 +348,24 @@ def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep,
     1 for forest's bridge edge, bounds the candidate before anything is
     solved; the construction guarantees that it meets floor(lambda(g)/6)."""
     bridge = step.meta["bridge"]
-    best = None
-    for name, parts in _bridge_candidates(g, bridge):
-        if not solving and name != step.case:
-            continue
+    target = lambda6(g) // 6
+    candidates = [c for c in _bridge_candidates(g, bridge) if solving or c[0] == step.case]
+    # Evaluated last to first, so that gamma0, which wins most splits, is
+    # carved last: when the last one evaluated wins, its carving stays.
+    best = kept = None
+    for i, (name, parts) in reversed(list(enumerate(candidates))):
         carved, tasks = _carve(g, parts)
         bound = sum(lambda6(t[1]) // 6 for t in tasks) + (name == "forest")
-        g.restore_vertices(carved)
-        if best is None or bound < best[0]:
+        if best is None or bound <= best[0]:  # ties go to the earlier candidate
             best = (bound, name, parts)
+            if i == 0:
+                kept = carved, tasks
+                continue
+        g.restore_vertices(carved)
     if best is None:
         raise InternalInvariantViolation(f"no {step.case} candidate at bridge {bridge}")
     bound, name, parts = best
-    if bound > lambda6(g) // 6:
+    if bound > target:
         raise InternalInvariantViolation(f"bridge candidate {name} misses the bound a priori")
     add = (bridge,) if name == "forest" else ()
     step = ReductionStep(
@@ -301,7 +377,7 @@ def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep,
         budget=None,
         meta={"bridge": bridge, "candidate": name},
     )
-    carved, tasks = _carve(g, parts)
+    carved, tasks = kept or _carve(g, parts)
     return step, carved, tasks
 
 

@@ -71,6 +71,34 @@ def bridge_chain(k: int, seed: int, n_blob: int = 12) -> Graph:
     return g
 
 
+def bead_ring(k: int, seed: int, n_bead: int = 12) -> Graph:
+    """k random cubic beads in a ring, each joined to the next by one link.
+
+    Each bead loses the first edge whose removal leaves it bridgeless; its
+    freed endpoints take the links to the previous and the next bead.  The
+    graph is cubic and bridgeless, but deleting one link turns every other
+    link into a bridge.
+    """
+    g = Graph()
+    ends = []
+    for i in range(k):
+        bead = gen_random_cubic(n_bead, seed + i)
+        for a, b in bead.edges():
+            bead.remove_edge(a, b)
+            if bead.is_connected() and not bead.find_bridges():
+                break
+            bead.add_edge(a, b)
+        else:
+            raise ValueError(f"bead {seed + i} has no edge whose removal leaves it bridgeless")
+        off = i * n_bead
+        for u, v in bead.edges():
+            g.add_edge(u + off, v + off)
+        ends.append((a + off, b + off))
+    for i in range(k):
+        g.add_edge(ends[i][1], ends[(i + 1) % k][0])
+    return g
+
+
 def reduced(g: Graph, step) -> Graph:
     """g after a linear reduction step, rebuilt here without the solver's
     code so that tests cross-check the engine's in-place reduction."""

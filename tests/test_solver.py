@@ -432,6 +432,52 @@ def test_replay_rejects_tampered_recipe():
         replay(g, replace(cert, trace=trace))
 
 
+@pytest.mark.parametrize("rule", ["DEGREE1", "ADJ_DEG2", "DEG2_TWO_DEG3"])
+@pytest.mark.parametrize("tamper", ["drop_edge", "add_non_edge", "add_non_edge_within_budget"])
+def test_replay_rejects_tampered_linear_step(rule, tamper):
+    # every branch of one linear step's recipe loses its first edge, or gains
+    # an edge that is in no graph the trace passes through, far from the step
+    # (the last case also lifts the step's budget, so that only the check
+    # that M is a matching of g can catch it)
+    g = gen_random_cubic(100, 3)
+    cert = solve(g)
+    i = next(i for i, s in enumerate(cert.trace) if s.rule == rule and not s.meta.get("anchored"))
+    step = cert.trace[i]
+    if tamper == "drop_edge":
+        branches = tuple(replace(br, add=br.add[1:]) for br in step.extension.branches)
+    else:
+        near = set(step.deleted).union(*(g.neighbors(v) for v in step.deleted))
+        near |= {v for s in cert.trace for e in s.added_edges for v in e}
+        far = [v for v in g.vertices() if v not in near]
+        e = next((a, b) for a in far for b in far if a < b and not g.has_edge(a, b))
+        branches = tuple(replace(br, add=br.add + (e,)) for br in step.extension.branches)
+    budget = None if tamper == "add_non_edge_within_budget" else step.budget
+    tampered = replace(step, budget=budget, extension=replace(step.extension, branches=branches))
+    trace = cert.trace[:i] + [tampered] + cert.trace[i + 1:]
+    with pytest.raises(InternalInvariantViolation):
+        replay(g, replace(cert, trace=trace))
+
+
+def test_bridge_split_carves_the_winner_once(monkeypatch):
+    # gamma0, the first candidate, wins every split of this chain; it is
+    # evaluated last, so its carving stays: one carving per candidate
+    carvings = []
+    per_split = []
+    carve, split = solver._carve, solver._split
+
+    def counting_split(g, step, solving):
+        before = len(carvings)
+        out = split(g, step, solving)
+        per_split.append(len(carvings) - before)
+        return out
+
+    monkeypatch.setattr(solver, "_carve", lambda g, parts: carvings.append(parts) or carve(g, parts))
+    monkeypatch.setattr(solver, "_split", counting_split)
+    splits = [s for s in solve(bridge_chain(5, 0)).trace if s.rule == "BRIDGE"]
+    assert splits and {s.case for s in splits} == {"gamma0"}
+    assert per_split == [2] * len(splits)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([12, 20, 40, 80]), st.integers(0, 3))
 def test_randomized_soundness(seed, n, deletions):
