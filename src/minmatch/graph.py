@@ -107,7 +107,7 @@ class Graph:
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertex set (copied)."""
         keep = set(vertices)
-        missing = keep - self._adj.keys()
+        missing = keep.difference(self._adj)  # O(|keep|); `- keys()` walks all of g
         if missing:
             raise UnknownVertex(f"vertices not in graph: {sorted(missing)}")
         adj = self._adj
@@ -207,7 +207,7 @@ class Graph:
     def remove_vertices(self, vs: Iterable[int]) -> None:
         """Delete the vertices and all incident edges (in place)."""
         vset = set(vs)
-        missing = vset - self._adj.keys()
+        missing = vset.difference(self._adj)  # O(|vset|), as above
         if missing:
             raise UnknownVertex(f"vertices not in graph: {sorted(missing)}")
         for v in vset:
@@ -291,56 +291,53 @@ class Graph:
         bridges: set[Edge] = set()
         for root in adj:
             if root not in preorder:
-                _, parent, cut = _lowlink_tree(adj, root, preorder, adj)
+                parent, cut = _lowlink_tree(adj, root, preorder)
                 bridges.update(edge(parent[v], v) for v in cut)
         return bridges
 
-    def joined_without_bridges(self, seeds: Iterable[int]) -> bool:
-        """True if the seeds are proved to lie in one 2-edge-connected
-        component of some subgraph of g; False proves nothing.
+    def joined(self, seeds: Iterable[int], paths: int = 1) -> bool:
+        """True iff any two seeds are joined by `paths` (1 or 2) edge-disjoint
+        paths: with one, iff the seeds lie in one component of g; with two,
+        iff they lie in one 2-edge-connected component (Menger).
 
-        The subgraph is induced by a ball grown by breadth-first layers
-        around the seeds, checked with the lowlink method and doubled until
-        the check succeeds, the ball is the seeds' whole component, or it
-        holds more than half of g.  The cost is linear in the last ball, not
-        in g.
+        Both relations are equivalences, so each seed in turn needs `paths`
+        edge-disjoint paths to the seeds already proved, found one at a time
+        as augmenting paths of a unit flow (_augmenting_path).  A negative
+        answer stops as soon as either side of a search is used up, so it
+        costs about the smaller side of the cut that separates the seeds,
+        not the whole graph.
         """
+        seeds = list(set(seeds))
+        proved = set(seeds[:1])
         adj = self._adj
-        seeds = set(seeds)
-        if len(seeds) < 2:
-            return True
-        root = next(iter(seeds))
-        ball = set(seeds)
-        frontier = ball
-        size = 8 * len(ball)
-        while True:
-            while frontier and len(ball) < size:
-                frontier = set().union(*[adj[v] for v in frontier]) - ball
-                ball |= frontier
-            # peel, from the outermost layer in, the vertices left with at
-            # most one edge inside: no cycle passes through them, so a
-            # peeled seed is a 2-edge-connected component by itself
-            inside = set(ball)
-            todo = [*frontier, *seeds]
-            while todo:
-                v = todo.pop()
-                if v in inside:
-                    left = adj[v] & inside
-                    if len(left) < 2:
-                        inside.discard(v)
-                        todo += left
-            if seeds <= inside:
-                order, parent, cut = _lowlink_tree(adj, root, {}, inside)
-                cut = set(cut)
-                label = {}
-                for v in order:  # preorder: each parent is labelled before its children
-                    p = parent[v]
-                    label[v] = v if p is None or v in cut else label[p]
-                if all(label.get(s) == root for s in seeds):
-                    return True
-            if not frontier or 2 * len(ball) > len(adj):
-                return False
-            size = 2 * len(ball)
+        for s in seeds[1:]:
+            # the flow is the first path's arcs: with at most two paths, no
+            # search after the second needs what the second one cancelled
+            flow: set[Edge] = set()
+            passed = []
+            for _ in range(paths):
+                path = _augmenting_path(adj, s, proved, flow)
+                if path is None:
+                    return False
+                passed += path
+                flow.update(zip(path, path[1:]))
+            # a simple path between two vertices of one class stays inside it
+            # (it would cross a separating bridge twice), so s and every
+            # vertex its paths pass join the target
+            proved.update(passed)
+        return True
+
+    def joined_without_bridges(self, seeds: Iterable[int]) -> bool:
+        """True iff the seeds lie in one 2-edge-connected component of g:
+        no bridge of g separates two of them.
+
+        The test is exact and local: joined(seeds, 2), two edge-disjoint
+        paths from each seed to those before it, each path found by a
+        bidirectional search that grows the smaller side and answers False
+        once either side is used up.  A refuted call costs about the smaller
+        side of the bridge that refutes it.
+        """
+        return self.joined(seeds, 2)
 
     def cubic_components(self) -> list[set[int]]:
         """Components in which every vertex has degree exactly 3."""
@@ -416,12 +413,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int], inside):
-    """One lowlink DFS (Tarjan) over root's component of the subgraph of
-    `adj` induced by the vertices `inside`, numbering them on from
-    len(preorder) into `preorder`: returns the vertices in preorder, their
-    tree parents (the root's is None), and the vertices whose tree edge to
-    their parent is a bridge.
+def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int]):
+    """One lowlink DFS (Tarjan) over root's component, numbering its
+    vertices on from len(preorder) into `preorder`: returns their tree
+    parents (the root's is None) and the vertices whose tree edge to their
+    parent is a bridge.
 
     Two passes, no recursion: a stack traversal in which the last vertex to
     push w becomes its parent gives a DFS tree; then, in reverse preorder,
@@ -441,27 +437,80 @@ def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int],
         counter += 1
         order.append(v)
         for w in adj[v]:
-            if w not in preorder and w in inside:
+            if w not in preorder:
                 parent[w] = v  # the final writer becomes the tree parent
                 stack.append(w)
     low: dict[int, int] = {}
     cut = []
-    number = preorder.get
     for v in reversed(order):
         p = parent[v]
         best = low.get(v, preorder[v])
         for w in adj[v]:
-            if w != p:
-                pw = number(w)  # None outside `inside`
-                if pw is not None and pw < best:
-                    best = pw
+            if w != p and preorder[w] < best:
+                best = preorder[w]
         if p is None:
             continue
         if best > preorder[p]:
             cut.append(v)
         elif best < low.get(p, best + 1):
             low[p] = best
-    return order, parent, cut
+    return parent, cut
+
+
+def _augmenting_path(adj: dict[int, set[int]], s: int, target: set[int], flow: set[Edge]):
+    """A shortest path from s to the set `target` (s outside it) in the
+    residual graph of the unit flow `flow`, or None if there is none.
+
+    Every edge is a pair of arcs of capacity one; the arc u -> w is free
+    unless (u, w) carries flow, and taking it when (w, u) carries flow
+    cancels that flow.  The search is bidirectional, breadth-first from s
+    forward and from the whole target backward, one layer at a time on the
+    side whose frontier is smaller; it ends when the sides meet, or with
+    None as soon as either frontier is empty.
+    """
+    before = {s: None}  # forward: vertex -> its predecessor on the path from s
+    after = dict.fromkeys(target)  # backward: vertex -> its successor towards the target
+    ahead, behind = [s], list(target)
+    meet = None
+    while meet is None:
+        if not ahead or not behind:
+            return None
+        layer = []
+        if len(ahead) <= len(behind):
+            for u in ahead:
+                for w in adj[u]:
+                    if w not in before and (u, w) not in flow:
+                        before[w] = u
+                        if w in after:
+                            meet = w
+                            break
+                        layer.append(w)
+                if meet is not None:
+                    break
+            ahead = layer
+        else:
+            for w in behind:
+                for u in adj[w]:
+                    if u not in after and (u, w) not in flow:
+                        after[u] = w
+                        if u in before:
+                            meet = u
+                            break
+                        layer.append(u)
+                if meet is not None:
+                    break
+            behind = layer
+    path = [meet]
+    v = before[meet]
+    while v is not None:
+        path.append(v)
+        v = before[v]
+    path.reverse()
+    v = after[meet]
+    while v is not None:
+        path.append(v)
+        v = after[v]
+    return path
 
 
 def is_k33(g: Graph) -> bool:

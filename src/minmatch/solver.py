@@ -19,16 +19,22 @@ connected graph clean if every bridge in it is a pendant edge.  Lemma: let G
 be clean, and let a linear step delete D != {} and add the edges A, giving
 G'.  The step's boundary is B = (N(D) - D) | V(A); B* is B with each vertex
 of degree 1 in G' replaced by its neighbour (one of degree 0 gives no
-certificate).  If B* lies in one 2-edge-connected component of some subgraph
-of G', then G' is connected and clean.  A component of G' with no boundary
-vertex would already have been a component of G, which is connected and
-holds D; a non-pendant bridge of G' with no B* vertex on one side would
-already have been a non-pendant bridge of G.  The solver seeks that subgraph
-in a ball around B* (Graph.joined_without_bridges); when none is found it
-runs the full connectivity check and bridge search, so the bridge it splits
-at, and with it every trace, is the one the full scans give.  Likewise each
-extension is checked for maximality only where it can differ from the
-sub-matching (_checked); the `valid` verdict (_certify) scans it whole once.
+certificate).  If B* lies in one 2-edge-connected component of G', then G'
+is connected and clean.  A component of G' with no boundary vertex would
+already have been a component of G, which is connected and holds D; a
+non-pendant bridge of G' with no B* vertex on one side would already have
+been a non-pendant bridge of G.  The solver tests this on G' itself by
+joining each vertex of B* to the others with two edge-disjoint paths
+(Graph.joined_without_bridges), a search that stops as soon as it is
+refuted, at a cost of about the smaller side of the bridge that refutes it.
+The test is exact, so the bridge search runs again only when G' has a
+non-pendant bridge, and the bridge it splits at, and with it every trace, is
+the one the full scans give.  Clean or not, G is connected, so by the first
+half of the argument one path joining each vertex of B to the others proves
+G' connected; only when that fails are the components listed in full.
+Likewise each extension is checked for maximality only where it can differ
+from the sub-matching (_checked); the `valid` verdict (_certify) scans it
+whole once.
 
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
@@ -154,9 +160,11 @@ def select_rule(
 # A task also carries whether it is known to be clean (see the module
 # docstring): in solve, a task is clean once select_rule has searched it for
 # a bridge and found none, and stays clean across linear steps for as long as
-# the boundary certificate holds.  Only then are the connectivity check after
-# the step and the bridge search before the next one skipped; every other
-# task runs both, so the bridge chosen, and with it the trace, is the same.
+# the boundary certificate holds.  Only then is the bridge search before the
+# next step skipped; every other task runs it, so the bridge chosen, and with
+# it the trace, is the same.  After every linear step, connectivity is tested
+# by paths from the step's boundary, and only a disconnected graph is scanned
+# whole for its components.
 
 def _run(
     g: Graph,
@@ -197,7 +205,7 @@ def _run(
             saved, added = _reduce(g, step)
             if clean and g.n > BASE_SIZE and _stays_clean(g, saved, added):
                 carved, tasks = {}, [("task", g, None, True, True)]
-            elif g.is_connected():
+            elif _stays_connected(g, saved, added):
                 carved, tasks = {}, [("task", g, None, True, False)]
             else:
                 carved, tasks = _carve(g, [(comp, None) for comp in g.connected_components()])
@@ -221,14 +229,31 @@ def _carve(g: Graph, parts) -> tuple[dict, list[tuple]]:
     return g.remove_vertices_with_undo([v for v in g.iter_vertices() if v not in keep[0]]), tasks
 
 
-def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
-    """The boundary certificate: True proves that g, just reduced in place
-    from a clean graph by deleting the vertices in `saved` (their undo data)
-    and adding `added`, is connected and clean; False proves nothing."""
+def _boundary(saved: dict, added: list[Edge]) -> set[int]:
+    """The boundary of a step that deleted the vertices in `saved` (their
+    undo data) and added the edges `added`: (N(D) - D) | V(A)."""
     boundary = set().union(*saved.values()).difference(saved)
     boundary.update(v for e in added for v in e)
+    return boundary
+
+
+def _stays_connected(g: Graph, saved: dict, added: list[Edge]) -> bool:
+    """True iff g, just reduced in place from a connected graph by deleting
+    the vertices in `saved` and adding `added`, is connected: every
+    component of g holds a boundary vertex, so it is enough that one path
+    joins each boundary vertex to the others (Graph.joined)."""
+    boundary = _boundary(saved, added)
+    return bool(boundary) and g.joined(boundary, 1)
+
+
+def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
+    """The boundary certificate: True iff g, just reduced in place from a
+    clean graph by deleting the vertices in `saved` (their undo data) and
+    adding `added`, is connected and clean (for g of three or more vertices,
+    where an isolated boundary vertex or a pendant edge's degree-1 neighbour
+    makes g disconnected)."""
     seeds = set()
-    for b in boundary:
+    for b in _boundary(saved, added):
         nbrs = g.neighbors(b)
         if len(nbrs) == 1:
             seeds |= nbrs  # a pendant edge may be a bridge: certify its other end

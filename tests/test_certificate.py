@@ -2,9 +2,11 @@
 
 After a linear step on a clean graph (connected, every bridge a pendant
 edge), the solver skips the connectivity check and the next bridge search
-when the step's boundary lies in one 2-edge-connected component of a ball
-around it.  Tarjan's lowlink search (Graph.find_bridges) and is_connected
-stay the reference: every positive certificate must agree with them, and the
+when two edge-disjoint paths join each vertex of the step's boundary to the
+others, and after any linear step it skips the full connectivity check when
+one path does.  Tarjan's lowlink search (Graph.find_bridges), is_connected
+and component_of stay the reference: both path tests must agree with them
+exactly, a refuted test must cost about the smaller side of the cut, and the
 traces must be the ones the solver makes without any certificate.
 """
 
@@ -82,8 +84,19 @@ def test_bridges_far_from_the_step_are_not_certified():
     assert not solver._stays_clean(g, saved, [])
 
 
+def seed_sets(g: Graph, rng: random.Random, count: int = 40):
+    """Random seed sets of 2 to 6 vertices: around one vertex, as a step's
+    boundary is, or anywhere."""
+    vertices = g.vertices()
+    for _ in range(count):
+        v = rng.choice(vertices)
+        pool = sorted(g.neighbors(v) | {v}) if rng.random() < 0.5 else vertices
+        yield set(rng.sample(pool, min(len(pool), rng.randrange(2, 7))))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_joined_without_bridges_never_proves_a_false_case(seed):
+    # and never refutes a true one: the test is exact
     rng = random.Random(seed)
     graphs = [
         random_connected_subcubic(rng.randrange(20, 200), seed, rng.randrange(0, 30)),
@@ -96,19 +109,99 @@ def test_joined_without_bridges_never_proves_a_false_case(seed):
     proved = refuted = 0
     for g in graphs:
         label = two_edge_components(g)
-        vertices = g.vertices()
-        for _ in range(40):
-            v = rng.choice(vertices)
-            # around one vertex, as a step's boundary is, or anywhere
-            pool = sorted(g.neighbors(v) | {v}) if rng.random() < 0.5 else vertices
-            seeds = set(rng.sample(pool, min(len(pool), rng.randrange(2, 7))))
+        for seeds in seed_sets(g, rng):
             same = len({label[v] for v in seeds}) == 1
-            if g.joined_without_bridges(seeds):
-                assert same, (g.edges(), seeds)
+            assert g.joined_without_bridges(seeds) == same, (g.edges(), seeds)
+            if same:
                 proved += 1
-            elif not same:
+            else:
                 refuted += 1
     assert proved > 20 and refuted > 20
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_joined_by_one_path_is_exact(seed):
+    rng = random.Random(100 + seed)
+    ring = bead_ring(5, seed)
+    ring.remove_vertices([next(v for v in ring.iter_vertices() if ring.degree(v) == 3)])
+    graphs = [
+        random_connected_subcubic(rng.randrange(20, 200), seed, rng.randrange(0, 30)),
+        bridge_chain(4, seed),
+        ring,
+    ]
+    for g in list(graphs):
+        # without a few vertices and the ends of its most even bridge
+        h = g.copy()
+        h.remove_vertices(rng.sample(h.vertices(), 3))
+        sides = []
+        for u, v in sorted(h.find_bridges()):
+            h.remove_edge(u, v)
+            sides.append((min(len(h.component_of(u)), len(h.component_of(v))), (u, v)))
+            h.add_edge(u, v)
+        if sides:
+            h.remove_vertices(max(sides)[1])
+        graphs.append(h)
+    joined = split = 0
+    for g in graphs:
+        for seeds in seed_sets(g, rng):
+            same = seeds <= g.component_of(next(iter(seeds)))
+            assert g.joined(seeds, 1) == same, (g.edges(), seeds)
+            if same:
+                joined += 1
+            else:
+                split += 1
+    assert joined > 20 and split > 20
+
+
+class CountingAdjacency(dict):
+    """An adjacency dict that counts the vertices it is read at."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+    def get(self, v, default=None):
+        self.reads += 1
+        return super().get(v, default)
+
+
+def blob_on_a_bridge(n: int, seed: int) -> tuple[Graph, list[int], list[int]]:
+    """A 12-vertex cubic blob joined by one bridge to a random cubic graph
+    on n vertices: the graph, the blob's vertices and the others."""
+    blob = gen_random_cubic(12, seed)
+    big = gen_random_cubic(n, seed)
+    for a, b in blob.edges():
+        blob.remove_edge(a, b)
+        if blob.is_connected():
+            break
+        blob.add_edge(a, b)
+    c, d = big.edges()[0]
+    big.remove_edge(c, d)
+    g = Graph.from_edges(big.edges() + [(u + n, v + n) for u, v in blob.edges()] + [(c, a + n)])
+    return g, [v + n for v in blob.vertices()], big.vertices()
+
+
+def test_refuted_path_tests_read_the_smaller_side():
+    n = 2000
+    g, blob, rest = blob_on_a_bridge(n, 5)
+    assert g.is_connected() and len(g.find_bridges()) == 1
+    g._adj = CountingAdjacency(g._adj)
+    rng = random.Random(5)
+    for v in blob:
+        seeds = {v, rng.choice(rest)}
+        g._adj.reads = 0
+        assert not g.joined_without_bridges(seeds)
+        assert g._adj.reads < (n + 12) / 10, (seeds, g._adj.reads)
+    assert g.joined_without_bridges(blob[:6])
+    (bridge,) = g.find_bridges()
+    g.remove_edge(*bridge)
+    for v in blob:
+        seeds = {v, rng.choice(rest)}
+        g._adj.reads = 0
+        assert not g.joined(seeds, 1)
+        assert g._adj.reads < (n + 12) / 10, (seeds, g._adj.reads)
 
 
 def test_joined_without_bridges_across_a_bridge():
