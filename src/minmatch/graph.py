@@ -327,18 +327,6 @@ class Graph:
             proved.update(passed)
         return True
 
-    def joined_without_bridges(self, seeds: Iterable[int]) -> bool:
-        """True iff the seeds lie in one 2-edge-connected component of g:
-        no bridge of g separates two of them.
-
-        The test is exact and local: joined(seeds, 2), two edge-disjoint
-        paths from each seed to those before it, each path found by a
-        bidirectional search that grows the smaller side and answers False
-        once either side is used up.  A refuted call costs about the smaller
-        side of the bridge that refutes it.
-        """
-        return self.joined(seeds, 2)
-
     def cubic_components(self) -> list[set[int]]:
         """Components in which every vertex has degree exactly 3."""
         return [

@@ -26,7 +26,8 @@ def as_matching(edges) -> Matching:
 
 
 def is_matching(g: Graph, M) -> bool:
-    """True iff the edges exist in g and are pairwise vertex-disjoint."""
+    """True iff the edges are pairwise vertex-disjoint; an edge that is not
+    in g raises EdgeNotInGraph."""
     status = maximality_status(g, M)
     if status == 1:
         _reject_foreign_edges(g, M)

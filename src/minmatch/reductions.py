@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, PreconditionViolated
 from .graph import Edge, Graph, edge
-from .matching import Matching
 
 RULE_BASE_SMALL = "BASE_SMALL"
 RULE_K33 = "K33_SPECIAL"
@@ -42,19 +41,18 @@ class ExtensionRecipe:
 
     branches: tuple[ExtensionBranch, ...]
 
-    def apply(self, sub: Matching) -> Matching:
+    def apply(self, M: set[Edge]) -> set[Edge]:
+        """Extend the sub-matching M in place, and return it."""
         for br in self.branches:
-            if all(e in sub for e in br.requires):
-                out = set(sub)
+            if all(e in M for e in br.requires):
                 for e in br.remove:
-                    if e not in out:
+                    if e not in M:
                         raise InternalInvariantViolation(
                             f"extension removes {e} not present in sub-matching"
                         )
-                    out.remove(e)
-                for e in br.add:
-                    out.add(e)
-                return frozenset(out)
+                    M.remove(e)
+                M.update(br.add)
+                return M
         raise InternalInvariantViolation("no extension branch matched")
 
 

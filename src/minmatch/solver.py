@@ -25,8 +25,8 @@ already have been a component of G, which is connected and holds D; a
 non-pendant bridge of G' with no B* vertex on one side would already have
 been a non-pendant bridge of G.  The solver tests this on G' itself by
 joining each vertex of B* to the others with two edge-disjoint paths
-(Graph.joined_without_bridges), a search that stops as soon as it is
-refuted, at a cost of about the smaller side of the bridge that refutes it.
+(Graph.joined(B*, 2)), a search that stops as soon as it is refuted, at a
+cost of about the smaller side of the bridge that refutes it.
 The test is exact, so the bridge search runs again only when G' has a
 non-pendant bridge, and the bridge it splits at, and with it every trace, is
 the one the full scans give.  Clean or not, G is connected, so by the first
@@ -34,7 +34,7 @@ half of the argument one path joining each vertex of B to the others proves
 G' connected; only when that fails are the components listed in full.
 Likewise each extension is checked for maximality only where it can differ
 from the sub-matching (_checked); the `valid` verdict (_certify) scans it
-whole once.
+whole once.  The matching is one set per solve, built in place (_run).
 
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
@@ -152,10 +152,20 @@ def select_rule(
 # order): the components left by a linear step's in-place reduction, or the
 # parts of a bridge split's candidate.  Either way _carve keeps the largest
 # subproblem in the working graph itself and copies only the others.
-# Unwinding a frame unions the subproblems' matchings, puts back what the
-# carving and the reduction removed, and extends through the step's recipe.
-# The stack is the engine's own, so the Python stack grows neither with n nor
-# with the nesting depth of bridges.
+# Unwinding a frame puts back what the carving and the reduction removed, and
+# extends the matching through the step's recipe.  The stack is the engine's
+# own, so the Python stack grows neither with n nor with the nesting depth of
+# bridges.
+#
+# One matching M, a mutable set, serves the whole solve.  A frame holds
+# len(M) from when its task began, so g's matching is the len(M) - start
+# edges added since.  Edges of finished parts touch no vertex of the current
+# g: parts share no vertex, save the bridge endpoint that a gamma candidate's
+# two parts share, and the constrained part, solved first, never covers it,
+# as its only edge there is the forbidden one, which is checked.  _reduce
+# checks that every edge a recipe reads lies in G'.  So the recipe, the region
+# check and the forbidden-edge test in _checked read M as if it held only g's
+# matching, and an added edge that a finished part holds lies outside g.
 #
 # A task also carries whether it is known to be clean (see the module
 # docstring): in solve, a task is clean once select_rule has searched it for
@@ -164,37 +174,38 @@ def select_rule(
 # next step skipped; every other task runs it, so the bridge chosen, and with
 # it the trace, is the same.  After every linear step, connectivity is tested
 # by paths from the step's boundary, and only a disconnected graph is scanned
-# whole for its components.
+# whole for its components.  No task left by a step that adds edges may be
+# cubic, an O(1) test on its buckets, and exact: each component of G' holds a
+# boundary vertex, so one that no added edge touches lost a degree there.
 
 def _run(
     g: Graph,
     constraint: PendantConstraint | None,
     steps: list[ReductionStep],
     recorded: Iterator[ReductionStep] | None,
-) -> Matching:
-    """Matching of connected g, appending its steps to `steps`.  Steps come
-    from the rules (solve) or, when `recorded` is given, from a recorded
-    trace (replay)."""
-    results: list[Matching] = []
+) -> set[Edge]:
+    """Maximal matching of connected g, built in one set, appending its
+    steps to `steps`.  Steps come from the rules (solve) or, when `recorded`
+    is given, from a recorded trace (replay)."""
+    M: set[Edge] = set()
     stack: list[tuple] = [("task", g, constraint, False, False)]
     while stack:
         item = stack.pop()
         if item[0] == "frame":
-            _, k, g, step, carved, saved, added, constraint = item
-            cut = len(results) - k
-            sub = _union(results[cut:])
-            del results[cut:]
+            _, start, g, step, carved, saved, added, constraint = item
             g.restore_vertices(carved)
             for e in reversed(added):
                 g.remove_edge(*e)
             g.restore_vertices(saved)
-            results.append(_checked(g, step, sub, step.extension.apply(sub), constraint))
+            before = len(M)
+            step.extension.apply(M)
+            _checked(g, step, M, len(M) - start, len(M) - before, constraint)
             continue
         _, g, constraint, internal, clean = item  # internal: no exceptional graph allowed
         step = _next_step(g, constraint, recorded, clean)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             steps.append(step)
-            results.append(_leaf(g, step, constraint, internal))
+            M |= _leaf(g, step, constraint, internal)
             continue
         if step.rule == R.RULE_BRIDGE:
             step, carved, tasks = _split(g, step, recorded is None)
@@ -209,14 +220,12 @@ def _run(
                 carved, tasks = {}, [("task", g, None, True, False)]
             else:
                 carved, tasks = _carve(g, [(comp, None) for comp in g.connected_components()])
+        if added and any(t[1].is_cubic() for t in tasks):
+            raise InternalInvariantViolation(f"{step.rule}/{step.case} produced a cubic component")
         steps.append(step)
-        stack.append(("frame", len(tasks), g, step, carved, saved, added, constraint))
+        stack.append(("frame", len(M), g, step, carved, saved, added, constraint))
         stack.extend(reversed(tasks))
-    return results[0]
-
-
-def _union(parts: list[Matching]) -> Matching:
-    return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+    return M
 
 
 def _carve(g: Graph, parts) -> tuple[dict, list[tuple]]:
@@ -261,7 +270,7 @@ def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
             seeds.add(b)
         else:
             return False
-    return g.joined_without_bridges(seeds)
+    return g.joined(seeds, 2)
 
 
 def _next_step(g: Graph, constraint, recorded, clean: bool) -> ReductionStep:
@@ -294,26 +303,26 @@ def _next_step(g: Graph, constraint, recorded, clean: bool) -> ReductionStep:
 
 
 def _reduce(g: Graph, step: ReductionStep) -> tuple[dict, list[Edge]]:
-    """A linear step's reduction, in place; returns the undo data."""
+    """A linear step's reduction, in place; returns the undo data.  Every
+    edge the step adds, or its recipe reads, must lie in the reduced graph."""
     where = f"{step.rule}/{step.case}"
     if step.extension is None:
         raise InternalInvariantViolation(f"{where} carries no extension recipe")
     added = sorted(step.added_edges)
-    if any(v not in g or v in step.deleted for e in added for v in e):
-        raise InternalInvariantViolation(f"an edge added by {where} leaves the graph")
+    read = [e for br in step.extension.branches for e in br.requires + br.remove]
+    if any(v not in g or v in step.deleted for e in added + read for v in e):
+        raise InternalInvariantViolation(f"an edge added or read by {where} leaves the graph")
     try:
         saved = g.remove_vertices_with_undo(step.deleted)
         for e in added:
             g.add_edge(*e)
     except GraphError as exc:
         raise InternalInvariantViolation(f"{where} does not fit the graph: {exc}") from None
-    if added and g.has_cubic_component_touching([v for e in added for v in e]):
-        raise InternalInvariantViolation(f"{where} produced a cubic component")
     return saved, added
 
 
-def _leaf(g: Graph, step: ReductionStep, constraint, internal: bool) -> Matching:
-    """A base step: its recipe holds the whole matching of g."""
+def _leaf(g: Graph, step: ReductionStep, constraint, internal: bool) -> set[Edge]:
+    """A base step: its recipe, applied to a fresh set, is g's matching."""
     if step.extension is None or step.deleted != frozenset(g.iter_vertices()):
         raise InternalInvariantViolation("base step does not cover the graph")
     special = constraint is None and is_k33(g)
@@ -321,21 +330,25 @@ def _leaf(g: Graph, step: ReductionStep, constraint, internal: bool) -> Matching
         raise InternalInvariantViolation(f"{step.rule} step on the wrong kind of graph")
     if special and internal:
         raise InternalInvariantViolation("a reduction produced the exceptional 6-vertex component")
-    return _checked(g, step, frozenset(), step.extension.apply(frozenset()), constraint, special)
+    L = step.extension.apply(set())
+    return _checked(g, step, L, len(L), len(L), constraint, special)
 
 
-def _checked(g: Graph, step, sub: Matching, M: Matching, constraint, special=False) -> Matching:
-    """M after every check a node passes: a maximal matching of g, within the
-    step's growth budget, within the bound (the exceptional graph: exactly 3
+def _checked(g: Graph, step, M, size: int, grown: int, constraint, special=False) -> set[Edge]:
+    """M after every check a node passes: g's `size` edges in it are a
+    maximal matching of g, within the step's growth budget (the recipe added
+    `grown` edges to M), within the bound (the exceptional graph: exactly 3
     edges), and free of the forbidden edge.
 
-    M is the step's recipe applied to sub, the union of maximal matchings of
-    the step's subproblems (empty at a base step, whose recipe covers g).  So
-    an edge of M outside g is one the step names: an added edge, a recipe
-    edge or a split's bridge; and a vertex covered twice, or an edge left
-    undominated, has an endpoint that was deleted, that a named edge
-    touches, or that a removed recipe edge uncovered.  Only those vertices
-    are examined; at a base step they are all of g, scanned whole.
+    M is the step's recipe applied to the maximal matchings of the step's
+    subproblems (to a fresh set at a base step, whose recipe covers g), plus
+    the edges of finished parts, which touch no vertex of g (see _run).  So
+    an edge of M at a vertex of g but outside g is one the step names: an
+    added edge, a recipe edge or a split's bridge; and a vertex covered
+    twice, or an edge left undominated, has an endpoint that was deleted,
+    that a named edge touches, or that a removed recipe edge uncovered.  Only
+    those vertices are examined; at a base step they are all of g, scanned
+    whole.
     """
     where = f"{step.rule}/{step.case}"
     named = list(step.added_edges)
@@ -345,21 +358,21 @@ def _checked(g: Graph, step, sub: Matching, M: Matching, constraint, special=Fal
         named.append(step.meta["bridge"])
     if any(e in M and (e[0] >= e[1] or not g.has_edge(*e)) for e in named):
         status = 1
-    elif len(step.deleted) == g.n:
+    elif step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
         status = maximality_status(g, M)
     else:
         status = maximality_status(g, M, step.deleted.union(*named))
     if status != 0:
         raise InternalInvariantViolation(f"extension of {where} is not a maximal matching")
-    if step.budget is not None and len(M) - len(sub) > step.budget:
-        raise InternalInvariantViolation(f"{where} grew by {len(M) - len(sub)} > {step.budget}")
+    if step.budget is not None and grown > step.budget:
+        raise InternalInvariantViolation(f"{where} grew by {grown} > {step.budget}")
     if special:
-        if len(M) != 3:
+        if size != 3:
             raise InternalInvariantViolation("exceptional case must give 3 edges")
     else:
         lam6 = lambda6(g)
-        if 6 * len(M) > lam6:
-            raise InternalInvariantViolation(f"{where}: 6*{len(M)} exceeds bound {lam6}")
+        if 6 * size > lam6:
+            raise InternalInvariantViolation(f"{where}: 6*{size} exceeds bound {lam6}")
     if constraint is not None and edge(*constraint.forbidden_edge) in M:
         raise InternalInvariantViolation("avoidance constraint violated by extension")
     return M
@@ -455,7 +468,7 @@ def solve(g: Graph) -> SolveCertificate:
     """Maximal matching of a connected subcubic graph within the bound."""
     t0 = time.perf_counter()
     steps: list[ReductionStep] = []
-    M = _run(_prepare(g), None, steps, None)
+    M = frozenset(_run(_prepare(g), None, steps, None))
     return _certify(g, M, steps, t0)
 
 
@@ -465,7 +478,7 @@ def solve_avoiding(g: Graph, constraint: PendantConstraint) -> SolveCertificate:
     work = _prepare(g)
     _check_constraint(work, constraint)
     steps: list[ReductionStep] = []
-    M = _run(work, constraint, steps, None)
+    M = frozenset(_run(work, constraint, steps, None))
     return _certify(g, M, steps, t0)
 
 
@@ -500,4 +513,4 @@ def replay(g: Graph, cert: SolveCertificate) -> Matching:
     M = _run(_prepare(g), None, [], recorded)
     if next(recorded, None) is not None:
         raise InternalInvariantViolation("trace has unconsumed steps")
-    return M
+    return frozenset(M)

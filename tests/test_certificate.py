@@ -111,7 +111,7 @@ def test_joined_without_bridges_never_proves_a_false_case(seed):
         label = two_edge_components(g)
         for seeds in seed_sets(g, rng):
             same = len({label[v] for v in seeds}) == 1
-            assert g.joined_without_bridges(seeds) == same, (g.edges(), seeds)
+            assert g.joined(seeds, 2) == same, (g.edges(), seeds)
             if same:
                 proved += 1
             else:
@@ -192,9 +192,9 @@ def test_refuted_path_tests_read_the_smaller_side():
     for v in blob:
         seeds = {v, rng.choice(rest)}
         g._adj.reads = 0
-        assert not g.joined_without_bridges(seeds)
+        assert not g.joined(seeds, 2)
         assert g._adj.reads < (n + 12) / 10, (seeds, g._adj.reads)
-    assert g.joined_without_bridges(blob[:6])
+    assert g.joined(blob[:6], 2)
     (bridge,) = g.find_bridges()
     g.remove_edge(*bridge)
     for v in blob:
@@ -209,10 +209,10 @@ def test_joined_without_bridges_across_a_bridge():
     g = bead_ring(4, 0)
     g.remove_vertices([v for v in g.vertices() if v >= 24])
     assert len(g.find_bridges()) == 1
-    assert g.joined_without_bridges({0, 1, 2})
-    assert not g.joined_without_bridges({0, 23})
+    assert g.joined({0, 1, 2}, 2)
+    assert not g.joined({0, 23}, 2)
 
 
 def test_joined_without_bridges_single_seed():
     g = bridge_chain(3, 0)
-    assert g.joined_without_bridges({0})
+    assert g.joined({0}, 2)

@@ -40,7 +40,7 @@ def test_deg2_231_shared_third_neighbour_hexagon():
 
     # exercise all three recipe branches against oracle sub-solutions
     for sub in _all_maximal(reduced(g, step)):
-        M = step.extension.apply(sub)
+        M = step.extension.apply(set(sub))
         assert is_maximal(g, M)
         assert len(M) - len(sub) <= step.budget
 
@@ -123,6 +123,6 @@ def test_extension_recipe_first_match_semantics():
         ExtensionBranch((e1,), (e1,), ()),
         ExtensionBranch((), (), ((6, 7),)),
     ))
-    assert recipe.apply(frozenset({e1, e2})) == frozenset({e2, (4, 5)})
-    assert recipe.apply(frozenset({e1})) == frozenset()
-    assert recipe.apply(frozenset({e2})) == frozenset({e2, (6, 7)})
+    assert recipe.apply({e1, e2}) == frozenset({e2, (4, 5)})
+    assert recipe.apply({e1}) == frozenset()
+    assert recipe.apply({e2}) == frozenset({e2, (6, 7)})

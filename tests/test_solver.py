@@ -31,7 +31,12 @@ from minmatch.matching import (
     matching_within_bound,
 )
 from minmatch.oracle import gamma_exact
-from minmatch.reductions import first_noncubic_insertion
+from minmatch.reductions import (
+    ExtensionBranch,
+    ExtensionRecipe,
+    ReductionStep,
+    first_noncubic_insertion,
+)
 from minmatch.solver import (
     PendantConstraint,
     replay,
@@ -102,7 +107,7 @@ def test_degree1_step_on_p4():
     assert step.deleted == {0, 1, 2}
     h = reduced(g, step)
     assert h.vertices() == [3] and h.m == 0
-    M = step.extension.apply(frozenset())
+    M = step.extension.apply(set())
     assert M == frozenset({(1, 2)})
     assert is_maximal(g, M)
 
@@ -126,9 +131,9 @@ def test_adjacent_deg2_contraction_on_c6():
     assert (h.n, h.m) == (4, 4)
     assert h.degree_census().n2 == 4  # a 4-cycle
     # both extension branches add exactly one edge
-    M = step.extension.apply(frozenset({(3, 4), (2, 5)}))
+    M = step.extension.apply({(3, 4), (2, 5)})
     assert len(M) == 3 and (0, 5) in M and (1, 2) in M and (2, 5) not in M
-    M2 = step.extension.apply(frozenset({(2, 3), (4, 5)}))
+    M2 = step.extension.apply({(2, 3), (4, 5)})
     assert M2 == frozenset({(2, 3), (4, 5), (0, 1)})
     assert is_maximal(g, M) and is_maximal(g, M2)
 
@@ -146,7 +151,7 @@ def test_adjacent_deg2_triangle_case():
     assert (step.rule, step.case) == ("ADJ_DEG2", "triangle")
     assert step.deleted == {0, 1, 2}
     sub = gamma_exact(reduced(g, step)).witness
-    M = step.extension.apply(sub)
+    M = step.extension.apply(set(sub))
     assert is_maximal(g, M)
     assert (0, 2) in M
 
@@ -170,7 +175,7 @@ def test_cubic_finish_shared_neighbour():
     step = select_rule(prism)
     assert step.rule == "CUBIC_FINISH"
     assert step.case == "shared-neighbour"
-    M = step.extension.apply(solve(reduced(prism, step)).matching)
+    M = step.extension.apply(set(solve(reduced(prism, step)).matching))
     assert is_maximal(prism, M)
 
 
@@ -456,6 +461,82 @@ def test_replay_rejects_tampered_linear_step(rule, tamper):
     trace = cert.trace[:i] + [tampered] + cert.trace[i + 1:]
     with pytest.raises(InternalInvariantViolation):
         replay(g, replace(cert, trace=trace))
+
+
+def _replay_one_step(g, deleted, added):
+    # a hand-made linear step, the whole of the trace, whose recipe adds nothing
+    step = ReductionStep(
+        rule="DEG2_TWO_DEG3", case="hand-made", deleted=frozenset(deleted),
+        added_edges=frozenset(added), extension=ExtensionRecipe((ExtensionBranch((), (), ()),)),
+        budget=None,
+    )
+    with pytest.raises(InternalInvariantViolation, match="produced a cubic component"):
+        replay(g, replace(solve(g), trace=[step]))
+
+
+def test_replay_rejects_a_step_that_leaves_a_connected_cubic_graph():
+    # Petersen with the edge (0, 1) subdivided by 10; the step puts it back
+    g = gen_named("PETERSEN")
+    g.remove_edge(0, 1)
+    g.add_edge(0, 10)
+    g.add_edge(10, 1)
+    _replay_one_step(g, {10}, {(0, 1)})
+
+
+def test_replay_rejects_a_step_that_leaves_cubic_components():
+    # two K4s, each with one edge subdivided, the subdivision vertices 8, 9
+    # joined; the step deletes both and leaves the two K4s
+    g = Graph.from_edges([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 8), (1, 8),
+                          (4, 6), (4, 7), (5, 6), (5, 7), (6, 7), (4, 9), (5, 9), (8, 9)])
+    _replay_one_step(g, {8, 9}, {(0, 1), (4, 5)})
+
+
+def _finished_edge_and_later_step(g, cert):
+    """At the first bridge split (gamma0, solved part by part): an edge of
+    the matching inside the first, constrained part, and the index of the
+    first linear step of the second part."""
+    b = next(i for i, s in enumerate(cert.trace) if s.rule == "BRIDGE")
+    u0, u1 = cert.trace[b].meta["bridge"]
+    h = g.copy()
+    h.remove_edge(u0, u1)
+    side0 = h.component_of(u0)
+    assert cert.trace[b].case == "gamma0" and u1 not in side0
+    e = next(e for e in sorted(cert.matching) if set(e) <= side0)
+    j = next(
+        i for i, s in enumerate(cert.trace)
+        if i > b and s.rule not in ("BRIDGE", "BASE_SMALL") and not s.deleted & side0
+    )
+    return e, j
+
+
+@pytest.mark.parametrize("tamper", ["add", "require_and_remove"])
+def test_replay_rejects_a_recipe_that_touches_a_finished_part(tamper):
+    # the matching is one set across the parts of a split: a step of the
+    # second part may neither add an edge the first part already holds, nor
+    # read (and so remove) one
+    g = bridge_chain(5, 0)
+    cert = solve(g)
+    e, j = _finished_edge_and_later_step(g, cert)
+    step = cert.trace[j]
+    branches = step.extension.branches
+    if tamper == "add":
+        branches = tuple(replace(br, add=br.add + (e,)) for br in branches)
+        error = "not a maximal matching"
+    else:
+        branches = (ExtensionBranch((e,), (e,), branches[0].add),) + branches
+        error = "leaves the graph"
+    tampered = replace(step, extension=replace(step.extension, branches=branches))
+    trace = cert.trace[:j] + [tampered] + cert.trace[j + 1:]
+    with pytest.raises(InternalInvariantViolation, match=error):
+        replay(g, replace(cert, trace=trace))
+
+
+def test_matchings_are_frozen():
+    g = bridge_chain(3, 1)
+    cert = solve(g)
+    avoiding = solve_avoiding(gen_named("P_n", 12), PendantConstraint(0, (0, 1)))
+    for M in (cert.matching, avoiding.matching, replay(g, cert)):
+        assert type(M) is frozenset
 
 
 def test_bridge_split_carves_the_winner_once(monkeypatch):
