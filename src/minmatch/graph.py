@@ -311,6 +311,8 @@ class Graph:
         proved = set(seeds[:1])
         adj = self._adj
         for s in seeds[1:]:
+            if s in proved:  # joined already: proved lies in one class
+                continue
             # the flow is the first path's arcs: with at most two paths, no
             # search after the second needs what the second one cancelled
             flow: set[Edge] = set()
@@ -339,7 +341,11 @@ class Graph:
         """True iff some component containing one of `vertices` is cubic.
 
         Early-exits as soon as a vertex of degree < 3 is reachable, which is
-        the common case; worst case one traversal per seed component.
+        the common case; worst case one traversal per seed component.  No
+        code in the package calls it: the solver reads cubic components off
+        its tasks' degree buckets.  It stays only because the benchmark's
+        trace groups name it, and goes with their next revision (ROADMAP
+        item 5).
         """
         seen: set[int] = set()
         for s in vertices:

@@ -4,7 +4,9 @@ A step deletes a small vertex set, possibly adds one or two edges, and
 carries a data-driven recipe that turns any maximal matching of the reduced
 graph back into one of the original graph.  Recipes are branch lists tested
 against the sub-matching in order, so a recorded trace is replayable without
-re-running the case analysis.
+re-running the case analysis.  Rules read g and never change it; a rule that
+inserts edges returns its first candidate and leaves the choice among the
+rest to the solver (see _insertion).
 
 Rule tags: DEGREE1 (pendant), BRIDGE (marker; the solver assembles the split
 itself), ADJ_DEG2 (two adjacent degree-2 vertices), DEG2_TWO_DEG3 (a
@@ -98,17 +100,25 @@ def _incident_edges(g: Graph, vs: set[int]) -> int:
     return total - internal
 
 
-# -- edge selection that avoids cubic components --------------------------------
+# -- insertions that must avoid a cubic component -------------------------------
+#
+# A rule that adds edges must add ones that leave G' without a cubic
+# component; the proof only needs one of a few candidates, all deleting the
+# same set, to do so.  The rule returns the step for its first candidate; the
+# solver builds G' with it and, only if a part is cubic, undoes it and asks
+# meta[LATER] for the next (solver._run).
 
-def first_noncubic_insertion(
-    g: Graph, v0: set[int], trials: list[tuple[Edge, ...]]
-) -> tuple[Edge, ...]:
-    """The first of `trials`, each a tuple of edges between neighbours of
-    v0, with g - v0 + those edges free of cubic components.  Trials holding
-    an edge of g are skipped; the rest are tried in the given order with an
-    early-exit component scan.  Existence is guaranteed by the structure
-    around v0 (bridgeless, and the candidate graph on the neighbours is
-    connected enough), so running out of trials is an internal error.
+LATER = "later"  # engine-only meta entry; never part of a recorded step
+
+
+def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) -> ReductionStep:
+    """build(*trial) for the first of `trials`, each a tuple of edges
+    between neighbours of v0 to add once v0 is deleted, with the steps for
+    the later trials under meta[LATER], built lazily.  Trials holding an edge
+    of g are dropped; g is not changed.  Some trial leaves no cubic component
+    by the structure around v0 (bridgeless, and the candidate graph on the
+    neighbours is connected enough), so the engine running out of them is an
+    internal error.
     """
     outside = set().union(*(g.neighbors(v) for v in v0)) - v0
     for trial in trials:
@@ -119,25 +129,14 @@ def first_noncubic_insertion(
     trials = [t for t in trials if not any(g.has_edge(*e) for e in t)]
     if not trials:
         raise PreconditionViolated("no candidate that is not already an edge")
-    saved = g.remove_vertices_with_undo(v0)
-    try:
-        for trial in trials:
-            for e in trial:
-                g.add_edge(*e)
-            cubic = g.has_cubic_component_touching([v for e in trial for v in e])
-            for e in reversed(trial):
-                g.remove_edge(*e)
-            if not cubic:
-                return trial
-    finally:
-        g.restore_vertices(saved)
-    raise InternalInvariantViolation("no candidate insertion avoids a cubic component")
+    step = build(*trials[0])
+    step.meta[LATER] = (build(*t) for t in trials[1:])
+    return step
 
 
-def _noncubic_edge(g: Graph, v0: set[int], estar: list[Edge]) -> Edge:
-    """One edge from `estar`, tried in sorted order."""
-    (e,) = first_noncubic_insertion(g, v0, [(e,) for e in sorted({edge(a, b) for a, b in estar})])
-    return e
+def _edge_insertion(g: Graph, v0: set[int], estar: list[Edge], build) -> ReductionStep:
+    """_insertion with one edge from `estar` per trial, in sorted order."""
+    return _insertion(g, v0, [(e,) for e in sorted({edge(a, b) for a, b in estar})], build)
 
 
 # -- pendant rule ---------------------------------------------------------------
@@ -276,18 +275,21 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep:
         u1, u2, v1, v2 = u2, u1, v2, v1
         (w11, w12), (w21, w22) = (w21, w22), (w11, w12)
     xs = sorted(g.neighbors(w11) - {v1})
-    estar = [(x, wt) for x in xs for wt in (w21, w22)]
-    e = _noncubic_edge(g, {u1, u2, v1, v2, w11}, estar)
-    x = e[0] if e[0] in xs else e[1]
-    wt = e[1] if x == e[0] else e[0]
-    return _step(
-        RULE_ADJ_DEG2, "outer-independent", {u1, u2, v1, v2, w11}, (e,),
-        _recipe(
-            ((e,), (e,), ((x, w11), (wt, v2), (u1, v1))),
-            ((), (), ((v1, w11), (u2, v2))),
-        ),
-        budget=2,
-    )
+    v0 = {u1, u2, v1, v2, w11}
+
+    def build(e):
+        x = e[0] if e[0] in xs else e[1]
+        wt = e[1] if x == e[0] else e[0]
+        return _step(
+            RULE_ADJ_DEG2, "outer-independent", v0, (e,),
+            _recipe(
+                ((e,), (e,), ((x, w11), (wt, v2), (u1, v1))),
+                ((), (), ((v1, w11), (u2, v2))),
+            ),
+            budget=2,
+        )
+
+    return _edge_insertion(g, v0, [(x, wt) for x in xs for wt in (w21, w22)], build)
 
 
 # -- degree-2 vertex with two degree-3 neighbours --------------------------------
@@ -396,19 +398,21 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
         )
     (x11,) = sorted(g.neighbors(w11) - {v1, w12})
     (x12,) = sorted(g.neighbors(w12) - {v1, w11})
-    estar = [(x, wt) for x in (x11, x12) for wt in (w21, w22)]
-    e = _noncubic_edge(g, short, estar)
-    xa = e[0] if e[0] in (x11, x12) else e[1]
-    wb = e[1] if xa == e[0] else e[0]
-    w_own, w_other = (w11, w12) if xa == x11 else (w12, w11)
-    return _step(
-        RULE_DEG2, "2.1", short, (e,),
-        _recipe(
-            ((e,), (e,), ((xa, w_own), (v2, wb), (v1, w_other))),
-            ((), (), ((w11, w12), (u, v2))),
-        ),
-        budget=2, variant="rewire",
-    )
+
+    def build(e):
+        xa = e[0] if e[0] in (x11, x12) else e[1]
+        wb = e[1] if xa == e[0] else e[0]
+        w_own, w_other = (w11, w12) if xa == x11 else (w12, w11)
+        return _step(
+            RULE_DEG2, "2.1", short, (e,),
+            _recipe(
+                ((e,), (e,), ((xa, w_own), (v2, wb), (v1, w_other))),
+                ((), (), ((w11, w12), (u, v2))),
+            ),
+            budget=2, variant="rewire",
+        )
+
+    return _edge_insertion(g, short, [(x, wt) for x in (x11, x12) for wt in (w21, w22)], build)
 
 
 def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22, cross):
@@ -442,23 +446,23 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22, cross):
             _recipe(((), (), ((w22, w11), (u, v1), (w21, x21), (x12, y)))),
             budget=4, variant="ten",
         )
-    labelled = [
-        (edge(w11, w22), _recipe(
-            ((edge(w11, w22),), (edge(w11, w22),), ((v1, w11), (v2, w22), (w12, w21))),
-            ((), (), ((v1, w12), (v2, w21))),
-        )),
-        (edge(w11, x12), _recipe(
-            ((edge(w11, x12),), (edge(w11, x12),), ((v1, w11), (x12, w12), (v2, w21))),
-            ((), (), ((v1, w12), (v2, w21))),
-        )),
-        (edge(w22, x21), _recipe(
-            ((edge(w22, x21),), (edge(w22, x21),), ((v2, w22), (x21, w21), (v1, w12))),
-            ((), (), ((v1, w12), (v2, w21))),
-        )),
+    # the edge to add, and what the recipe adds when the sub-matching holds
+    # it (the first entry wins if two edges coincide)
+    relinks = [
+        (edge(w11, w22), ((v1, w11), (v2, w22), (w12, w21))),
+        (edge(w11, x12), ((v1, w11), (x12, w12), (v2, w21))),
+        (edge(w22, x21), ((v2, w22), (x21, w21), (v1, w12))),
     ]
-    e = _noncubic_edge(g, short, [p for p, _ in labelled])
-    recipe = next(r for p, r in labelled if p == e)
-    return _step(RULE_DEG2, "2.2", short, (e,), recipe, budget=2, variant="rewire")
+
+    def build(e):
+        add = next(a for p, a in relinks if p == e)
+        return _step(
+            RULE_DEG2, "2.2", short, (e,),
+            _recipe(((e,), (e,), add), ((), (), ((v1, w12), (v2, w21)))),
+            budget=2, variant="rewire",
+        )
+
+    return _edge_insertion(g, short, [p for p, _ in relinks], build)
 
 
 def _deg2_case23(g, u, v1, v2, w11, w12, w21, w22):
@@ -547,22 +551,25 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
     if not q1_cands or not q2_cands:
         raise InternalInvariantViolation("triple common neighbourhood missed earlier")
     v0 = {u, v1, v2, w12, w21}
+
+    def build(e1, e2):
+        q1, q2 = sum(e1) - w11, sum(e2) - w22
+        side1_in = ((e1,), ((v1, w11), (w12, q1)))
+        side1_out = ((), ((v1, w12),))
+        side2_in = ((e2,), ((v2, w22), (w21, q2)))
+        side2_out = ((), ((v2, w21),))
+        branches = []
+        for (req1, add1) in (side1_in, side1_out):
+            for (req2, add2) in (side2_in, side2_out):
+                branches.append((req1 + req2, req1 + req2, add1 + add2))
+        return _step(
+            RULE_DEG2, "2.3.2", v0, (e1, e2),
+            _recipe(*branches),
+            budget=2, variant="main",
+        )
+
     trials = [(edge(w11, q1), edge(w22, q2)) for q1 in q1_cands for q2 in q2_cands]
-    e1, e2 = first_noncubic_insertion(g, v0, trials)
-    q1, q2 = sum(e1) - w11, sum(e2) - w22
-    side1_in = ((e1,), ((v1, w11), (w12, q1)))
-    side1_out = ((), ((v1, w12),))
-    side2_in = ((e2,), ((v2, w22), (w21, q2)))
-    side2_out = ((), ((v2, w21),))
-    branches = []
-    for (req1, add1) in (side1_in, side1_out):
-        for (req2, add2) in (side2_in, side2_out):
-            branches.append((req1 + req2, req1 + req2, add1 + add2))
-    return _step(
-        RULE_DEG2, "2.3.2", v0, (e1, e2),
-        _recipe(*branches),
-        budget=2, variant="main",
-    )
+    return _insertion(g, v0, trials, build)
 
 
 # -- the cubic case --------------------------------------------------------------
@@ -578,15 +585,17 @@ def cubic_step(g: Graph) -> ReductionStep:
         )
     v11, v12 = sorted(g.neighbors(u1) - {u2})
     v21, v22 = sorted(g.neighbors(u2) - {u1})
-    estar = [(a, b) for a in (v11, v12) for b in (v21, v22)]
-    e = _noncubic_edge(g, {u1, u2}, estar)
-    a = e[0] if e[0] in (v11, v12) else e[1]
-    b = e[1] if a == e[0] else e[0]
-    return _step(
-        RULE_CUBIC, "crossing", {u1, u2}, (e,),
-        _recipe(
-            ((e,), (e,), ((u1, a), (u2, b))),
-            ((), (), ((u1, u2),)),
-        ),
-        budget=1,
-    )
+
+    def build(e):
+        a = e[0] if e[0] in (v11, v12) else e[1]
+        b = e[1] if a == e[0] else e[0]
+        return _step(
+            RULE_CUBIC, "crossing", {u1, u2}, (e,),
+            _recipe(
+                ((e,), (e,), ((u1, a), (u2, b))),
+                ((), (), ((u1, u2),)),
+            ),
+            budget=1,
+        )
+
+    return _edge_insertion(g, {u1, u2}, [(a, b) for a in (v11, v12) for b in (v21, v22)], build)

@@ -35,6 +35,10 @@ G' connected; only when that fails are the components listed in full.
 Likewise each extension is checked for maximality only where it can differ
 from the sub-matching (_checked); the `valid` verdict (_certify) scans it
 whole once.  The matching is one set per solve, built in place (_run).
+Each step reduces g once: where a rule must insert edges that leave no cubic
+component, it offers its candidates in order, and the engine's test for a
+cubic task, read off the parts it builds anyway, keeps the first that passes
+(_run); no rule reduces g on trial.
 
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
@@ -119,6 +123,9 @@ def select_rule(
 
     `clean` says the caller knows every bridge of g to be a pendant edge, so
     a graph without pendants has none and the search for one is skipped.
+    A rule that inserts edges returns the step for its first candidate
+    insertion, which may leave a cubic component; the steps for the others
+    are under meta[reductions.LATER], for the engine to try in turn.
     """
     if constraint is not None:
         _check_constraint(g, constraint)
@@ -177,6 +184,18 @@ def select_rule(
 # whole for its components.  No task left by a step that adds edges may be
 # cubic, an O(1) test on its buckets, and exact: each component of G' holds a
 # boundary vertex, so one that no added edge touches lost a degree there.
+#
+# The same test picks the edges a rule inserts.  A rule that must add edges
+# avoiding a cubic component offers candidates that all delete the same set
+# (reductions.LATER): the engine reduces with the first, builds the tasks, and
+# if one is cubic puts g back as a frame's unwinding does (_undo) and tries
+# the next, leaving `clean` as it was.  By the argument above, "some task is
+# cubic" holds iff some component of G' that touches the added edges is
+# cubic, however the tasks were built (one certified graph, or carved
+# components).  So the kept step is the first candidate, in the rule's order,
+# after which no component touching its added edges is cubic: a function of
+# g alone, and with it every trace.  In replay the recorded step is the only
+# candidate.
 
 def _run(
     g: Graph,
@@ -193,10 +212,7 @@ def _run(
         item = stack.pop()
         if item[0] == "frame":
             _, start, g, step, carved, saved, added, constraint = item
-            g.restore_vertices(carved)
-            for e in reversed(added):
-                g.remove_edge(*e)
-            g.restore_vertices(saved)
+            _undo(g, carved, saved, added)
             before = len(M)
             step.extension.apply(M)
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
@@ -213,19 +229,36 @@ def _run(
         else:
             # with no constraint and no pendant, select_rule found no bridge
             clean = clean or (recorded is None and constraint is None and not g.degree_bucket(1))
-            saved, added = _reduce(g, step)
-            if clean and g.n > BASE_SIZE and _stays_clean(g, saved, added):
-                carved, tasks = {}, [("task", g, None, True, True)]
-            elif _stays_connected(g, saved, added):
-                carved, tasks = {}, [("task", g, None, True, False)]
-            else:
-                carved, tasks = _carve(g, [(comp, None) for comp in g.connected_components()])
-        if added and any(t[1].is_cubic() for t in tasks):
-            raise InternalInvariantViolation(f"{step.rule}/{step.case} produced a cubic component")
+            # the rule's later candidates; in replay the recorded step is the only one
+            later = step.meta.pop(R.LATER, iter(())) if recorded is None else iter(())
+            while True:
+                saved, added = _reduce(g, step)
+                if clean and g.n > BASE_SIZE and _stays_clean(g, saved, added):
+                    carved, tasks = {}, [("task", g, None, True, True)]
+                elif _stays_connected(g, saved, added):
+                    carved, tasks = {}, [("task", g, None, True, False)]
+                else:
+                    carved, tasks = _carve(g, [(comp, None) for comp in g.connected_components()])
+                if not (added and any(t[1].is_cubic() for t in tasks)):
+                    break
+                _undo(g, carved, saved, added)
+                rejected, step = step, next(later, None)
+                if step is None:
+                    raise InternalInvariantViolation(
+                        f"{rejected.rule}/{rejected.case} produced a cubic component"
+                    )
         steps.append(step)
         stack.append(("frame", len(M), g, step, carved, saved, added, constraint))
         stack.extend(reversed(tasks))
     return M
+
+
+def _undo(g: Graph, carved: dict, saved: dict, added: list[Edge]) -> None:
+    """Put g back as it was before a step: the carving, then the reduction."""
+    g.restore_vertices(carved)
+    for e in reversed(added):
+        g.remove_edge(*e)
+    g.restore_vertices(saved)
 
 
 def _carve(g: Graph, parts) -> tuple[dict, list[tuple]]:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bridge_chain, bridged_pair, random_connected_subcubic, reduced
+from conftest import bead_ring, bridge_chain, bridged_pair, random_connected_subcubic, reduced
+from minmatch import reductions as R
 from minmatch import solver
 from minmatch.errors import (
     Disconnected,
@@ -35,7 +36,6 @@ from minmatch.reductions import (
     ExtensionBranch,
     ExtensionRecipe,
     ReductionStep,
-    first_noncubic_insertion,
 )
 from minmatch.solver import (
     PendantConstraint,
@@ -179,17 +179,21 @@ def test_cubic_finish_shared_neighbour():
     assert is_maximal(prism, M)
 
 
-def test_select_noncubic_edge_q3():
+def test_select_noncubic_edge_q3(monkeypatch):
+    # Q3 is below the base size; lower it so that the engine picks the edge
+    monkeypatch.setattr(solver, "BASE_SIZE", 7)
     g = gen_named("CUBE_Q3")
-    v0 = {0, 1}
-    estar = [(2, 3), (2, 5), (3, 4), (4, 5)]
-    (e,) = first_noncubic_insertion(g, v0, [(p,) for p in estar])
+    cert = solve(g)
+    step = cert.trace[0]
+    assert (step.rule, step.case, step.deleted) == ("CUBIC_FINISH", "crossing", {0, 1})
+    (e,) = step.added_edges
+    assert e in {(2, 3), (2, 5), (3, 4), (4, 5)}
     assert e not in set(g.edges())
-    h = g.copy()
-    h.remove_vertices(v0)
-    h.add_edge(*e)
+    h = reduced(g, step)
     assert h.cubic_components() == []
     assert h.n == 6
+    assert_sound(g, cert)
+    assert replay(g, cert) == cert.matching
 
 
 def test_select_noncubic_edge_petersen():
@@ -197,44 +201,132 @@ def test_select_noncubic_edge_petersen():
     u1, u2 = 0, 1
     v1s = sorted(g.neighbors(u1) - {u2})
     v2s = sorted(g.neighbors(u2) - {u1})
-    trials = [(e,) for e in sorted(edge(a, b) for a in v1s for b in v2s)]
-    (e,) = first_noncubic_insertion(g, {u1, u2}, trials)
-    h = g.copy()
-    h.remove_vertices({u1, u2})
-    h.add_edge(*e)
-    assert h.cubic_components() == []
+    cert = solve(g)
+    step = cert.trace[0]
+    assert (step.rule, step.case, step.deleted) == ("CUBIC_FINISH", "crossing", {u1, u2})
+    (e,) = step.added_edges
+    assert e in {edge(a, b) for a in v1s for b in v2s}
+    assert reduced(g, step).cubic_components() == []
+    assert_sound(g, cert)
 
 
 def test_select_noncubic_edge_preconditions():
     g = gen_named("CUBE_Q3")
+
+    def build(*trial):
+        raise AssertionError("no step may be built from a bad candidate")
+
     with pytest.raises(PreconditionViolated):
-        first_noncubic_insertion(g, {0, 1}, [((6, 7),)])  # not neighbours of v0
+        R._insertion(g, {0, 1}, [((6, 7),)], build)  # not neighbours of v0
     with pytest.raises(PreconditionViolated):
-        first_noncubic_insertion(g, {0, 1}, [])  # no candidate at all
+        R._insertion(g, {0, 1}, [], build)  # no candidate at all
+    with pytest.raises(PreconditionViolated):
+        R._insertion(g, {0, 1}, [((2, 3),)], build)  # already an edge of g
+    assert g == gen_named("CUBE_Q3")
 
 
-def test_choose_crossing_pair_rejects_cubic_closing_choice():
-    # picking q2 = 9 would close the component {6, 9, 12, 13} into a cubic
-    # 4-clique, so the scan must land on (7, 10) instead
-    g = Graph.from_edges([
+def crossing_graph():
+    # a 2.3.2 "main" site whose first candidate, q2 = 9, closes the
+    # component {6, 9, 12, 13} into a cubic 4-clique
+    return Graph.from_edges([
         (0, 1), (0, 2),
         (1, 3), (1, 4), (2, 5), (2, 6),
         (4, 7), (4, 8), (5, 9), (5, 10),
         (3, 11), (7, 10), (7, 11), (8, 10), (8, 11),
         (6, 12), (6, 13), (9, 12), (9, 13), (12, 13),
     ])
+
+
+def test_choose_crossing_pair_rejects_cubic_closing_choice():
+    g = crossing_graph()
     bad = g.copy()
     bad.remove_vertices({0, 1, 2, 4, 5})
     bad.add_edge(3, 7)
     bad.add_edge(6, 9)
     assert bad.cubic_components() == [{6, 9, 12, 13}]
-    trials = [((3, q1), (6, q2)) for q1 in (7, 8) for q2 in (9, 10)]
-    assert first_noncubic_insertion(g, {0, 1, 2, 4, 5}, trials) == ((3, 7), (6, 10))
+    # the rule offers the first candidate and leaves the choice to the engine
     step = select_rule(g)
     assert (step.case, step.meta.get("variant")) == ("2.3.2", "main")
-    assert step.added_edges == {(3, 7), (6, 10)}
+    assert step.added_edges == {(3, 7), (6, 9)}
+    assert [s.added_edges for s in step.meta[R.LATER]] == [
+        {(3, 7), (6, 10)}, {(3, 8), (6, 9)}, {(3, 8), (6, 10)},
+    ]
+    assert g == crossing_graph()
     cert = solve(g)
+    assert cert.trace[0].deleted == {0, 1, 2, 4, 5}
+    assert cert.trace[0].added_edges == {(3, 7), (6, 10)}
+    assert all(R.LATER not in s.meta for s in cert.trace)
     assert_sound(g, cert)
+    assert replay(g, cert) == cert.matching
+
+
+def test_rejected_candidate_is_undone_exactly(monkeypatch):
+    # the rejected first candidate leaves G' disconnected with a cubic K4
+    # part, so the engine carves it before it sees the cubic task; g must be
+    # back as it was before the engine reduces with the next candidate
+    seen = []
+    carves = []
+    reduce, carve = solver._reduce, solver._carve
+
+    def spy_reduce(g, step):
+        seen.append((step.added_edges, g.copy()))
+        return reduce(g, step)
+
+    def spy_carve(g, parts):
+        carves.append(sorted(min(p[0]) for p in parts))
+        return carve(g, parts)
+
+    monkeypatch.setattr(solver, "_reduce", spy_reduce)
+    monkeypatch.setattr(solver, "_carve", spy_carve)
+    g = crossing_graph()
+    cert = solve(g)
+    assert [a for a, _ in seen[:2]] == [{(3, 7), (6, 9)}, {(3, 7), (6, 10)}]
+    seen[1][1].validate()  # the copy carries g's adjacency and degree buckets
+    assert seen[1][1] == seen[0][1] == g
+    assert carves[0] == [3, 6]
+    assert cert.trace[0].added_edges == {(3, 7), (6, 10)}
+    assert replay(g, cert) == cert.matching
+
+
+def test_rejected_connected_cubic_candidate(monkeypatch):
+    # Petersen with the edge (0, 1) subdivided by 10: a hand-made first
+    # candidate deletes 10 and adds (0, 1) back, which leaves Petersen,
+    # connected and cubic; the next is the step the rules choose
+    g = gen_named("PETERSEN")
+    g.remove_edge(0, 1)
+    g.add_edge(0, 10)
+    g.add_edge(1, 10)
+    back = ReductionStep(
+        rule="DEG2_TWO_DEG3", case="test", deleted=frozenset({10}),
+        added_edges=frozenset({(0, 1)}),
+        extension=ExtensionRecipe((
+            ExtensionBranch(((0, 1),), ((0, 1),), ((0, 10),)),
+            ExtensionBranch((), (), ()),
+        )),
+        budget=1,
+    )
+    rules = solver.select_rule
+    offered = []
+    offer_later = True
+
+    def fake(h, constraint=None, clean=False):
+        step = rules(h, constraint, clean)
+        if 10 not in h:
+            return step
+        step.meta.pop(R.LATER, None)
+        offered.append(step)
+        return replace(back, meta={R.LATER: iter([step] if offer_later else [])})
+
+    monkeypatch.setattr(solver, "select_rule", fake)
+    cert = solve(g)
+    assert cert.trace[0] == offered[0]
+    assert 10 in cert.trace[0].deleted and cert.trace[0] != back
+    assert R.LATER not in cert.trace[0].meta
+    assert_sound(g, cert)
+    assert replay(g, cert) == cert.matching
+    offer_later = False
+    with pytest.raises(InternalInvariantViolation, match="test produced a cubic component"):
+        solve(g)
 
 
 def test_choose_crossing_pair_shared_vertex():
@@ -685,6 +777,46 @@ def test_trace_step_shape_limits():
                 continue
             assert 1 <= len(step.deleted) <= 10
             assert len(step.added_edges) <= 2
+
+
+def test_no_trial_reductions(monkeypatch):
+    # the engine's cubic-task test alone picks inserted edges: no rule
+    # searches for cubic components, and the graph loses vertices with undo
+    # data only in the engine's own reductions and carvings, and once per
+    # forest candidate that a bridge split lists
+    def no_search(self, vertices):
+        raise AssertionError("has_cubic_component_touching called")
+
+    calls = {"undo": 0, "carve": 0, "forest": 0}
+    undo, carve, candidates = Graph.remove_vertices_with_undo, solver._carve, solver._bridge_candidates
+
+    def count_undo(self, vs):
+        calls["undo"] += 1
+        return undo(self, vs)
+
+    def count_carve(g, parts):
+        calls["carve"] += 1
+        return carve(g, parts)
+
+    def count_candidates(g, bridge):
+        out = candidates(g, bridge)
+        calls["forest"] += any(name == "forest" for name, _ in out)
+        return out
+
+    monkeypatch.setattr(Graph, "has_cubic_component_touching", no_search)
+    monkeypatch.setattr(Graph, "remove_vertices_with_undo", count_undo)
+    monkeypatch.setattr(solver, "_carve", count_carve)
+    monkeypatch.setattr(solver, "_bridge_candidates", count_candidates)
+    graphs = [gen_random_cubic(n, seed) for n, seed in ((50, 1), (100, 2), (200, 3), (300, 4))]
+    graphs += [bridge_chain(k, seed) for k, seed in ((3, 0), (6, 1), (10, 2))]
+    graphs += [bead_ring(k, seed) for k, seed in ((3, 0), (5, 1))]
+    for g in graphs:
+        for key in calls:
+            calls[key] = 0
+        cert = solve(g)
+        assert cert.valid
+        linear = sum(s.rule not in ("BASE_SMALL", "K33_SPECIAL", "BRIDGE") for s in cert.trace)
+        assert calls["undo"] <= linear + calls["carve"] + calls["forest"]
 
 
 def test_termination_steps_shrink():
