@@ -2,10 +2,11 @@
 
 stdout carries payload only (NDJSON or graph6 lines); diagnostics go to
 stderr.  An unreadable input (a missing file, a non-ASCII byte, from a file
-or stdin alike) is one stderr line, exit 2, and no record runs.  Otherwise
-every record runs: the whole edge list, or each non-blank graph6 line
-(``line:N``).  ``solve`` and ``exact`` print a record's payload before they
-parse the next, and a failed record is one stderr line naming its id;
+or stdin alike) is one stderr line, exit 2, and no record runs; so is a
+``verify --plot-data`` file that cannot be opened (``output error:``).
+Otherwise every record runs: the whole edge list, or each non-blank graph6
+line (``line:N``).  ``solve`` and ``exact`` print a record's payload before
+they parse the next, and a failed record is one stderr line naming its id;
 ``verify`` lists failures in its report.  All three exit 2 if any record was
 bad input (it does not parse, or is disconnected or empty for ``solve``),
 else 3 if any broke the contract, else 4 if an oracle budget ran out, else 0.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from multiprocessing import Pool
 
 from .errors import BudgetExceeded, Disconnected, EmptyGraph, MinmatchError
@@ -171,6 +173,9 @@ def cmd_gen(args) -> int:
 
 
 def _verify_one(payload) -> dict:
+    """Solve and check one graph6 line.  gamma_exact runs again where solve's
+    base case ran it (n <= 9): gamma must not come from the solver's output,
+    or `oracle_above_solver` would compare a number with itself."""
     ident, line, with_oracle, budget = payload
     try:
         g = parse_graph6(line)
@@ -220,22 +225,25 @@ def cmd_verify(args) -> int:
     records = _records(args.path, "graph6")
     if records is None:
         return EXIT_INPUT
-    work = [(ident, line, args.with_oracle, args.budget) for ident, line in records]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            records = list(pool.imap(_verify_one, work, chunksize=16))
-    else:
-        records = [_verify_one(item) for item in work]
+    try:  # before any record runs
+        plot = open(args.plot_data, "w", encoding="ascii") if args.plot_data else nullcontext()
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    with plot:
+        work = [(ident, line, args.with_oracle, args.budget) for ident, line in records]
+        if args.jobs > 1:
+            with Pool(args.jobs) as pool:
+                records = list(pool.imap(_verify_one, work, chunksize=16))
+        else:
+            records = [_verify_one(item) for item in work]
+        if args.plot_data:
+            plot.write("n,matching_size,lambda,gamma_lower\n")
+            plot.writelines(
+                f"{r['n']},{r['matching_size']},{r['lambda_times_6'] / 6.0},{r['gamma_lower']}\n"
+                for r in records if "matching_size" in r
+            )
     report = _batch_report(records)
-    if args.plot_data:
-        with open(args.plot_data, "w", encoding="ascii") as fh:
-            fh.write("n,matching_size,lambda,gamma_lower\n")
-            for r in records:
-                if "matching_size" in r:
-                    fh.write(
-                        f"{r['n']},{r['matching_size']},"
-                        f"{r['lambda_times_6'] / 6.0},{r['gamma_lower']}\n"
-                    )
     print(json.dumps(report, separators=(",", ":")))
     return _exit_code(f["property"] for f in report["failures"])
 

@@ -47,8 +47,8 @@ class DegreeCensus:
 class Graph:
     """Mutable subcubic graph: adjacency sets plus degree-indexed buckets.
 
-    The buckets (vertices of degree 0, 1 and 2; degree 3 is implicit) make
-    the solver's rule dispatch cheap on large graphs.
+    The buckets (vertices of degree 0, 1 and 2; degree 3 is implicit) keep
+    rule dispatch to one pass over the degree-2 bucket at most.
     """
 
     __slots__ = ("_adj", "_m", "_buckets")

@@ -127,11 +127,11 @@ def parse_edgelist(text: str) -> Graph:
     vertices are the ids that appear, in sorted order, or range(n) under a
     header.
 
-    A first data line (a, b) is read as a header exactly when the remaining
-    data-line count equals b and all edge endpoints are below a; otherwise
-    every line is an edge.  A header reading whose rest fails to build does
-    not fall back to the all-edges reading: that reading holds the same
-    self-loop, duplicate or degree overflow.
+    A first data line (a, b) is read as a header exactly when b data lines
+    follow, b >= 1, all with endpoints below a; otherwise every line is an
+    edge, so the lone line "3 0" is the edge 0-3.  A header reading whose
+    rest fails to build does not fall back to the all-edges reading: that
+    reading holds the same self-loop, duplicate or degree overflow.
     """
     data_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -116,7 +116,7 @@ def lambda6(g: Graph) -> int:
 def bound_report(g: Graph, connected: bool = False) -> BoundReport:
     """Bound quantities for a connected graph; rejects disconnected input
     unless the caller already knows g is connected (`connected=True` skips
-    the scan, as the solver's per-step checks do).
+    the scan, as solver._certify does; the per-step checks call lambda6).
 
     The solver dispatches per component explicitly, so I and K always refer
     to one connected graph here.

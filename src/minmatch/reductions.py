@@ -134,9 +134,10 @@ def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) ->
     return step
 
 
-def _edge_insertion(g: Graph, v0: set[int], estar: list[Edge], build) -> ReductionStep:
-    """_insertion with one edge from `estar` per trial, in sorted order."""
-    return _insertion(g, v0, [(e,) for e in sorted({edge(a, b) for a, b in estar})], build)
+def _edge_insertion(g: Graph, v0: set[int], pairs: list[Edge], build) -> ReductionStep:
+    """_insertion with one edge per trial, from `pairs` (no edge twice) in the
+    order of their (min, max) form; build gets each pair as given."""
+    return _insertion(g, v0, [(p,) for p in sorted(pairs, key=lambda p: edge(*p))], build)
 
 
 # -- pendant rule ---------------------------------------------------------------
@@ -169,16 +170,18 @@ def degree1_step(g: Graph, pendant: int, anchored: bool = False) -> ReductionSte
 
 # -- two adjacent degree-2 vertices ---------------------------------------------
 
-def adjacent_deg2_step(g: Graph) -> ReductionStep:
-    pair = None
-    for u1 in sorted(g.degree_bucket(2)):
-        twos = sorted(w for w in g.neighbors(u1) if g.degree(w) == 2)
-        if twos:
-            pair = (u1, twos[0])
-            break
-    if pair is None:
-        raise PreconditionViolated("no adjacent degree-2 pair")
-    u1, u2 = pair
+def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
+    """The step for u1, the least degree-2 vertex with a degree-2 neighbour,
+    and u2, its least such neighbour; None if there is none.  One pass over
+    the degree-2 bucket finds them: the dispatch's per-step cost."""
+    deg2 = g.degree_bucket(2)
+    u1 = None
+    for v in deg2:
+        if (u1 is None or v < u1) and not deg2.isdisjoint(g.neighbors(v)):
+            u1 = v
+    if u1 is None:
+        return None
+    u2 = min(deg2 & g.neighbors(u1))
     (v1,) = (x for x in g.neighbors(u1) if x != u2)
     (v2,) = (x for x in g.neighbors(u2) if x != u1)
 
@@ -278,8 +281,7 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep:
     v0 = {u1, u2, v1, v2, w11}
 
     def build(e):
-        x = e[0] if e[0] in xs else e[1]
-        wt = e[1] if x == e[0] else e[0]
+        x, wt = e
         return _step(
             RULE_ADJ_DEG2, "outer-independent", v0, (e,),
             _recipe(
@@ -400,8 +402,7 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
     (x12,) = sorted(g.neighbors(w12) - {v1, w11})
 
     def build(e):
-        xa = e[0] if e[0] in (x11, x12) else e[1]
-        wb = e[1] if xa == e[0] else e[0]
+        xa, wb = e
         w_own, w_other = (w11, w12) if xa == x11 else (w12, w11)
         return _step(
             RULE_DEG2, "2.1", short, (e,),
@@ -412,7 +413,8 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
             budget=2, variant="rewire",
         )
 
-    return _edge_insertion(g, short, [(x, wt) for x in (x11, x12) for wt in (w21, w22)], build)
+    # x11 and x12 may be one vertex, which must give its two edges once
+    return _edge_insertion(g, short, [(x, wt) for x in {x11, x12} for wt in (w21, w22)], build)
 
 
 def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22, cross):
@@ -462,7 +464,7 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22, cross):
             budget=2, variant="rewire",
         )
 
-    return _edge_insertion(g, short, [p for p, _ in relinks], build)
+    return _edge_insertion(g, short, list(dict.fromkeys(p for p, _ in relinks)), build)
 
 
 def _deg2_case23(g, u, v1, v2, w11, w12, w21, w22):
@@ -553,7 +555,7 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
     v0 = {u, v1, v2, w12, w21}
 
     def build(e1, e2):
-        q1, q2 = sum(e1) - w11, sum(e2) - w22
+        (_, q1), (_, q2) = e1, e2
         side1_in = ((e1,), ((v1, w11), (w12, q1)))
         side1_out = ((), ((v1, w12),))
         side2_in = ((e2,), ((v2, w22), (w21, q2)))
@@ -568,7 +570,7 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
             budget=2, variant="main",
         )
 
-    trials = [(edge(w11, q1), edge(w22, q2)) for q1 in q1_cands for q2 in q2_cands]
+    trials = [((w11, q1), (w22, q2)) for q1 in q1_cands for q2 in q2_cands]
     return _insertion(g, v0, trials, build)
 
 
@@ -587,8 +589,7 @@ def cubic_step(g: Graph) -> ReductionStep:
     v21, v22 = sorted(g.neighbors(u2) - {u1})
 
     def build(e):
-        a = e[0] if e[0] in (v11, v12) else e[1]
-        b = e[1] if a == e[0] else e[0]
+        a, b = e
         return _step(
             RULE_CUBIC, "crossing", {u1, u2}, (e,),
             _recipe(

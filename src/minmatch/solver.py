@@ -123,6 +123,8 @@ def select_rule(
 
     `clean` says the caller knows every bridge of g to be a pendant edge, so
     a graph without pendants has none and the search for one is skipped.
+    Past that, dispatch reads only the degree buckets; its largest cost is
+    adjacent_deg2_step's one pass over the degree-2 bucket.
     A rule that inserts edges returns the step for its first candidate
     insertion, which may leave a cubic component; the steps for the others
     are under meta[reductions.LATER], for the engine to try in turn.
@@ -144,11 +146,8 @@ def select_rule(
             budget=None,
             meta={"bridge": min(bridges)},
         )
-    deg2 = g.degree_bucket(2)
-    if deg2:
-        if any(g.degree(w) == 2 for v in deg2 for w in g.neighbors(v)):
-            return R.adjacent_deg2_step(g)
-        return R.deg2_step(g)
+    if g.degree_bucket(2):
+        return R.adjacent_deg2_step(g) or R.deg2_step(g)
     return R.cubic_step(g)
 
 

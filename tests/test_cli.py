@@ -202,6 +202,20 @@ def test_verify_plot_data(tmp_path, capsys, monkeypatch):
     assert len(rows) == 3
 
 
+def test_verify_unwritable_plot_data_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # the plot file is opened before any record runs: no record is solved,
+    # no report is printed
+    calls = []
+    monkeypatch.setattr(cli, "_verify_one", lambda item: calls.append(item))
+    target = tmp_path / "k4.g6"
+    target.write_text(write_graph6(gen_named("K4")) + "\n")
+    unwritable = tmp_path / "no" / "x.csv"
+    code, out, err = run(capsys, ["verify", "--plot-data", str(unwritable), str(target)])
+    assert code == 2
+    assert out == "" and calls == []
+    assert len(err.strip().splitlines()) == 1 and err.startswith("output error:")
+
+
 def test_verify_edgelist_file(tmp_path, capsys):
     target = tmp_path / "graph.txt"
     target.write_text("0 1\n1 2\n")

@@ -7,7 +7,9 @@ one deterministic sweep that pins the full variant checklist.
 
 import random
 
-from conftest import random_connected_subcubic, reduced
+from conftest import bead_ring, random_connected_subcubic, reduced
+from minmatch import reductions
+from minmatch.generators import gen_named
 from minmatch.graph import Graph
 from minmatch.matching import is_maximal
 from minmatch.oracle import gamma_exact
@@ -126,3 +128,80 @@ def test_extension_recipe_first_match_semantics():
     assert recipe.apply({e1, e2}) == frozenset({e2, (4, 5)})
     assert recipe.apply({e1}) == frozenset()
     assert recipe.apply({e2}) == frozenset({e2, (6, 7)})
+
+
+def _sorted_scan_pair(g):
+    """The adjacent degree-2 pair by the plain sorted scan: the smallest
+    degree-2 vertex with a degree-2 neighbour, and its smallest such one."""
+    for u1 in sorted(g.degree_bucket(2)):
+        twos = sorted(w for w in g.neighbors(u1) if g.degree(w) == 2)
+        if twos:
+            return u1, twos[0]
+    return None
+
+
+def _check_adjacent_pair(g, step):
+    pair = _sorted_scan_pair(g)
+    if pair is None:
+        assert step is None
+        return False
+    # every ADJ_DEG2 case deletes both vertices of its pair; a contraction
+    # deletes only them
+    assert step.rule == "ADJ_DEG2"
+    assert set(pair) <= step.deleted
+    if step.case == "contract":
+        assert step.deleted == set(pair)
+    return True
+
+
+def _deg2_rich_graphs():
+    return (
+        [gen_named("P_n", n) for n in range(3, 14)]
+        + [gen_named("C_n", n) for n in range(5, 14)]
+        + [random_connected_subcubic(n, seed, n // 4) for n in (20, 40, 80) for seed in range(8)]
+        + [bead_ring(k, seed) for k in (3, 4) for seed in (0, 1)]
+    )
+
+
+def test_adjacent_pair_matches_sorted_scan():
+    found = none = 0
+    for g in _deg2_rich_graphs():
+        if _check_adjacent_pair(g, adjacent_deg2_step(g)):
+            found += 1
+        else:
+            none += 1
+    assert found > 20 and none > 5  # P_3 and the cubic bead rings give none
+
+
+def test_adjacent_pair_matches_sorted_scan_inside_solves(monkeypatch):
+    # the working graphs of a solve, after many steps, are where degree-2
+    # vertices pile up; compare at every call the engine makes
+    rule = reductions.adjacent_deg2_step
+    counts = {True: 0, False: 0}
+
+    def checked(g):
+        step = rule(g)
+        counts[_check_adjacent_pair(g, step)] += 1
+        return step
+
+    monkeypatch.setattr(reductions, "adjacent_deg2_step", checked)
+    cubic = [random_connected_subcubic(n, seed) for n in (100, 200) for seed in range(3)]
+    for g in _deg2_rich_graphs() + cubic:
+        cert = solve(g)
+        assert cert.valid
+    assert counts[True] > 100 and counts[False] > 100
+
+
+def test_deg2_without_adjacent_pair_dispatches_to_deg2_rule():
+    # Petersen with the edges 0-1 and 5-7 subdivided by 10 and 11: two
+    # degree-2 vertices, not adjacent, each between two degree-3 vertices
+    g = gen_named("PETERSEN")
+    for (a, b), s in (((0, 1), 10), ((5, 7), 11)):
+        g.remove_edge(a, b)
+        g.add_edge(a, s)
+        g.add_edge(s, b)
+    assert sorted(g.degree_bucket(2)) == [10, 11]
+    assert adjacent_deg2_step(g) is None
+    step = select_rule(g)
+    assert step.rule == "DEG2_TWO_DEG3"
+    assert 10 in step.deleted
