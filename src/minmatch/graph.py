@@ -236,13 +236,28 @@ class Graph:
         return saved
 
     def restore_vertices(self, saved: dict[int, frozenset[int]]) -> None:
-        """Inverse of remove_vertices_with_undo (edges added back verbatim)."""
+        """Inverse of remove_vertices_with_undo (edges added back verbatim).
+
+        Writes the adjacency directly and moves each touched vertex between
+        buckets once, with the degree cap checked at the end."""
+        adj, before = self._adj, {}
         for v in saved:
             self.add_vertex(v)
         for v, nbrs in saved.items():
+            av = adj[v]
             for w in nbrs:
-                if not self.has_edge(v, w):
-                    self.add_edge(v, w)
+                if w not in av:
+                    aw = self.neighbors(w)
+                    before.setdefault(v, len(av))
+                    before.setdefault(w, len(aw))
+                    av.add(w)
+                    aw.add(v)
+                    self._m += 1
+        for v, d in before.items():
+            new = len(adj[v])
+            if new > MAX_DEGREE:
+                raise DegreeOverflow(f"vertex {v} would exceed degree {MAX_DEGREE}")
+            self._bucket_move(v, d, new)
 
     # -- analysis -------------------------------------------------------------
 
@@ -328,6 +343,35 @@ class Graph:
             # vertex its paths pass join the target
             proved.update(passed)
         return True
+
+    def smaller_side(
+        self, a: Iterable[int], b: Iterable[int], cut: set[int]
+    ) -> tuple[int, set[int]] | None:
+        """Two searches in g - cut, from the vertex sets a and b: None if
+        they meet (a path outside cut joins a vertex of a to one of b), else
+        (0, what the search from a found) or (1, the same from b) for the
+        search used up first, whose side is then no larger than the other.
+
+        The searches take turns one vertex at a time, the one that has found
+        fewer vertices going next, so an answer that is not None costs about
+        twice the smaller side, however large the other.
+        """
+        adj = self._adj
+        found = (set(a), set(b))
+        if not found[0].isdisjoint(found[1]):
+            return None
+        todo = (list(found[0]), list(found[1]))
+        while True:
+            i = int(len(found[0]) > len(found[1]))
+            if not todo[i]:
+                return i, found[i]
+            mine, other = found[i], found[1 - i]
+            for w in adj[todo[i].pop()]:
+                if w not in mine and w not in cut:
+                    if w in other:
+                        return None
+                    mine.add(w)
+                    todo[i].append(w)
 
     def cubic_components(self) -> list[set[int]]:
         """Components in which every vertex has degree exactly 3."""

@@ -108,9 +108,14 @@ class BoundReport:
 
 def lambda6(g: Graph) -> int:
     """lambda_times_6 = 4n - m + 2I + K - n1 of a graph the caller knows to be
-    connected and non-empty: the one formula of the bound."""
-    n, m = g.n, g.m
-    return 4 * n - m + 2 * g.is_cubic() + (n == 2 and m == 1) - len(g.degree_bucket(1))
+    connected and non-empty."""
+    return lambda6_of(g.n, g.m, len(g.degree_bucket(1)), g.is_cubic())
+
+
+def lambda6_of(n: int, m: int, n1: int, cubic: bool = False) -> int:
+    """The one formula of the bound, from a connected graph's counts: n
+    vertices, m edges, n1 of degree 1, and whether it is cubic."""
+    return 4 * n - m + 2 * cubic + (n == 2 and m == 1) - n1
 
 
 def bound_report(g: Graph, connected: bool = False) -> BoundReport:

@@ -10,28 +10,51 @@ bridges, adjacent degree-2 pairs, degree-2 vertices with degree-3
 neighbours, and finally the cubic case.  At a bridge only one candidate split
 is solved, chosen by bound arithmetic before any solving, so the matching
 may be larger than the best candidate's, though always within the bound.
-Its parts are carved out of the working graph in place, like the components
-a reduction leaves: the largest stays in the graph, only the others are
-copied, so each vertex has one live copy however deep bridges nest.
+A split costs about its smaller side, not the graph: a search from both ends
+of the bridge stops once one side is used up, every candidate's bound is
+counted from that side alone (_census), and only the winner is carved out of
+the working graph, like the components a reduction leaves: the part holding
+the larger side stays in the graph, only the others are copied, so each
+vertex has one live copy however deep bridges nest.
 
-Connectivity and bridges are not rescanned after every step.  Call a
-connected graph clean if every bridge in it is a pendant edge.  Lemma: let G
-be clean, and let a linear step delete D != {} and add the edges A, giving
-G'.  The step's boundary is B = (N(D) - D) | V(A); B* is B with each vertex
-of degree 1 in G' replaced by its neighbour (one of degree 0 gives no
-certificate).  If B* lies in one 2-edge-connected component of G', then G'
-is connected and clean.  A component of G' with no boundary vertex would
-already have been a component of G, which is connected and holds D; a
-non-pendant bridge of G' with no B* vertex on one side would already have
-been a non-pendant bridge of G.  The solver tests this on G' itself by
-joining each vertex of B* to the others with two edge-disjoint paths
-(Graph.joined(B*, 2)), a search that stops as soon as it is refuted, at a
-cost of about the smaller side of the bridge that refutes it.
-The test is exact, so the bridge search runs again only when G' has a
-non-pendant bridge, and the bridge it splits at, and with it every trace, is
-the one the full scans give.  Clean or not, G is connected, so by the first
-half of the argument one path joining each vertex of B to the others proves
-G' connected; only when that fails are the components listed in full.
+Connectivity and bridges are not rescanned after every step.  A task carries
+the set K of its non-pendant bridges when it is known; K = {} says the graph
+is clean, every bridge in it a pendant edge.  Lemma: let G be connected, and
+let a linear step delete D != {} and add the edges A, giving G'.  The step's
+boundary is B = (N(D) - D) | V(A); B* is B with each vertex of degree 1 in
+G' replaced by its neighbour (one of degree 0 gives no certificate).  If B*
+lies in one 2-edge-connected component of G', then G' is connected, and its
+non-pendant bridges are the edges e = xy of K with x, y outside D, neither
+of degree 1 in G', and a side in G - e that holds no vertex of B.
+  - A component of G' with no boundary vertex would already have been a
+    component of G, which is connected and holds D.
+  - A non-pendant bridge e of G' has B* on one side of G' - e, so B too (a
+    vertex of degree 1 stays with its neighbour, as e is not its edge).  On
+    the other side Y no vertex meets D or A, so each keeps its edges from G,
+    and e was already Y's only way out: a bridge of G, not a pendant one,
+    since the side of G - e opposite Y holds D as well as x.
+  - Conversely, if a side Y of G - e holds no vertex of B, it holds none of
+    D either (a path in Y from D to y would meet B first); its vertices keep
+    their edges in G', and e stays Y's only way out.
+So no bridge is new, and none of K is lost but by the condition.  If D is
+connected and A joins vertices of N(D), every e of K with both ends outside
+D has D, and so all of B, on one side, and K' is K less the edges at D and
+those left pendant, found at D and B.  A step whose D is not connected, or
+whose added edges leave N(D), can lose a bridge of K that D straddles, found
+only by a search; the engine then carries nothing, and the next bridge
+search runs again (no rule makes such a step).  With K = {} no condition is
+needed.  The solver tests B* on G' itself by joining each vertex of it to
+the others with two edge-disjoint paths (Graph.joined(B*, 2)), a search that
+stops as soon as it is refuted, at a cost of about the smaller side of the
+bridge that refutes it.  A bridge split hands each gamma part the edges of
+K inside it (no cycle uses the bridge, so cutting it changes no other edge),
+less one left pendant; forest parts, which lose both ends of the bridge, may
+gain bridges and start unknown.  The sets are exact, so the bridge search
+runs again only on forest parts and after a refuted test, and the bridge a
+split takes, and with it every trace, is the one the full scans give.
+Clean or not, G is connected, so by the first point one path joining each
+vertex of B to the others proves G' connected; only when that fails are the
+components listed in full.
 Likewise each extension is checked for maximality only where it can differ
 from the sub-matching (_checked); the `valid` verdict (_certify) scans it
 whole once.  The matching is one set per solve, built in place (_run).
@@ -69,6 +92,7 @@ from .matching import (
     Matching,
     bound_report,
     lambda6,
+    lambda6_of,
     matching_within_bound,
     maximality_status,
 )
@@ -117,14 +141,15 @@ def _check_constraint(g: Graph, c: PendantConstraint) -> None:
 
 
 def select_rule(
-    g: Graph, constraint: PendantConstraint | None = None, clean: bool = False
+    g: Graph, constraint: PendantConstraint | None = None, bridges: set[Edge] | None = None
 ) -> ReductionStep:
     """First applicable reduction in priority order (callers handle n <= 9).
 
-    `clean` says the caller knows every bridge of g to be a pendant edge, so
-    a graph without pendants has none and the search for one is skipped.
-    Past that, dispatch reads only the degree buckets; its largest cost is
-    adjacent_deg2_step's one pass over the degree-2 bucket.
+    `bridges`, when the caller knows them, are g's non-pendant bridges; they
+    are read only when g has no pendant, where they are all of its bridges,
+    and None makes select_rule search g for them.  Past that, dispatch reads
+    only the degree buckets; its largest cost is adjacent_deg2_step's one
+    pass over the degree-2 bucket.
     A rule that inserts edges returns the step for its first candidate
     insertion, which may leave a cubic component; the steps for the others
     are under meta[reductions.LATER], for the engine to try in turn.
@@ -135,7 +160,8 @@ def select_rule(
     pendants = g.degree_bucket(1)
     if pendants:
         return R.degree1_step(g, min(pendants))
-    bridges = () if clean else g.find_bridges()
+    if bridges is None:
+        bridges = g.find_bridges()
     if bridges:
         return ReductionStep(
             rule=R.RULE_BRIDGE,
@@ -156,8 +182,9 @@ def select_rule(
 # A task is a connected graph to solve.  A step pushes a frame holding its
 # undo data, then one task per subproblem, popped in preorder (the trace
 # order): the components left by a linear step's in-place reduction, or the
-# parts of a bridge split's candidate.  Either way _carve keeps the largest
-# subproblem in the working graph itself and copies only the others.
+# parts of a bridge split's candidate.  Either way _carve keeps one
+# subproblem in the working graph itself (the largest component, or the part
+# holding the bridge's larger side) and copies only the others.
 # Unwinding a frame puts back what the carving and the reduction removed, and
 # extends the matching through the step's recipe.  The stack is the engine's
 # own, so the Python stack grows neither with n nor with the nesting depth of
@@ -173,24 +200,25 @@ def select_rule(
 # check and the forbidden-edge test in _checked read M as if it held only g's
 # matching, and an added edge that a finished part holds lies outside g.
 #
-# A task also carries whether it is known to be clean (see the module
-# docstring): in solve, a task is clean once select_rule has searched it for
-# a bridge and found none, and stays clean across linear steps for as long as
-# the boundary certificate holds.  Only then is the bridge search before the
-# next step skipped; every other task runs it, so the bridge chosen, and with
-# it the trace, is the same.  After every linear step, connectivity is tested
-# by paths from the step's boundary, and only a disconnected graph is scanned
-# whole for its components.  No task left by a step that adds edges may be
-# cubic, an O(1) test on its buckets, and exact: each component of G' holds a
-# boundary vertex, so one that no added edge touches lost a degree there.
+# A task also carries its non-pendant bridges, or None when they are unknown
+# (see the module docstring).  In solve, a task without a pendant whose set is
+# unknown is searched for them (Graph.find_bridges) before select_rule, which
+# takes the least; a step hands the set on to the task it leaves when the
+# lemma allows, and a split shares it among its gamma parts, each set owned by
+# one task at a time, so it is updated in place.  Replay carries none.  After
+# every linear step, connectivity is tested by paths from the step's boundary,
+# and only a disconnected graph is scanned whole for its components.  No task
+# left by a step that adds edges may be cubic, an O(1) test on its buckets, and
+# exact: each component of G' holds a boundary vertex, so one that no added
+# edge touches lost a degree there.
 #
 # The same test picks the edges a rule inserts.  A rule that must add edges
 # avoiding a cubic component offers candidates that all delete the same set
 # (reductions.LATER): the engine reduces with the first, builds the tasks, and
 # if one is cubic puts g back as a frame's unwinding does (_undo) and tries
-# the next, leaving `clean` as it was.  By the argument above, "some task is
-# cubic" holds iff some component of G' that touches the added edges is
-# cubic, however the tasks were built (one certified graph, or carved
+# the next, leaving the bridge set as it was.  By the argument above, "some
+# task is cubic" holds iff some component of G' that touches the added edges
+# is cubic, however the tasks were built (one certified graph, or carved
 # components).  So the kept step is the first candidate, in the rule's order,
 # after which no component touching its added edges is cubic: a function of
 # g alone, and with it every trace.  In replay the recorded step is the only
@@ -206,7 +234,7 @@ def _run(
     steps to `steps`.  Steps come from the rules (solve) or, when `recorded`
     is given, from a recorded trace (replay)."""
     M: set[Edge] = set()
-    stack: list[tuple] = [("task", g, constraint, False, False)]
+    stack: list[tuple] = [("task", g, constraint, False, None)]
     while stack:
         item = stack.pop()
         if item[0] == "frame":
@@ -216,28 +244,23 @@ def _run(
             step.extension.apply(M)
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
             continue
-        _, g, constraint, internal, clean = item  # internal: no exceptional graph allowed
-        step = _next_step(g, constraint, recorded, clean)
+        _, g, constraint, internal, bridges = item  # internal: no exceptional graph allowed
+        if recorded is None and bridges is None and g.n > BASE_SIZE and not g.degree_bucket(1):
+            bridges = g.find_bridges()  # with no pendant, every bridge is a non-pendant one
+        step = _next_step(g, constraint, recorded, bridges)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             steps.append(step)
             M |= _leaf(g, step, constraint, internal)
             continue
         if step.rule == R.RULE_BRIDGE:
-            step, carved, tasks = _split(g, step, recorded is None)
+            step, carved, tasks = _split(g, step, bridges)
             saved, added = {}, []
         else:
-            # with no constraint and no pendant, select_rule found no bridge
-            clean = clean or (recorded is None and constraint is None and not g.degree_bucket(1))
             # the rule's later candidates; in replay the recorded step is the only one
             later = step.meta.pop(R.LATER, iter(())) if recorded is None else iter(())
             while True:
                 saved, added = _reduce(g, step)
-                if clean and g.n > BASE_SIZE and _stays_clean(g, saved, added):
-                    carved, tasks = {}, [("task", g, None, True, True)]
-                elif _stays_connected(g, saved, added):
-                    carved, tasks = {}, [("task", g, None, True, False)]
-                else:
-                    carved, tasks = _carve(g, [(comp, None) for comp in g.connected_components()])
+                carved, tasks, dropped = _reduced(g, saved, added, bridges)
                 if not (added and any(t[1].is_cubic() for t in tasks)):
                     break
                 _undo(g, carved, saved, added)
@@ -246,6 +269,8 @@ def _run(
                     raise InternalInvariantViolation(
                         f"{rejected.rule}/{rejected.case} produced a cubic component"
                     )
+            if dropped:
+                bridges -= dropped  # the set of the one task left, as _reduced says
         steps.append(step)
         stack.append(("frame", len(M), g, step, carved, saved, added, constraint))
         stack.extend(reversed(tasks))
@@ -260,14 +285,50 @@ def _undo(g: Graph, carved: dict, saved: dict, added: list[Edge]) -> None:
     g.restore_vertices(saved)
 
 
-def _carve(g: Graph, parts) -> tuple[dict, list[tuple]]:
+def _carve(g: Graph, removed, parts) -> tuple[dict, list[tuple]]:
     """Tasks for connected parts of g, given in preorder as (vertex set,
-    constraint), and the undo data of the carving: the largest part (the
-    first of equal size) stays in g itself, every other is copied, and every
-    vertex outside the largest part is removed from g."""
-    keep = max(parts, key=lambda p: len(p[0]), default=((), None))
-    tasks = [("task", g if p is keep else g.subgraph(p[0]), p[1], True, False) for p in parts]
-    return g.remove_vertices_with_undo([v for v in g.iter_vertices() if v not in keep[0]]), tasks
+    constraint, bridges), and the undo data of the carving.  The part given
+    as None is what is left of g once the vertices `removed` are taken out,
+    and stays in g itself; every other is copied first.  Only the listed
+    vertices are read, never all of g."""
+    tasks = [("task", g if vs is None else g.subgraph(vs), c, True, b) for vs, c, b in parts]
+    return g.remove_vertices_with_undo(removed), tasks
+
+
+def _reduced(g: Graph, saved: dict, added: list[Edge], bridges) -> tuple[dict, list, set | None]:
+    """The tasks g leaves, just reduced in place from a connected graph with
+    the non-pendant bridges `bridges` (None: unknown) by deleting the
+    vertices in `saved` (their undo data) and adding `added`; the undo data
+    of carving them; and, when there is one task and it takes over
+    `bridges`, the edges to drop from that set, else None."""
+    if not bridges and _contraction(saved, added):
+        # G' is G with the path v1-u1-u2-v2 turned back into the edge v1v2:
+        # a path joins two vertices of G' iff one joined them in G, with v1v2
+        # for the subpath through u1 and u2, and the path's three edges are
+        # bridges of G iff v1v2 is one of G'.  So G' is connected, and clean
+        # if G was; an unknown set stays unknown.
+        return {}, [("task", g, None, True, bridges)], set()
+    if bridges is not None and g.n > BASE_SIZE:
+        dropped = _dropped(g, saved, added, bridges)
+        if dropped is not None:
+            return {}, [("task", g, None, True, bridges)], dropped
+    if _stays_connected(g, saved, added):
+        return {}, [("task", g, None, True, None)], None
+    comps = g.connected_components()
+    keep = max(comps, key=len, default=None)  # a step may delete all of g
+    removed = [v for c in comps if c is not keep for v in c]
+    carved, tasks = _carve(g, removed, [(None if c is keep else c, None, None) for c in comps])
+    return carved, tasks, None
+
+
+def _contraction(saved: dict, added: list[Edge]) -> bool:
+    """True iff a step deleted two adjacent vertices of degree 2 (their undo
+    data is `saved`) and added the one edge that joins their other
+    neighbours: an ADJ_DEG2 contraction, read off the step itself."""
+    if len(saved) != 2 or len(added) != 1:
+        return False
+    (u1, n1), (u2, n2) = saved.items()
+    return len(n1) == len(n2) == 2 and u2 in n1 and set(added[0]) == (n1 | n2) - {u1, u2}
 
 
 def _boundary(saved: dict, added: list[Edge]) -> set[int]:
@@ -293,8 +354,15 @@ def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
     adding `added`, is connected and clean (for g of three or more vertices,
     where an isolated boundary vertex or a pendant edge's degree-1 neighbour
     makes g disconnected)."""
+    return _joined_boundary(g, _boundary(saved, added))
+
+
+def _joined_boundary(g: Graph, boundary: set[int]) -> bool:
+    """True iff B*, the boundary with each vertex of degree 1 replaced by its
+    neighbour, lies in one 2-edge-connected component of g (False if a
+    boundary vertex is isolated)."""
     seeds = set()
-    for b in _boundary(saved, added):
+    for b in boundary:
         nbrs = g.neighbors(b)
         if len(nbrs) == 1:
             seeds |= nbrs  # a pendant edge may be a bridge: certify its other end
@@ -305,7 +373,26 @@ def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
     return g.joined(seeds, 2)
 
 
-def _next_step(g: Graph, constraint, recorded, clean: bool) -> ReductionStep:
+def _dropped(g: Graph, saved: dict, added: list[Edge], bridges: set[Edge]) -> set[Edge] | None:
+    """The edges of `bridges`, the non-pendant bridges of g before a linear
+    step (as in _reduced), that are not among them after it, by the lemma in
+    the module docstring; None if the lemma does not give g's bridges: the
+    boundary test fails, or `bridges` is not empty and the step's deleted set
+    is not connected or its added edges leave N(D)."""
+    if not bridges:
+        return set() if _stays_clean(g, saved, added) else None
+    outside = set().union(*saved.values()).difference(saved)
+    if any(v not in outside for e in added for v in e):
+        return None
+    inner = [(d, w) for d in saved for w in saved[d] if d < w and w in saved]
+    if not Graph.from_edges(inner, saved).is_connected() or not _joined_boundary(g, outside):
+        return None
+    dropped = {edge(d, w) for d, nbrs in saved.items() for w in nbrs}
+    dropped.update(edge(b, *g.neighbors(b)) for b in outside if g.degree(b) == 1)
+    return dropped & bridges
+
+
+def _next_step(g: Graph, constraint, recorded, bridges) -> ReductionStep:
     """The step source: the recorded trace in replay; in solve, the oracle
     on small graphs and the first applicable rule otherwise."""
     if recorded is not None:
@@ -314,7 +401,7 @@ def _next_step(g: Graph, constraint, recorded, clean: bool) -> ReductionStep:
             raise InternalInvariantViolation("trace ended before the graph was consumed")
         return step
     if g.n > BASE_SIZE:
-        return select_rule(g, constraint, clean=clean)
+        return select_rule(g, constraint, bridges)
     if constraint is not None:
         res = gamma_exact_avoiding(g, constraint.forbidden_edge)
         rule = R.RULE_BASE_SMALL
@@ -410,33 +497,48 @@ def _checked(g: Graph, step, M, size: int, grown: int, constraint, special=False
     return M
 
 
-def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep, dict, list[tuple]]:
+CANDIDATES = ("gamma0", "gamma1", "forest")  # the order that breaks ties
+
+
+def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict, list[tuple]]:
     """The bridge step to record, and g carved into its candidate's parts:
     in solve the smallest a-priori bound (ties in the order gamma0, gamma1,
     forest), in replay the recorded candidate.  Each subproblem's matching is
     checked against its own lambda, so the sum of their floor(lambda/6), plus
     1 for forest's bridge edge, bounds the candidate before anything is
-    solved; the construction guarantees that it meets floor(lambda(g)/6)."""
+    solved; the construction guarantees that it meets floor(lambda(g)/6).
+
+    `bridges`, g's non-pendant bridges, are known in solve (select_rule took
+    the bridge from them) and None in replay.  A gamma part takes the edges
+    of the set inside it, less one left pendant; forest parts start unknown.
+    """
     bridge = step.meta["bridge"]
-    target = lambda6(g) // 6
-    candidates = [c for c in _bridge_candidates(g, bridge) if solving or c[0] == step.case]
-    # Evaluated last to first, so that gamma0, which wins most splits, is
-    # carved last: when the last one evaluated wins, its carving stays.
-    best = kept = None
-    for i, (name, parts) in reversed(list(enumerate(candidates))):
-        carved, tasks = _carve(g, parts)
-        bound = sum(lambda6(t[1]) // 6 for t in tasks) + (name == "forest")
-        if best is None or bound <= best[0]:  # ties go to the earlier candidate
-            best = (bound, name, parts)
-            if i == 0:
-                kept = carved, tasks
-                continue
-        g.restore_vertices(carved)
+    s, small, candidates = _candidates(g, bridge, bridges)
+    best = None
+    for name, removed, parts in candidates:
+        if bridges is None and name != step.case:
+            continue
+        bound = sum(lambda6_of(*_census(g, vs, removed)) // 6 for vs, _ in parts)
+        bound += name == "forest"
+        if best is None or bound < best[0]:  # ties go to the earlier candidate
+            best = bound, name, removed, parts
     if best is None:
         raise InternalInvariantViolation(f"no {step.case} candidate at bridge {bridge}")
-    bound, name, parts = best
-    if bound > target:
+    bound, name, removed, parts = best
+    if bound > lambda6(g) // 6:
         raise InternalInvariantViolation(f"bridge candidate {name} misses the bound a priori")
+    shares = [None] * len(parts)
+    if bridges is not None and name != "forest":
+        # gamma i: side i plus the other end as a pendant, then side 1 - i,
+        # whose end lost the bridge and may have left a pendant edge
+        i = CANDIDATES.index(name)
+        inner = {(v, w) for v in small for w in g.neighbors(v) if v < w and w in small} & bridges
+        bridges -= inner
+        bridges.discard(bridge)
+        shares = [inner, bridges] if i == s else [bridges, inner]
+        end = bridge[1 - i]
+        if g.degree(end) == 2:
+            shares[1].discard(edge(end, *(g.neighbors(end) - {bridge[i]})))
     add = (bridge,) if name == "forest" else ()
     step = ReductionStep(
         rule=R.RULE_BRIDGE,
@@ -447,42 +549,110 @@ def _split(g: Graph, step: ReductionStep, solving: bool) -> tuple[ReductionStep,
         budget=None,
         meta={"bridge": bridge, "candidate": name},
     )
-    carved, tasks = kept or _carve(g, parts)
+    carved, tasks = _carve(g, removed, [(vs, c, b) for (vs, c), b in zip(parts, shares)])
     return step, carved, tasks
 
 
-def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
-    """Candidate splits at a bridge of connected g: (name, connected parts in
-    preorder), each part (vertex set, constraint).
+def _candidates(g: Graph, bridge: Edge, bridges) -> tuple[int, set[int], list[tuple]]:
+    """The bridge's smaller side, as (s, side s) with side s holding
+    bridge[s], and the candidate splits, each (name, removed, parts).
 
     For each side i, a pendant-avoiding matching of that side plus the bridge
     endpoint of the other side, united with a plain matching of the other
     side; and, when both sides have 4n_i - m_i divisible by 6, plain
-    matchings of the components of g minus both endpoints (side 0's first)
-    plus the bridge edge.
+    matchings of the components of g minus both endpoints (side 0's first,
+    each side's by least vertex) plus the bridge edge.  The parts, in
+    preorder, are (vertex set, constraint), the part None being what is left
+    of g once the vertices `removed` are taken out.  Only the smaller side is
+    listed: the search for it stops once it is used up, and a component of
+    the larger side less its end is split off only when the end's other
+    edges are bridges (read off `bridges` when known, else searched the same
+    way).  Then, and only then, ordering the two walks g.
     """
     u0, u1 = bridge
     if not g.has_edge(u0, u1):
         raise InternalInvariantViolation(f"{bridge} is not an edge")
-    g.remove_edge(u0, u1)
-    side0 = frozenset(g.component_of(u0))
-    g.add_edge(u0, u1)
-    if u1 in side0:
+    cut = {u0, u1}
+    found = g.smaller_side(g.neighbors(u0) - cut, g.neighbors(u1) - cut, cut)
+    if found is None:
         raise InternalInvariantViolation(f"{bridge} is not a bridge")
-    side1 = frozenset(g.iter_vertices()) - side0
-    candidates = [
-        ("gamma0", ((side0 | {u1}, PendantConstraint(u1, bridge)), (side1, None))),
-        ("gamma1", ((side1 | {u0}, PendantConstraint(u0, bridge)), (side0, None))),
-    ]
-    m0 = (sum(g.degree(v) for v in side0) - 1) // 2
-    m1 = g.m - 1 - m0
-    if (4 * len(side0) - m0) % 6 == 0 and (4 * len(side1) - m1) % 6 == 0:
-        saved = g.remove_vertices_with_undo(bridge)
-        comps = g.connected_components()
-        g.restore_vertices(saved)
-        comps.sort(key=lambda c: next(iter(c)) not in side0)  # stable: preorder per side
-        candidates.append(("forest", tuple((comp, None) for comp in comps)))
-    return candidates
+    s, small = found
+    us, ur = bridge[s], bridge[1 - s]
+    small.add(us)
+    pendant = (PendantConstraint(u1, bridge), PendantConstraint(u0, bridge))
+    gamma = {  # side i plus the other end, then the other side
+        s: (small, [(small | {ur}, pendant[s]), (None, None)]),
+        1 - s: (small - {us}, [(None, pendant[1 - s]), (small, None)]),
+    }
+    candidates = [(CANDIDATES[i], *gamma[i]) for i in (0, 1)]
+    n_s, m_s = len(small), (sum(g.degree(v) for v in small) - 1) // 2
+    if (4 * n_s - m_s) % 6 or (4 * (g.n - n_s) - (g.m - 1 - m_s)) % 6:
+        return s, small, candidates
+    removed = cut | small
+    parts = []
+    for i, u in enumerate(bridge):
+        a = sorted(g.neighbors(u) - cut)
+        if not a:
+            continue  # the side is its end alone
+        rest = small - {u} if i == s else None  # the side less its end
+        # a[0] and a[1] are apart iff the edges from u to them are bridges,
+        # which on the larger side is read off `bridges` when they are known
+        known = i != s and bridges is not None
+        joined = known and g.degree(a[0]) > 1 and edge(u, a[0]) not in bridges
+        apart = g.smaller_side(a[:1], a[1:], cut) if len(a) == 2 and not joined else None
+        if apart is None:
+            parts.append((rest, None))
+            continue
+        comp = apart[1]
+        if rest is None:
+            removed |= comp
+            first = min(comp) < min(v for v in g.iter_vertices() if v not in removed)
+        else:
+            rest = rest - comp
+            first = min(comp) < min(rest)
+        parts += [(comp, None), (rest, None)] if first else [(rest, None), (comp, None)]
+    candidates.append(("forest", removed, parts))
+    return s, small, candidates
+
+
+def _census(g: Graph, vs, removed) -> tuple[int, int, int]:
+    """(n, m, n1) of the part of g induced by the vertex set vs, or, for vs
+    None, of what is left of g once the vertices `removed` are taken out; in
+    time linear in vs or in removed.  A part of a split is never cubic: it
+    holds a vertex that lost an edge, or the pendant end of the bridge."""
+    if vs is not None:
+        n1 = m2 = 0
+        for v in vs:
+            k = len(g.neighbors(v) & vs)
+            m2 += k
+            n1 += k == 1
+        return len(vs), m2 // 2, n1
+    m, n1 = g.m, len(g.degree_bucket(1))
+    lost: dict[int, int] = {}
+    for v in removed:
+        nbrs = g.neighbors(v)
+        n1 -= len(nbrs) == 1
+        for w in nbrs:
+            if w not in removed:
+                lost[w] = lost.get(w, 0) + 1
+                m -= 1
+            elif v < w:
+                m -= 1
+    for w, k in lost.items():
+        d = g.degree(w)
+        n1 += (d - k == 1) - (d == 1)
+    return g.n - len(removed), m, n1
+
+
+def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
+    """Candidate splits at a bridge of connected g: (name, connected parts in
+    preorder), each part (vertex set, constraint) listed in full; the
+    candidates _split chooses from, as in _candidates."""
+    out = []
+    for name, removed, parts in _candidates(g, bridge, None)[2]:
+        rest = set(g.iter_vertices()).difference(removed)
+        out.append((name, tuple((rest if vs is None else vs, c) for vs, c in parts)))
+    return out
 
 
 # -- public API ------------------------------------------------------------------

@@ -272,9 +272,10 @@ def test_rejected_candidate_is_undone_exactly(monkeypatch):
         seen.append((step.added_edges, g.copy()))
         return reduce(g, step)
 
-    def spy_carve(g, parts):
-        carves.append(sorted(min(p[0]) for p in parts))
-        return carve(g, parts)
+    def spy_carve(g, removed, parts):
+        rest = set(g.iter_vertices()).difference(removed)  # the part that stays in g
+        carves.append(sorted(min(rest if p[0] is None else p[0]) for p in parts))
+        return carve(g, removed, parts)
 
     monkeypatch.setattr(solver, "_reduce", spy_reduce)
     monkeypatch.setattr(solver, "_carve", spy_carve)
@@ -309,8 +310,8 @@ def test_rejected_connected_cubic_candidate(monkeypatch):
     offered = []
     offer_later = True
 
-    def fake(h, constraint=None, clean=False):
-        step = rules(h, constraint, clean)
+    def fake(h, constraint=None, bridges=None):
+        step = rules(h, constraint, bridges)
         if 10 not in h:
             return step
         step.meta.pop(R.LATER, None)
@@ -632,23 +633,28 @@ def test_matchings_are_frozen():
 
 
 def test_bridge_split_carves_the_winner_once(monkeypatch):
-    # gamma0, the first candidate, wins every split of this chain; it is
-    # evaluated last, so its carving stays: one carving per candidate
+    # gamma0, the first candidate, wins every split of this chain; the
+    # candidates' bounds are counted without carving them, so each split
+    # carves once, its winner
     carvings = []
     per_split = []
     carve, split = solver._carve, solver._split
 
-    def counting_split(g, step, solving):
+    def counting_split(g, step, bridges):
         before = len(carvings)
-        out = split(g, step, solving)
+        out = split(g, step, bridges)
         per_split.append(len(carvings) - before)
         return out
 
-    monkeypatch.setattr(solver, "_carve", lambda g, parts: carvings.append(parts) or carve(g, parts))
+    def counting_carve(g, removed, parts):
+        carvings.append(parts)
+        return carve(g, removed, parts)
+
+    monkeypatch.setattr(solver, "_carve", counting_carve)
     monkeypatch.setattr(solver, "_split", counting_split)
     splits = [s for s in solve(bridge_chain(5, 0)).trace if s.rule == "BRIDGE"]
     assert splits and {s.case for s in splits} == {"gamma0"}
-    assert per_split == [2] * len(splits)
+    assert per_split == [1] * len(splits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -782,31 +788,25 @@ def test_trace_step_shape_limits():
 def test_no_trial_reductions(monkeypatch):
     # the engine's cubic-task test alone picks inserted edges: no rule
     # searches for cubic components, and the graph loses vertices with undo
-    # data only in the engine's own reductions and carvings, and once per
-    # forest candidate that a bridge split lists
+    # data only in the engine's own reductions and carvings; a bridge split
+    # lists its candidates without removing anything
     def no_search(self, vertices):
         raise AssertionError("has_cubic_component_touching called")
 
-    calls = {"undo": 0, "carve": 0, "forest": 0}
-    undo, carve, candidates = Graph.remove_vertices_with_undo, solver._carve, solver._bridge_candidates
+    calls = {"undo": 0, "carve": 0}
+    undo, carve = Graph.remove_vertices_with_undo, solver._carve
 
     def count_undo(self, vs):
         calls["undo"] += 1
         return undo(self, vs)
 
-    def count_carve(g, parts):
+    def count_carve(g, removed, parts):
         calls["carve"] += 1
-        return carve(g, parts)
-
-    def count_candidates(g, bridge):
-        out = candidates(g, bridge)
-        calls["forest"] += any(name == "forest" for name, _ in out)
-        return out
+        return carve(g, removed, parts)
 
     monkeypatch.setattr(Graph, "has_cubic_component_touching", no_search)
     monkeypatch.setattr(Graph, "remove_vertices_with_undo", count_undo)
     monkeypatch.setattr(solver, "_carve", count_carve)
-    monkeypatch.setattr(solver, "_bridge_candidates", count_candidates)
     graphs = [gen_random_cubic(n, seed) for n, seed in ((50, 1), (100, 2), (200, 3), (300, 4))]
     graphs += [bridge_chain(k, seed) for k, seed in ((3, 0), (6, 1), (10, 2))]
     graphs += [bead_ring(k, seed) for k, seed in ((3, 0), (5, 1))]
@@ -816,7 +816,7 @@ def test_no_trial_reductions(monkeypatch):
         cert = solve(g)
         assert cert.valid
         linear = sum(s.rule not in ("BASE_SMALL", "K33_SPECIAL", "BRIDGE") for s in cert.trace)
-        assert calls["undo"] <= linear + calls["carve"] + calls["forest"]
+        assert calls["undo"] <= linear + calls["carve"]
 
 
 def test_termination_steps_shrink():
