@@ -60,14 +60,14 @@ class ExtensionRecipe:
 
 def _recipe(*branches: tuple) -> ExtensionRecipe:
     return ExtensionRecipe(
-        branches=tuple(
+        branches=tuple([  # lists, not generators: tuple() of one costs more
             ExtensionBranch(
-                requires=tuple(edge(*e) for e in req),
-                remove=tuple(edge(*e) for e in rem),
-                add=tuple(edge(*e) for e in add),
+                requires=tuple([edge(*e) for e in req]),
+                remove=tuple([edge(*e) for e in rem]),
+                add=tuple([edge(*e) for e in add]),
             )
             for req, rem, add in branches
-        )
+        ])
     )
 
 
@@ -87,7 +87,7 @@ def _step(rule, case, deleted, added, recipe, budget, **meta) -> ReductionStep:
         rule=rule,
         case=case,
         deleted=frozenset(deleted),
-        added_edges=frozenset(edge(*e) for e in added),
+        added_edges=frozenset([edge(*e) for e in added]),
         extension=recipe,
         budget=budget,
         meta=meta,

@@ -56,7 +56,7 @@ Clean or not, G is connected, so by the first point one path joining each
 vertex of B to the others proves G' connected; only when that fails are the
 components listed in full.
 Likewise each extension is checked for maximality only where it can differ
-from the sub-matching (_checked); the `valid` verdict (_certify) scans it
+from the sub-matching (_checked); the `valid` verdict (_solve) scans it
 whole once.  The matching is one set per solve, built in place (_run).
 Each step reduces g once: where a rule must insert edges that leave no cubic
 component, it offers its candidates in order, and the engine's test for a
@@ -97,7 +97,7 @@ from .matching import (
     maximality_status,
 )
 from .oracle import gamma_exact, gamma_exact_avoiding
-from .reductions import ExtensionBranch, ExtensionRecipe, ReductionStep
+from .reductions import ReductionStep
 
 __all__ = [
     "PendantConstraint",
@@ -163,15 +163,7 @@ def select_rule(
     if bridges is None:
         bridges = g.find_bridges()
     if bridges:
-        return ReductionStep(
-            rule=R.RULE_BRIDGE,
-            case=None,
-            deleted=frozenset(),
-            added_edges=frozenset(),
-            extension=None,
-            budget=None,
-            meta={"bridge": min(bridges)},
-        )
+        return R._step(R.RULE_BRIDGE, None, (), (), None, None, bridge=min(bridges))
     if g.degree_bucket(2):
         return R.adjacent_deg2_step(g) or R.deg2_step(g)
     return R.cubic_step(g)
@@ -205,12 +197,13 @@ def select_rule(
 # unknown is searched for them (Graph.find_bridges) before select_rule, which
 # takes the least; a step hands the set on to the task it leaves when the
 # lemma allows, and a split shares it among its gamma parts, each set owned by
-# one task at a time, so it is updated in place.  Replay carries none.  After
-# every linear step, connectivity is tested by paths from the step's boundary,
-# and only a disconnected graph is scanned whole for its components.  No task
-# left by a step that adds edges may be cubic, an O(1) test on its buckets, and
-# exact: each component of G' holds a boundary vertex, so one that no added
-# edge touches lost a degree there.
+# one task at a time, so it is updated in place.  Replay carries none; a split
+# there is told apart by the candidate its recorded step names (step.case), so
+# None means only "unknown".  After every linear step, connectivity is tested
+# by paths from the step's boundary, and only a disconnected graph is scanned
+# whole for its components.  No task left by a step that adds edges may be
+# cubic, an O(1) test on its buckets, and exact: each component of G' holds a
+# boundary vertex, so one that no added edge touches lost a degree there.
 #
 # The same test picks the edges a rule inserts.  A rule that must add edges
 # avoiding a cubic component offers candidates that all delete the same set
@@ -234,7 +227,7 @@ def _run(
     steps to `steps`.  Steps come from the rules (solve) or, when `recorded`
     is given, from a recorded trace (replay)."""
     M: set[Edge] = set()
-    stack: list[tuple] = [("task", g, constraint, False, None)]
+    stack: list[tuple] = [("task", g, constraint, None)]
     while stack:
         item = stack.pop()
         if item[0] == "frame":
@@ -244,13 +237,13 @@ def _run(
             step.extension.apply(M)
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
             continue
-        _, g, constraint, internal, bridges = item  # internal: no exceptional graph allowed
+        _, g, constraint, bridges = item
         if recorded is None and bridges is None and g.n > BASE_SIZE and not g.degree_bucket(1):
             bridges = g.find_bridges()  # with no pendant, every bridge is a non-pendant one
         step = _next_step(g, constraint, recorded, bridges)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
+            M |= _leaf(g, step, constraint, steps)
             steps.append(step)
-            M |= _leaf(g, step, constraint, internal)
             continue
         if step.rule == R.RULE_BRIDGE:
             step, carved, tasks = _split(g, step, bridges)
@@ -291,7 +284,7 @@ def _carve(g: Graph, removed, parts) -> tuple[dict, list[tuple]]:
     as None is what is left of g once the vertices `removed` are taken out,
     and stays in g itself; every other is copied first.  Only the listed
     vertices are read, never all of g."""
-    tasks = [("task", g if vs is None else g.subgraph(vs), c, True, b) for vs, c, b in parts]
+    tasks = [("task", g if vs is None else g.subgraph(vs), c, b) for vs, c, b in parts]
     return g.remove_vertices_with_undo(removed), tasks
 
 
@@ -307,13 +300,16 @@ def _reduced(g: Graph, saved: dict, added: list[Edge], bridges) -> tuple[dict, l
         # for the subpath through u1 and u2, and the path's three edges are
         # bridges of G iff v1v2 is one of G'.  So G' is connected, and clean
         # if G was; an unknown set stays unknown.
-        return {}, [("task", g, None, True, bridges)], set()
+        return {}, [("task", g, None, bridges)], set()
     if bridges is not None and g.n > BASE_SIZE:
         dropped = _dropped(g, saved, added, bridges)
         if dropped is not None:
-            return {}, [("task", g, None, True, bridges)], dropped
-    if _stays_connected(g, saved, added):
-        return {}, [("task", g, None, True, None)], None
+            return {}, [("task", g, None, bridges)], dropped
+    # every component of g holds a boundary vertex, so g is connected iff one
+    # path joins each boundary vertex to the others (Graph.joined)
+    boundary = _boundary(saved, added)
+    if boundary and g.joined(boundary, 1):
+        return {}, [("task", g, None, None)], None
     comps = g.connected_components()
     keep = max(comps, key=len, default=None)  # a step may delete all of g
     removed = [v for c in comps if c is not keep for v in c]
@@ -337,15 +333,6 @@ def _boundary(saved: dict, added: list[Edge]) -> set[int]:
     boundary = set().union(*saved.values()).difference(saved)
     boundary.update(v for e in added for v in e)
     return boundary
-
-
-def _stays_connected(g: Graph, saved: dict, added: list[Edge]) -> bool:
-    """True iff g, just reduced in place from a connected graph by deleting
-    the vertices in `saved` and adding `added`, is connected: every
-    component of g holds a boundary vertex, so it is enough that one path
-    joins each boundary vertex to the others (Graph.joined)."""
-    boundary = _boundary(saved, added)
-    return bool(boundary) and g.joined(boundary, 1)
 
 
 def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
@@ -410,15 +397,8 @@ def _next_step(g: Graph, constraint, recorded, bridges) -> ReductionStep:
         rule = R.RULE_K33 if is_k33(g) else R.RULE_BASE_SMALL
         res = gamma_exact(g)
         meta = {"oracle_nodes": res.nodes_explored}
-    return ReductionStep(
-        rule=rule,
-        case=None,
-        deleted=frozenset(g.iter_vertices()),
-        added_edges=frozenset(),
-        extension=ExtensionRecipe((ExtensionBranch((), (), tuple(sorted(res.witness))),)),
-        budget=None,
-        meta=meta,
-    )
+    recipe = R._recipe(((), (), sorted(res.witness)))
+    return R._step(rule, None, g.iter_vertices(), (), recipe, None, **meta)
 
 
 def _reduce(g: Graph, step: ReductionStep) -> tuple[dict, list[Edge]]:
@@ -440,14 +420,15 @@ def _reduce(g: Graph, step: ReductionStep) -> tuple[dict, list[Edge]]:
     return saved, added
 
 
-def _leaf(g: Graph, step: ReductionStep, constraint, internal: bool) -> set[Edge]:
-    """A base step: its recipe, applied to a fresh set, is g's matching."""
+def _leaf(g: Graph, step: ReductionStep, constraint, trace: list[ReductionStep]) -> set[Edge]:
+    """A base step: its recipe, applied to a fresh set, is g's matching;
+    `trace` holds the steps before it."""
     if step.extension is None or step.deleted != frozenset(g.iter_vertices()):
         raise InternalInvariantViolation("base step does not cover the graph")
     special = constraint is None and is_k33(g)
     if (step.rule == R.RULE_K33) != special:
         raise InternalInvariantViolation(f"{step.rule} step on the wrong kind of graph")
-    if special and internal:
+    if special and trace:  # only the input, the first task, may be K33
         raise InternalInvariantViolation("a reduction produced the exceptional 6-vertex component")
     L = step.extension.apply(set())
     return _checked(g, step, L, len(L), len(L), constraint, special)
@@ -502,21 +483,22 @@ CANDIDATES = ("gamma0", "gamma1", "forest")  # the order that breaks ties
 
 def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict, list[tuple]]:
     """The bridge step to record, and g carved into its candidate's parts:
-    in solve the smallest a-priori bound (ties in the order gamma0, gamma1,
-    forest), in replay the recorded candidate.  Each subproblem's matching is
+    the candidate a recorded step names in its case (replay), else, for
+    select_rule's step, whose case is None, the smallest a-priori bound (ties
+    in the order gamma0, gamma1, forest).  Each subproblem's matching is
     checked against its own lambda, so the sum of their floor(lambda/6), plus
     1 for forest's bridge edge, bounds the candidate before anything is
     solved; the construction guarantees that it meets floor(lambda(g)/6).
 
-    `bridges`, g's non-pendant bridges, are known in solve (select_rule took
-    the bridge from them) and None in replay.  A gamma part takes the edges
-    of the set inside it, less one left pendant; forest parts start unknown.
+    `bridges`, g's non-pendant bridges, are None when unknown, as in replay,
+    which carries none.  A gamma part takes the edges of a known set inside
+    it, less one left pendant; the other parts start unknown.
     """
     bridge = step.meta["bridge"]
     s, small, candidates = _candidates(g, bridge, bridges)
     best = None
     for name, removed, parts in candidates:
-        if bridges is None and name != step.case:
+        if step.case is not None and name != step.case:
             continue
         bound = sum(lambda6_of(*_census(g, vs, removed)) // 6 for vs, _ in parts)
         bound += name == "forest"
@@ -540,15 +522,8 @@ def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict,
         if g.degree(end) == 2:
             shares[1].discard(edge(end, *(g.neighbors(end) - {bridge[i]})))
     add = (bridge,) if name == "forest" else ()
-    step = ReductionStep(
-        rule=R.RULE_BRIDGE,
-        case=name,
-        deleted=frozenset(),
-        added_edges=frozenset(),
-        extension=ExtensionRecipe((ExtensionBranch((), (), add),)),
-        budget=None,
-        meta={"bridge": bridge, "candidate": name},
-    )
+    recipe = R._recipe(((), (), add))
+    step = R._step(R.RULE_BRIDGE, name, (), (), recipe, None, bridge=bridge, candidate=name)
     carved, tasks = _carve(g, removed, [(vs, c, b) for (vs, c), b in zip(parts, shares)])
     return step, carved, tasks
 
@@ -644,17 +619,6 @@ def _census(g: Graph, vs, removed) -> tuple[int, int, int]:
     return g.n - len(removed), m, n1
 
 
-def _bridge_candidates(g: Graph, bridge: Edge) -> list[tuple[str, tuple]]:
-    """Candidate splits at a bridge of connected g: (name, connected parts in
-    preorder), each part (vertex set, constraint) listed in full; the
-    candidates _split chooses from, as in _candidates."""
-    out = []
-    for name, removed, parts in _candidates(g, bridge, None)[2]:
-        rest = set(g.iter_vertices()).difference(removed)
-        out.append((name, tuple((rest if vs is None else vs, c) for vs, c in parts)))
-    return out
-
-
 # -- public API ------------------------------------------------------------------
 
 def _prepare(g: Graph) -> Graph:
@@ -668,30 +632,22 @@ def _prepare(g: Graph) -> Graph:
 
 def solve(g: Graph) -> SolveCertificate:
     """Maximal matching of a connected subcubic graph within the bound."""
-    t0 = time.perf_counter()
-    steps: list[ReductionStep] = []
-    M = frozenset(_run(_prepare(g), None, steps, None))
-    return _certify(g, M, steps, t0)
+    return _solve(g, None)
 
 
 def solve_avoiding(g: Graph, constraint: PendantConstraint) -> SolveCertificate:
     """As solve, but the returned matching excludes the designated pendant edge."""
+    return _solve(g, constraint)
+
+
+def _solve(g: Graph, constraint: PendantConstraint | None) -> SolveCertificate:
+    """The one body of solve and solve_avoiding; `valid` scans M whole once."""
     t0 = time.perf_counter()
     work = _prepare(g)
-    _check_constraint(work, constraint)
+    if constraint is not None:
+        _check_constraint(work, constraint)
     steps: list[ReductionStep] = []
     M = frozenset(_run(work, constraint, steps, None))
-    return _certify(g, M, steps, t0)
-
-
-def solve_all(g: Graph) -> list[SolveCertificate]:
-    """Per-component certificates for a possibly disconnected graph."""
-    if g.n == 0:
-        raise EmptyGraph("cannot solve the empty graph")
-    return [solve(g.subgraph(comp)) for comp in g.connected_components()]
-
-
-def _certify(g: Graph, M: Matching, steps, t0) -> SolveCertificate:
     report = bound_report(g, connected=True)  # _prepare checked it
     valid = maximality_status(g, M) == 0 and matching_within_bound(g, M, report)
     return SolveCertificate(
@@ -702,6 +658,13 @@ def _certify(g: Graph, M: Matching, steps, t0) -> SolveCertificate:
         k33_special=is_k33(g),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
+
+
+def solve_all(g: Graph) -> list[SolveCertificate]:
+    """Per-component certificates for a possibly disconnected graph."""
+    if g.n == 0:
+        raise EmptyGraph("cannot solve the empty graph")
+    return [solve(g.subgraph(comp)) for comp in g.connected_components()]
 
 
 def replay(g: Graph, cert: SolveCertificate) -> Matching:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from minmatch import solver
 from minmatch.generators import enumerate_connected_subcubic, gen_random_cubic
 from minmatch.graph import Graph
 
@@ -107,6 +108,17 @@ def reduced(g: Graph, step) -> Graph:
     for e in step.added_edges:
         h.add_edge(*e)
     return h
+
+
+def bridge_candidates(g: Graph, bridge) -> list:
+    """Candidate splits at a bridge of connected g: (name, connected parts in
+    preorder), each part (vertex set, constraint) listed in full; the
+    candidates the solver's bridge split chooses from (solver._candidates)."""
+    out = []
+    for name, removed, parts in solver._candidates(g, bridge, None)[2]:
+        rest = set(g.iter_vertices()).difference(removed)
+        out.append((name, tuple((rest if vs is None else vs, c) for vs, c in parts)))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,13 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import bead_ring, bridge_chain, bridged_pair, random_connected_subcubic
+from conftest import (
+    bead_ring,
+    bridge_candidates,
+    bridge_chain,
+    bridged_pair,
+    random_connected_subcubic,
+)
 from minmatch import solver
 from minmatch.errors import InternalInvariantViolation
 from minmatch.generators import gen_named
@@ -92,7 +98,7 @@ def test_candidates_match_whole_graph_searches():
     splits = forests = two_large = 0
     for g in graphs_with_bridges():
         for bridge in sorted(g.find_bridges()):
-            got = solver._bridge_candidates(g, bridge)
+            got = bridge_candidates(g, bridge)
             assert got == reference_candidates(g, bridge), (g.edges(), bridge)
             splits += 1
             if len(got) == 3:
@@ -135,16 +141,16 @@ def test_split_carves_the_winner_and_shares_the_bridges():
             if not g.degree_bucket(1):  # where solve splits, and a candidate meets the bound
                 h = g.copy()
                 recorded, carved, tasks = solver._split(h, step, tarjan(h))
-                parts = dict(solver._bridge_candidates(g, bridge))[recorded.case]
+                parts = dict(bridge_candidates(g, bridge))[recorded.case]
                 assert [(t[1], t[2]) for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
                 for t in tasks:
-                    assert t[4] == (None if recorded.case == "forest" else tarjan(t[1]))
+                    assert t[3] == (None if recorded.case == "forest" else tarjan(t[1]))
                 solver._undo(h, carved, {}, [])
                 assert h == g
                 h.validate()
                 shared += 1
             # replay carves the candidate it is given, if it meets the bound
-            for name, parts in solver._bridge_candidates(g, bridge):
+            for name, parts in bridge_candidates(g, bridge):
                 h = g.copy()
                 bound = sum(lambda6(g.subgraph(vs)) // 6 for vs, _ in parts)
                 bound += name == "forest"
@@ -154,7 +160,7 @@ def test_split_carves_the_winner_and_shares_the_bridges():
                     continue
                 _, carved, tasks = solver._split(h, replace(step, case=name), None)
                 assert [t[1:3] for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
-                assert all(t[4] is None for t in tasks)
+                assert all(t[3] is None for t in tasks)
                 solver._undo(h, carved, {}, [])
                 assert h == g
             splits += 1

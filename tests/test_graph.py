@@ -133,6 +133,15 @@ def test_cubic_components():
     assert g.cubic_components() == [{0, 1, 2, 3}]
     assert gen_named("C_n", 5).cubic_components() == []
     assert gen_named("K33").cubic_components() == [set(range(6))]
+    # has_cubic_component_touching: true from a seed in the K4, false from
+    # seeds only in the path, and vertices not in g are skipped
+    assert g.has_cubic_component_touching([10, 11, 3])
+    assert g.has_cubic_component_touching([99, 0])
+    assert not g.has_cubic_component_touching([12, 10, 11])
+    assert not g.has_cubic_component_touching([99, 98])
+    assert not g.has_cubic_component_touching([])
+    assert not gen_named("C_n", 5).has_cubic_component_touching(range(5))
+    assert not gen_named("K33_MINUS").has_cubic_component_touching([1, 4])  # degree 3, not cubic
 
 
 def test_degree_census_examples():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bead_ring, bridge_chain, bridged_pair, random_connected_subcubic, reduced
+from conftest import (
+    bead_ring,
+    bridge_candidates,
+    bridge_chain,
+    bridged_pair,
+    random_connected_subcubic,
+    reduced,
+)
 from minmatch import reductions as R
 from minmatch import solver
 from minmatch.errors import (
@@ -45,6 +52,7 @@ from minmatch.solver import (
     solve_all,
     solve_avoiding,
 )
+from test_trace_digest import corpus as trace_corpus
 
 
 def assert_sound(g, cert):
@@ -412,7 +420,7 @@ def test_some_bridge_candidate_meets_the_bound_a_priori(corpus_n6):
         target = bound_report(g).lambda_times_6 // 6
         for bridge in sorted(g.find_bridges()):
             bounds = []
-            for name, parts in solver._bridge_candidates(g, bridge):
+            for name, parts in bridge_candidates(g, bridge):
                 total = int(name == "forest")
                 for verts, _ in parts:
                     part = g.subgraph(verts)
@@ -499,6 +507,39 @@ def test_replay_reproduces_matching_small(corpus_n6):
     for g in corpus_n6[::11]:
         cert = solve(g)
         assert replay(g, cert) == cert.matching
+
+
+def test_replay_every_certificate_of_the_digest_corpus():
+    # forest, gamma0 and gamma1 splits, bridged pairs, chains and cubic
+    # n = 100: a replayed split takes its candidate from the recorded case
+    cases = set()
+    for g in trace_corpus():
+        cert = solve(g)
+        assert replay(g, cert) == cert.matching
+        cases.update(s.case for s in cert.trace if s.rule == "BRIDGE")
+    assert cases == {"gamma0", "gamma1", "forest"}
+
+
+def test_leaf_guards_the_exceptional_graph():
+    # no solve reaches these guards, as a reduction that adds edges trips the
+    # cubic-task check first: base steps are handed to _leaf directly
+    k33 = gen_named("K33")
+    special = solve(k33).trace[0]
+    assert special.rule == "K33_SPECIAL"
+    assert len(solver._leaf(k33, special, None, [])) == 3
+    # a K33 task that is not the input: some step came before it
+    with pytest.raises(InternalInvariantViolation, match="exceptional 6-vertex component"):
+        solver._leaf(k33, special, None, [special])
+    # a K33_SPECIAL step on a graph that is not K33 (a 6-cycle on the same
+    # vertices), and a plain base step on K33
+    cycle = gen_named("C_n", 6)
+    assert set(cycle.iter_vertices()) == special.deleted
+    with pytest.raises(InternalInvariantViolation, match="wrong kind of graph"):
+        solver._leaf(cycle, special, None, [])
+    plain = solve(cycle).trace[0]
+    assert plain.rule == "BASE_SMALL" and plain.deleted == special.deleted
+    with pytest.raises(InternalInvariantViolation, match="wrong kind of graph"):
+        solver._leaf(k33, plain, None, [])
 
 
 def test_replay_rejects_truncated_trace():
