@@ -16,7 +16,8 @@ remaining 3-regular case), plus BASE_SMALL / K33_SPECIAL leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .errors import InternalInvariantViolation, PreconditionViolated
 from .graph import Edge, Graph, edge
@@ -73,25 +74,27 @@ def _recipe(*branches: tuple) -> ExtensionRecipe:
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """One recorded step: the compared fields are what a certificate
+    writes, every edge in (min, max) form.  `variant` labels the rule's
+    sub-case for coverage and is not compared; `later` is the engine's, the
+    steps for a rule's other candidate insertions (see _insertion), and is
+    never set on a recorded step."""
+
     rule: str
     case: str | None
     deleted: frozenset[int]
     added_edges: frozenset[Edge]
     extension: ExtensionRecipe | None
     budget: int | None  # max allowed |M| - |M'| for this step
-    meta: dict = field(default_factory=dict, compare=False)
+    bridge: Edge | None = None  # a BRIDGE step's bridge
+    variant: str | None = field(default=None, compare=False)
+    later: Iterator[ReductionStep] | None = field(default=None, compare=False, repr=False)
 
 
-def _step(rule, case, deleted, added, recipe, budget, **meta) -> ReductionStep:
-    return ReductionStep(
-        rule=rule,
-        case=case,
-        deleted=frozenset(deleted),
-        added_edges=frozenset([edge(*e) for e in added]),
-        extension=recipe,
-        budget=budget,
-        meta=meta,
-    )
+def _step(rule, case, deleted, added, recipe, budget, variant=None) -> ReductionStep:
+    """A rule's step, its added edges normalised."""
+    added = frozenset([edge(*e) for e in added])
+    return ReductionStep(rule, case, frozenset(deleted), added, recipe, budget, variant=variant)
 
 
 def _incident_edges(g: Graph, vs: set[int]) -> int:
@@ -106,15 +109,13 @@ def _incident_edges(g: Graph, vs: set[int]) -> int:
 # component; the proof only needs one of a few candidates, all deleting the
 # same set, to do so.  The rule returns the step for its first candidate; the
 # solver builds G' with it and, only if a part is cubic, undoes it and asks
-# meta[LATER] for the next (solver._run).
-
-LATER = "later"  # engine-only meta entry; never part of a recorded step
+# the step's `later` for the next (solver._run).
 
 
 def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) -> ReductionStep:
     """build(*trial) for the first of `trials`, each a tuple of edges
     between neighbours of v0 to add once v0 is deleted, with the steps for
-    the later trials under meta[LATER], built lazily.  Trials holding an edge
+    the later trials in its `later`, built lazily.  Trials holding an edge
     of g are dropped; g is not changed.  Some trial leaves no cubic component
     by the structure around v0 (bridgeless, and the candidate graph on the
     neighbours is connected enough), so the engine running out of them is an
@@ -129,9 +130,7 @@ def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) ->
     trials = [t for t in trials if not any(g.has_edge(*e) for e in t)]
     if not trials:
         raise PreconditionViolated("no candidate that is not already an edge")
-    step = build(*trials[0])
-    step.meta[LATER] = (build(*t) for t in trials[1:])
-    return step
+    return replace(build(*trials[0]), later=(build(*t) for t in trials[1:]))
 
 
 def _edge_insertion(g: Graph, v0: set[int], pairs: list[Edge], build) -> ReductionStep:
@@ -163,8 +162,7 @@ def degree1_step(g: Graph, pendant: int, anchored: bool = False) -> ReductionSte
         (),
         _recipe(((), (), ((v, w),))),
         budget=1,
-        pendant=pendant,
-        anchored=anchored,
+        variant="anchored" if anchored else None,
     )
 
 

@@ -75,7 +75,7 @@ input problem.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from . import reductions as R
@@ -97,7 +97,7 @@ from .matching import (
     maximality_status,
 )
 from .oracle import gamma_exact, gamma_exact_avoiding
-from .reductions import ReductionStep
+from .reductions import ExtensionBranch, ExtensionRecipe, ReductionStep
 
 __all__ = [
     "PendantConstraint",
@@ -152,7 +152,7 @@ def select_rule(
     pass over the degree-2 bucket.
     A rule that inserts edges returns the step for its first candidate
     insertion, which may leave a cubic component; the steps for the others
-    are under meta[reductions.LATER], for the engine to try in turn.
+    are in its `later`, for the engine to try in turn.
     """
     if constraint is not None:
         _check_constraint(g, constraint)
@@ -163,7 +163,8 @@ def select_rule(
     if bridges is None:
         bridges = g.find_bridges()
     if bridges:
-        return R._step(R.RULE_BRIDGE, None, (), (), None, None, bridge=min(bridges))
+        bridge = min(bridges)
+        return ReductionStep(R.RULE_BRIDGE, None, frozenset(), frozenset(), None, None, bridge)
     if g.degree_bucket(2):
         return R.adjacent_deg2_step(g) or R.deg2_step(g)
     return R.cubic_step(g)
@@ -207,7 +208,7 @@ def select_rule(
 #
 # The same test picks the edges a rule inserts.  A rule that must add edges
 # avoiding a cubic component offers candidates that all delete the same set
-# (reductions.LATER): the engine reduces with the first, builds the tasks, and
+# (the step's `later`): the engine reduces with the first, builds the tasks, and
 # if one is cubic puts g back as a frame's unwinding does (_undo) and tries
 # the next, leaving the bridge set as it was.  By the argument above, "some
 # task is cubic" holds iff some component of G' that touches the added edges
@@ -215,7 +216,8 @@ def select_rule(
 # components).  So the kept step is the first candidate, in the rule's order,
 # after which no component touching its added edges is cubic: a function of
 # g alone, and with it every trace.  In replay the recorded step is the only
-# candidate.
+# candidate.  The kept step is recorded without `later`, so a trace holds data
+# only.
 
 def _run(
     g: Graph,
@@ -250,7 +252,9 @@ def _run(
             saved, added = {}, []
         else:
             # the rule's later candidates; in replay the recorded step is the only one
-            later = step.meta.pop(R.LATER, iter(())) if recorded is None else iter(())
+            later = iter(())
+            if recorded is None and step.later is not None:
+                later, step = step.later, replace(step, later=None)
             while True:
                 saved, added = _reduce(g, step)
                 carved, tasks, dropped = _reduced(g, saved, added, bridges)
@@ -390,15 +394,12 @@ def _next_step(g: Graph, constraint, recorded, bridges) -> ReductionStep:
     if g.n > BASE_SIZE:
         return select_rule(g, constraint, bridges)
     if constraint is not None:
-        res = gamma_exact_avoiding(g, constraint.forbidden_edge)
-        rule = R.RULE_BASE_SMALL
-        meta = {"oracle_nodes": res.nodes_explored, "avoided": edge(*constraint.forbidden_edge)}
+        rule, res = R.RULE_BASE_SMALL, gamma_exact_avoiding(g, constraint.forbidden_edge)
     else:
-        rule = R.RULE_K33 if is_k33(g) else R.RULE_BASE_SMALL
-        res = gamma_exact(g)
-        meta = {"oracle_nodes": res.nodes_explored}
-    recipe = R._recipe(((), (), sorted(res.witness)))
-    return R._step(rule, None, g.iter_vertices(), (), recipe, None, **meta)
+        rule, res = R.RULE_K33 if is_k33(g) else R.RULE_BASE_SMALL, gamma_exact(g)
+    # the witness's edges are in (min, max) form already
+    recipe = ExtensionRecipe((ExtensionBranch((), (), tuple(sorted(res.witness))),))
+    return ReductionStep(rule, None, frozenset(g.iter_vertices()), frozenset(), recipe, None)
 
 
 def _reduce(g: Graph, step: ReductionStep) -> tuple[dict, list[Edge]]:
@@ -454,8 +455,8 @@ def _checked(g: Graph, step, M, size: int, grown: int, constraint, special=False
     named = list(step.added_edges)
     for br in step.extension.branches:
         named += br.requires + br.remove + br.add
-    if "bridge" in step.meta:
-        named.append(step.meta["bridge"])
+    if step.bridge is not None:
+        named.append(step.bridge)
     if any(e in M and (e[0] >= e[1] or not g.has_edge(*e)) for e in named):
         status = 1
     elif step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
@@ -494,7 +495,7 @@ def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict,
     which carries none.  A gamma part takes the edges of a known set inside
     it, less one left pendant; the other parts start unknown.
     """
-    bridge = step.meta["bridge"]
+    bridge = step.bridge
     s, small, candidates = _candidates(g, bridge, bridges)
     best = None
     for name, removed, parts in candidates:
@@ -521,9 +522,8 @@ def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict,
         end = bridge[1 - i]
         if g.degree(end) == 2:
             shares[1].discard(edge(end, *(g.neighbors(end) - {bridge[i]})))
-    add = (bridge,) if name == "forest" else ()
-    recipe = R._recipe(((), (), add))
-    step = R._step(R.RULE_BRIDGE, name, (), (), recipe, None, bridge=bridge, candidate=name)
+    recipe = ExtensionRecipe((ExtensionBranch((), (), (bridge,) if name == "forest" else ()),))
+    step = ReductionStep(R.RULE_BRIDGE, name, frozenset(), frozenset(), recipe, None, bridge)
     carved, tasks = _carve(g, removed, [(vs, c, b) for (vs, c), b in zip(parts, shares)])
     return step, carved, tasks
 
@@ -544,9 +544,9 @@ def _candidates(g: Graph, bridge: Edge, bridges) -> tuple[int, set[int], list[tu
     edges are bridges (read off `bridges` when known, else searched the same
     way).  Then, and only then, ordering the two walks g.
     """
-    u0, u1 = bridge
-    if not g.has_edge(u0, u1):
+    if bridge is None or not g.has_edge(*bridge):
         raise InternalInvariantViolation(f"{bridge} is not an edge")
+    u0, u1 = bridge
     cut = {u0, u1}
     found = g.smaller_side(g.neighbors(u0) - cut, g.neighbors(u1) - cut, cut)
     if found is None:

@@ -149,7 +149,7 @@ def test_criterion_6_randomized_soundness_and_coverage():
                 seen_bridge += 1
             elif s.rule == "DEGREE1":
                 seen_degree1 += 1
-                if s.meta.get("anchored"):
+                if s.variant == "anchored":
                     seen_avoidance += 1
     for i in range(2_000):
         rng = random.Random(90_000 + i)
@@ -163,7 +163,7 @@ def test_criterion_6_randomized_soundness_and_coverage():
                 seen_bridge += 1
             elif s.rule == "DEGREE1":
                 seen_degree1 += 1
-                if s.meta.get("anchored"):
+                if s.variant == "anchored":
                     seen_avoidance += 1
     if not seen_bridge:
         failures.append("no BRIDGE coverage")

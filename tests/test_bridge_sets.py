@@ -136,7 +136,7 @@ def test_split_carves_the_winner_and_shares_the_bridges():
     for g in graphs_with_bridges():
         for bridge in sorted(tarjan(g)):
             step = ReductionStep(
-                RULE_BRIDGE, None, frozenset(), frozenset(), None, None, {"bridge": bridge}
+                RULE_BRIDGE, None, frozenset(), frozenset(), None, None, bridge
             )
             if not g.degree_bucket(1):  # where solve splits, and a candidate meets the bound
                 h = g.copy()

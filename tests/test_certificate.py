@@ -31,7 +31,7 @@ def corpus():
 
 def rows(cert):
     return [
-        (s.rule, s.case, sorted(s.deleted), sorted(s.added_edges), s.meta.get("bridge"))
+        (s.rule, s.case, sorted(s.deleted), sorted(s.added_edges), s.bridge)
         for s in cert.trace
     ]
 

@@ -31,7 +31,7 @@ def test_deg2_231_shared_third_neighbour_hexagon():
     ])
     assert g.find_bridges() == set()
     step = select_rule(g)
-    assert (step.rule, step.case, step.meta.get("variant")) == (
+    assert (step.rule, step.case, step.variant) == (
         "DEG2_TWO_DEG3", "2.3.1", "hexagon",
     )
     assert step.deleted == {1, 3, 4, 7, 8}
@@ -111,7 +111,7 @@ def test_variant_checklist_on_seeded_corpus():
         cert = solve(g)
         assert cert.valid
         for s in cert.trace:
-            seen.add((s.rule, s.case, s.meta.get("variant")))
+            seen.add((s.rule, s.case, s.variant))
         if want <= seen:
             break
     missing = want - seen

@@ -2,7 +2,7 @@ import inspect
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -254,16 +254,16 @@ def test_choose_crossing_pair_rejects_cubic_closing_choice():
     assert bad.cubic_components() == [{6, 9, 12, 13}]
     # the rule offers the first candidate and leaves the choice to the engine
     step = select_rule(g)
-    assert (step.case, step.meta.get("variant")) == ("2.3.2", "main")
+    assert (step.case, step.variant) == ("2.3.2", "main")
     assert step.added_edges == {(3, 7), (6, 9)}
-    assert [s.added_edges for s in step.meta[R.LATER]] == [
+    assert [s.added_edges for s in step.later] == [
         {(3, 7), (6, 10)}, {(3, 8), (6, 9)}, {(3, 8), (6, 10)},
     ]
     assert g == crossing_graph()
     cert = solve(g)
     assert cert.trace[0].deleted == {0, 1, 2, 4, 5}
     assert cert.trace[0].added_edges == {(3, 7), (6, 10)}
-    assert all(R.LATER not in s.meta for s in cert.trace)
+    assert all(s.later is None for s in cert.trace)
     assert_sound(g, cert)
     assert replay(g, cert) == cert.matching
 
@@ -322,15 +322,15 @@ def test_rejected_connected_cubic_candidate(monkeypatch):
         step = rules(h, constraint, bridges)
         if 10 not in h:
             return step
-        step.meta.pop(R.LATER, None)
+        step = replace(step, later=None)
         offered.append(step)
-        return replace(back, meta={R.LATER: iter([step] if offer_later else [])})
+        return replace(back, later=iter([step] if offer_later else []))
 
     monkeypatch.setattr(solver, "select_rule", fake)
     cert = solve(g)
     assert cert.trace[0] == offered[0]
     assert 10 in cert.trace[0].deleted and cert.trace[0] != back
-    assert R.LATER not in cert.trace[0].meta
+    assert cert.trace[0].later is None
     assert_sound(g, cert)
     assert replay(g, cert) == cert.matching
     offer_later = False
@@ -349,7 +349,7 @@ def test_choose_crossing_pair_shared_vertex():
         (8, 10), (9, 10), (10, 11), (7, 11), (3, 11),
     ])
     step = select_rule(g)
-    assert (step.case, step.meta.get("variant")) == ("2.3.2", "main")
+    assert (step.case, step.variant) == ("2.3.2", "main")
     assert step.added_edges == {(3, 7), (6, 7)}
     cert = solve(g)
     assert_sound(g, cert)
@@ -369,7 +369,7 @@ def split_at_bridge(g, bridge, monkeypatch):
     monkeypatch.setattr(solver, "BASE_SIZE", 5)
     cert = solve(g)
     assert_sound(g, cert)
-    assert (cert.trace[0].rule, cert.trace[0].meta["bridge"]) == ("BRIDGE", bridge)
+    assert (cert.trace[0].rule, cert.trace[0].bridge) == ("BRIDGE", bridge)
     assert replay(g, cert) == cert.matching
     return cert
 
@@ -403,8 +403,8 @@ def test_bridge_preconditions(monkeypatch):
     # a recorded split must name a bridge of the graph it is replayed on
     g = two_triangles_bridge()
     cert = split_at_bridge(g, (2, 3), monkeypatch)
-    for bad in ((0, 1), (0, 4)):  # an edge on a cycle, and no edge at all
-        step = replace(cert.trace[0], meta={**cert.trace[0].meta, "bridge": bad})
+    for bad in ((0, 1), (0, 4), None):  # an edge on a cycle, no edge at all, and none named
+        step = replace(cert.trace[0], bridge=bad)
         with pytest.raises(InternalInvariantViolation):
             replay(g, replace(cert, trace=[step] + cert.trace[1:]))
 
@@ -438,7 +438,7 @@ def test_solve_on_bridged_blobs():
         cert = solve(g)
         assert_sound(g, cert)
         assert any(s.rule == "BRIDGE" for s in cert.trace)
-        assert any(s.rule == "DEGREE1" and s.meta.get("anchored") for s in cert.trace)
+        assert any(s.rule == "DEGREE1" and s.variant == "anchored" for s in cert.trace)
         assert replay(g, cert) == cert.matching
 
 
@@ -580,7 +580,7 @@ def test_replay_rejects_tampered_linear_step(rule, tamper):
     # that M is a matching of g can catch it)
     g = gen_random_cubic(100, 3)
     cert = solve(g)
-    i = next(i for i, s in enumerate(cert.trace) if s.rule == rule and not s.meta.get("anchored"))
+    i = next(i for i, s in enumerate(cert.trace) if s.rule == rule and s.variant != "anchored")
     step = cert.trace[i]
     if tamper == "drop_edge":
         branches = tuple(replace(br, add=br.add[1:]) for br in step.extension.branches)
@@ -630,7 +630,7 @@ def _finished_edge_and_later_step(g, cert):
     the matching inside the first, constrained part, and the index of the
     first linear step of the second part."""
     b = next(i for i, s in enumerate(cert.trace) if s.rule == "BRIDGE")
-    u0, u1 = cert.trace[b].meta["bridge"]
+    u0, u1 = cert.trace[b].bridge
     h = g.copy()
     h.remove_edge(u0, u1)
     side0 = h.component_of(u0)
@@ -794,9 +794,9 @@ def test_bridge_chain_memory_grows_linearly():
 
     assert peak(100) < 6 * peak(25)
     g = bridge_chain(25, 7)
-    metas = [s.meta for s in solve(g).trace if s.rule == "BRIDGE"]
-    assert len(metas) >= 24
-    assert all(meta.keys() == {"bridge", "candidate"} for meta in metas)
+    steps = [s for s in solve(g).trace if s.rule == "BRIDGE"]
+    assert len(steps) >= 24
+    assert all(s.bridge is not None and not s.deleted and not s.added_edges for s in steps)
 
 
 def test_solver_handles_noncontiguous_vertex_ids():
@@ -824,6 +824,45 @@ def test_trace_step_shape_limits():
                 continue
             assert 1 <= len(step.deleted) <= 10
             assert len(step.added_edges) <= 2
+
+
+def test_the_recorded_step_is_its_compared_fields():
+    # a step compares as the record a certificate writes; a BRIDGE step that
+    # names another bridge is another step
+    compared = [f.name for f in fields(ReductionStep) if f.compare]
+    assert compared == ["rule", "case", "deleted", "added_edges", "extension", "budget", "bridge"]
+    g = bridge_chain(3, 0)
+    step = next(s for s in solve(g).trace if s.rule == "BRIDGE")
+    other = next(e for e in sorted(g.edges()) if e != step.bridge)
+    assert replace(step, bridge=other) != step
+    assert replace(step, variant="label") == step
+
+
+def step_edges(step):
+    """Every edge a recorded step holds."""
+    edges = list(step.added_edges)
+    for br in step.extension.branches:
+        edges += br.requires + br.remove + br.add
+    if step.bridge is not None:
+        edges.append(step.bridge)
+    return edges
+
+
+def test_recorded_edges_are_normalised():
+    # base steps, bridge markers and split steps are built without running
+    # edge() again, so what they are built from must be in (min, max) form
+    g = gen_named("K33_MINUS")
+    g.add_edge(0, 6)
+    avoiding = solve_avoiding(g, PendantConstraint(6, (6, 0)))  # the edge as (max, min)
+    assert [s.rule for s in avoiding.trace] == ["BASE_SMALL"]
+    certs = [solve(h) for h in trace_corpus() + [bridge_chain(5, 0)]] + [avoiding]
+    rules = set()
+    for cert in certs:
+        for step in cert.trace:
+            assert step.later is None  # the engine's candidates stay out of the trace
+            assert all(u < v for u, v in step_edges(step)), step
+            rules.add(step.rule)
+    assert {"BASE_SMALL", "BRIDGE", "DEGREE1", "ADJ_DEG2", "DEG2_TWO_DEG3", "CUBIC_FINISH"} <= rules
 
 
 def test_no_trial_reductions(monkeypatch):
@@ -881,7 +920,7 @@ def test_deg2_232_delta_counts():
         for step in cert.trace:
             if step.rule == "BRIDGE":
                 break
-            if step.rule == "DEG2_TWO_DEG3" and step.case == "2.3.2" and step.meta.get("variant") == "main":
+            if step.rule == "DEG2_TWO_DEG3" and step.case == "2.3.2" and step.variant == "main":
                 before = (work.n, work.m)
                 nxt = reduced(work, step)
                 assert before[0] - nxt.n == 5
