@@ -406,7 +406,7 @@ class Graph:
 
     def validate(self) -> None:
         """Debug check: symmetry, degree cap, counter and bucket consistency."""
-        m2 = 0
+        m2 = low = 0
         for v, nbrs in self._adj.items():
             if len(nbrs) > MAX_DEGREE:
                 raise InternalInvariantViolation(f"degree of {v} exceeds {MAX_DEGREE}")
@@ -417,9 +417,14 @@ class Graph:
                     raise InternalInvariantViolation(f"asymmetric edge {v}-{w}")
             m2 += len(nbrs)
             d = len(nbrs)
+            low += d < MAX_DEGREE
             for b in range(MAX_DEGREE):
                 if (v in self._buckets[b]) != (d == b):
                     raise InternalInvariantViolation(f"bucket {b} wrong for {v}")
+        # each vertex of degree < 3 is in its bucket, so equal sizes leave
+        # no room for an entry that is not a vertex of that degree
+        if sum(map(len, self._buckets)) != low:
+            raise InternalInvariantViolation("a bucket holds a vertex of no such degree")
         if m2 != 2 * self._m:
             raise InternalInvariantViolation(f"edge counter {self._m} != {m2 // 2}")
 

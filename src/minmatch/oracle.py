@@ -1,14 +1,17 @@
 """Exact minimum maximal matching by branch and bound.
 
 Ground truth for the tests and the base-case solver for small graphs.
-Vertices are packed into bitmasks.  The search is exponential; README
-gives measured times on random cubic graphs up to n = 46.
+Edges are numbered in sorted order and sets of edges are int bitsets.  The
+search is exponential; README gives measured times on random cubic graphs
+up to n = 46.
 
-Each search node makes one pass over the edge masks, which are in sorted
-order.  The pass counts the undominated edges (neither endpoint covered),
-and its first undominated edge uv gives the branch: u is the lowest vertex
-with an undominated edge and v its lowest undominated neighbour.  The node
-branches on every edge at u or v whose endpoints are both uncovered.  Any
+A search node holds its undominated edges (neither endpoint covered) as
+one bitset, `free`; taking edge wy clears the edges at w and at y.  The
+lowest set bit of `free` is the branch edge uv: u is the lowest vertex
+with an undominated edge and v its lowest undominated neighbour.  An edge
+at u or v whose endpoints are both uncovered is itself undominated, so the
+node branches on the set bits of `free` at u or v, lowest first, which
+is u's edges before v's: no undominated edge has an end below u.  Any
 maximal matching must dominate uv, so one of those edges is in it; the
 branching is therefore complete.
 
@@ -17,12 +20,17 @@ Two lower bounds on the edges still needed prune the search:
   subcubic graph, so a node needs at least ceil(undominated / 5) more;
 - the packing bound: undominated edges whose endpoints are pairwise neither
   equal nor adjacent share no dominating edge, so each needs its own.  Only
-  when the count bound does not prune, a second pass packs such edges
-  greedily, and stops once the packing reaches the room under the incumbent.
+  when the count bound does not prune, the node packs such edges greedily:
+  it takes the lowest set bit and clears every edge that shares a
+  dominating edge with it, one step per packed edge, and stops once the
+  packing reaches the room under the incumbent.
 A node is pruned iff its size plus the larger bound reaches the incumbent.
 Both bounds are valid, so a pruned subtree never holds a strictly better
 leaf: the search meets the same incumbents, in the same order, as with the
-count bound alone, and returns the same witness in fewer nodes.
+count bound alone, and returns the same witness in fewer nodes.  Bit order
+is sorted edge order, so the branch edge, the order of the children and the
+packing are those of a pass over the sorted edges, and the tree is the one
+that such a pass would build.
 
 The search runs on an explicit stack, so its depth is not bounded by
 Python's recursion limit.
@@ -50,58 +58,59 @@ class _Search:
         self.ids = g.vertices()
         index = {v: i for i, v in enumerate(self.ids)}
         # g.edges() is sorted and the id -> index map is monotone, so the
-        # pairs are (a, b) with a < b, in lexicographic order
-        self.edge_pairs = [(index[u], index[v]) for u, v in g.edges()]
-        self.adj = [0] * len(self.ids)
-        self.edge_masks = []
-        for a, b in self.edge_pairs:
-            self.adj[a] |= 1 << b
-            self.adj[b] |= 1 << a
-            self.edge_masks.append((1 << a) | (1 << b))
-        # an edge's endpoints and their neighbours: an edge that misses this
-        # mask shares no dominating edge with it
-        self.blocks = {
-            mask: mask | self.adj[a] | self.adj[b]
-            for mask, (a, b) in zip(self.edge_masks, self.edge_pairs)
-        }
-        self.forbidden = None if forbidden is None else (index[forbidden[0]], index[forbidden[1]])
+        # pairs are (a, b) with a < b, in lexicographic order; edge i is bit i
+        self.edge_pairs = pairs = [(index[u], index[v]) for u, v in g.edges()]
+        inc = [0] * len(self.ids)  # the edges at a vertex
+        for i, (a, b) in enumerate(pairs):
+            inc[a] |= 1 << i
+            inc[b] |= 1 << i
+        near = [0] * len(self.ids)  # the edges at a neighbour of a vertex
+        for a, b in pairs:
+            near[a] |= inc[b]
+            near[b] |= inc[a]
+        self.forbit = 0
+        if forbidden is not None:
+            self.forbit = 1 << pairs.index((index[forbidden[0]], index[forbidden[1]]))
+        # per edge ab: the edges that taking it dominates, to clear; the
+        # edges at a or b that may be taken, the branch set of a node whose
+        # branch edge is ab; the edges that share a dominating edge with ab
+        self.ndom = [~(inc[a] | inc[b]) for a, b in pairs]
+        self.kids = [(inc[a] | inc[b]) & ~self.forbit for a, b in pairs]
+        self.nblock = [~(near[a] | near[b]) for a, b in pairs]
         self.budget = budget
         self.nodes = 0
         self.best_size: int | None = None
-        self.best: list[tuple[int, int]] | None = None
+        self.best: list[int] | None = None
 
     def seed_greedy(self) -> None:
-        """Lexicographic greedy maximal matching as the initial incumbent."""
-        covered = 0
+        """Lexicographic greedy maximal matching as the initial incumbent:
+        the lowest undominated edge that is not forbidden, until none is."""
+        free = (1 << len(self.edge_pairs)) - 1
         chosen = []
-        for a, b in self.edge_pairs:
-            if (a, b) != self.forbidden and not (covered >> a) & 1 and not (covered >> b) & 1:
-                chosen.append((a, b))
-                covered |= (1 << a) | (1 << b)
+        while rest := free & ~self.forbit:
+            e = (rest & -rest).bit_length() - 1
+            chosen.append(e)
+            free &= self.ndom[e]
         # with a forbidden edge the greedy result may fail maximality
-        for mask in self.edge_masks:
-            if not mask & covered:
-                return
-        self.best_size = len(chosen)
-        self.best = chosen
+        if not free:
+            self.best_size = len(chosen)
+            self.best = chosen
 
     def run(self) -> None:
-        """Depth-first search on an explicit stack of (covered, size, edge
-        taken); children are pushed in reverse, so they pop in sorted order."""
+        """Depth-first search on an explicit stack of (free, size, edge
+        taken); children are pushed highest first, so they pop lowest first."""
         self.seed_greedy()
-        adj, masks, blocks = self.adj, self.edge_masks, self.blocks
-        forbidden, budget = self.forbidden, self.budget
-        path: list[tuple[int, int]] = []
-        stack: list[tuple[int, int, tuple[int, int] | None]] = [(0, 0, None)]
+        ndom, kids, nblock, budget = self.ndom, self.kids, self.nblock, self.budget
+        path: list[int] = []
+        stack: list[tuple[int, int, int | None]] = [((1 << len(ndom)) - 1, 0, None)]
         while stack:
-            covered, size, taken = stack.pop()
+            free, size, taken = stack.pop()
             if taken is not None:
                 del path[size - 1:]
                 path.append(taken)
             self.nodes += 1
             if budget is not None and self.nodes > budget:
                 raise BudgetExceeded("oracle node budget exhausted", self.result(exact=False))
-            free = [mask for mask in masks if not mask & covered]
             if not free:
                 if self.best_size is None or size < self.best_size:
                     self.best_size = size
@@ -109,38 +118,27 @@ class _Search:
                 continue
             if self.best_size is not None:
                 room = self.best_size - size
-                if -(-len(free) // 5) >= room:
+                if -(-free.bit_count() // 5) >= room:
                     continue
-                blocked, packed = covered, 0
-                for mask in free:
-                    if not mask & blocked:
-                        packed += 1
-                        if packed == room:
-                            break
-                        blocked |= blocks[mask]
+                rest, packed = free, 0
+                while rest:
+                    packed += 1
+                    if packed == room:
+                        break
+                    rest &= nblock[(rest & -rest).bit_length() - 1]
                 if packed == room:
                     continue
-            # the first undominated edge uv: u is the lowest vertex with an
-            # undominated edge and v its lowest undominated neighbour, so
-            # every edge at u sorts before every edge at v
-            first = free[0]
-            ubit = first & -first
-            u, v = ubit.bit_length() - 1, first.bit_length() - 1
-            children = []
-            for w, rest in ((u, adj[u] & ~covered), (v, adj[v] & ~covered & ~ubit)):
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    y = bit.bit_length() - 1
-                    pair = (y, w) if y < w else (w, y)
-                    if pair != forbidden:
-                        children.append((covered | (1 << w) | bit, size + 1, pair))
-            stack.extend(reversed(children))
+            children = free & kids[(free & -free).bit_length() - 1]
+            while children:
+                e = children.bit_length() - 1
+                children ^= 1 << e
+                stack.append((free & ndom[e], size + 1, e))
 
     def result(self, exact: bool = True) -> OracleResult | None:
         if self.best_size is None:
             return None
-        witness = as_matching((self.ids[a], self.ids[b]) for a, b in self.best)
+        pairs = (self.edge_pairs[e] for e in self.best)
+        witness = as_matching((self.ids[a], self.ids[b]) for a, b in pairs)
         return OracleResult(
             gamma=self.best_size,
             witness=witness,

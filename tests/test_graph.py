@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from minmatch.errors import (
     DegreeOverflow,
     DuplicateEdge,
+    InternalInvariantViolation,
     SelfLoop,
     UnknownVertex,
 )
@@ -178,6 +179,13 @@ def test_validate_on_generated_graphs():
     for name in ("K2", "K4", "K33", "K33_MINUS", "PETERSEN", "CUBE_Q3"):
         gen_named(name).validate()
     gen_random_cubic(50, 3).validate()
+
+
+def test_validate_rejects_a_stale_bucket_entry():
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    g._buckets[2].add(99)  # not a vertex: the census would read n3 = -1
+    with pytest.raises(InternalInvariantViolation):
+        g.validate()
 
 
 @settings(max_examples=50, deadline=None)

@@ -70,6 +70,25 @@ def test_gamma_equals_enumeration_minimum_random(seed):
     assert gamma_exact(g).gamma == min(len(M) for M in mats)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000))
+def test_avoiding_equals_enumeration_minimum_random(seed):
+    rng = random.Random(seed)
+    g = gen_random_cubic(rng.choice([8, 10, 12]), seed)
+    for _ in range(rng.randint(0, 3)):
+        g.remove_edge(*rng.choice(g.edges()))
+    forbidden = rng.choice(g.edges())
+    pool = [len(M) for M in enumerate_maximal_matchings(g) if forbidden not in M]
+    if not pool:
+        with pytest.raises(Infeasible):
+            gamma_exact_avoiding(g, forbidden)
+        return
+    res = gamma_exact_avoiding(g, forbidden)
+    assert res.gamma == min(pool) == len(res.witness)
+    assert forbidden not in res.witness
+    assert is_maximal(g, res.witness)
+
+
 def test_lower_bound_is_admissible(corpus_n6):
     for g in corpus_n6[::9]:
         assert gamma_lower_bound(g) <= gamma_exact(g).gamma
@@ -178,3 +197,46 @@ def test_witnesses_pinned():
 def test_packing_bound_prunes():
     # the count bound alone explores 356,604 nodes here
     assert gamma_exact(gen_random_cubic(40, 0)).nodes_explored < 100_000
+
+
+# sha256 of (gamma, nodes_explored, sorted witness) over test_search_pinned's
+# searches, computed on the list-based kernel that the bitset kernel replaced
+SEARCH_DIGEST = "2a55cf7907ec6936c150d68a2b174282f368e2dceb76e65d3a8b9d7a57536ef2"
+
+
+def _pinned_searches():
+    """(graph, forbidden edge, budget) for every search of
+    test_witnesses_pinned's corpus, four n = 32 random cubic graphs, and
+    searches cut off by their budget."""
+    small = [g for n in range(1, 7) for g in enumerate_connected_subcubic(n)]
+    graphs = small[::7] + [gen_random_cubic(n, s) for n in range(10, 31, 2) for s in range(3)]
+    for g in graphs:
+        yield g, None, None
+        for e in g.edges()[:3]:
+            yield g, e, None
+    for s in range(4):
+        yield gen_random_cubic(32, s), None, None
+    for g in (gen_gk(3).graph, gen_random_cubic(32, 0)):
+        for budget in (1, 5, 50):
+            yield g, None, budget
+
+
+def test_search_pinned():
+    """The search tree itself is pinned, not only the witnesses it finds: the
+    node counts of complete and budget-cut searches must not move."""
+    h = hashlib.sha256()
+    for g, forbidden, budget in _pinned_searches():
+        try:
+            if forbidden is None:
+                res = gamma_exact(g, budget=budget)
+            else:
+                res = gamma_exact_avoiding(g, forbidden, budget=budget)
+        except BudgetExceeded as exc:
+            res = exc.result
+        except Infeasible:
+            res = None
+        row = None if res is None else [
+            res.gamma, res.nodes_explored, sorted(list(e) for e in res.witness)
+        ]
+        h.update(json.dumps(row, separators=(",", ":")).encode("ascii") + b"\n")
+    assert h.hexdigest() == SEARCH_DIGEST
