@@ -60,24 +60,21 @@ def gen_named(name: str, n: int | None = None) -> Graph:
 class GkFamily:
     k: int
     graph: Graph
-    block_boundaries: list[tuple[int, int]]
 
 
 def gen_gk(k: int) -> GkFamily:
     if k < 1:
         raise BadParameter("chain length k must be >= 1")
     edges: list[Edge] = []
-    boundaries = []
     for b in range(k):
         o = 6 * b
         for i in range(3):
             for j in range(3, 6):
                 if (i, j) != (0, 3):
                     edges.append((o + i, o + j))
-        boundaries.append((o, o + 3))
     for b in range(k):
         edges.append((6 * b + 3, 6 * ((b + 1) % k)))
-    return GkFamily(k=k, graph=Graph.from_edges(edges), block_boundaries=boundaries)
+    return GkFamily(k=k, graph=Graph.from_edges(edges))
 
 
 # Per-block matching patterns, offsets relative to the block base.  Two edges

@@ -39,10 +39,6 @@ class DegreeCensus:
     n2: int
     n3: int
 
-    @property
-    def n0(self) -> int:
-        return self.n - self.n1 - self.n2 - self.n3
-
 
 class Graph:
     """Mutable subcubic graph: adjacency sets plus degree-indexed buckets.
@@ -106,10 +102,7 @@ class Graph:
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertex set (copied)."""
-        keep = set(vertices)
-        missing = keep.difference(self._adj)  # O(|keep|); `- keys()` walks all of g
-        if missing:
-            raise UnknownVertex(f"vertices not in graph: {sorted(missing)}")
+        keep = self._known_set(vertices)
         adj = self._adj
         return Graph.from_edges(
             ((v, w) for v in keep for w in adj[v] if v < w and w in keep), keep
@@ -156,6 +149,14 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]
 
+    def _known_set(self, vs: Iterable[int]) -> set[int]:
+        """set(vs), raising UnknownVertex if a vertex of vs is not in g."""
+        vs = set(vs)
+        missing = vs.difference(self._adj)  # O(|vs|); `- keys()` walks all of g
+        if missing:
+            raise UnknownVertex(f"vertices not in graph: {sorted(missing)}")
+        return vs
+
     def degree_bucket(self, d: int) -> set[int]:
         """Vertices of degree d, for d in {0, 1, 2} (live view, do not mutate)."""
         return self._buckets[d]
@@ -179,15 +180,17 @@ class Graph:
             self._buckets[0].add(v)
 
     def add_edge(self, u: int, v: int) -> None:
+        """Add the edge uv, and u or v if new; a refused edge changes nothing."""
         if u == v:
             raise SelfLoop(f"self-loop at {u}")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        if v in self._adj[u]:
+        nu = self._adj.get(u, ())
+        if v in nu:
             raise DuplicateEdge(f"edge {edge(u, v)} already present")
-        du, dv = len(self._adj[u]), len(self._adj[v])
+        du, dv = len(nu), len(self._adj.get(v, ()))
         if du >= MAX_DEGREE or dv >= MAX_DEGREE:
             raise DegreeOverflow(f"edge {edge(u, v)} would exceed degree {MAX_DEGREE}")
+        self.add_vertex(u)
+        self.add_vertex(v)
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._bucket_move(u, du, du + 1)
@@ -210,10 +213,7 @@ class Graph:
 
     def remove_vertices_with_undo(self, vs: Iterable[int]) -> dict[int, frozenset[int]]:
         """As remove_vertices, returning the data restore_vertices needs."""
-        vset = set(vs)
-        missing = vset.difference(self._adj)  # O(|vset|), as above
-        if missing:
-            raise UnknownVertex(f"vertices not in graph: {sorted(missing)}")
+        vset = self._known_set(vs)
         saved = {}
         for v in vset:
             nbrs = self._adj.pop(v)
@@ -308,16 +308,17 @@ class Graph:
     def joined(self, seeds: Iterable[int], paths: int = 1) -> bool:
         """True iff any two seeds are joined by `paths` (1 or 2) edge-disjoint
         paths: with one, iff the seeds lie in one component of g; with two,
-        iff they lie in one 2-edge-connected component (Menger).
+        iff they lie in one 2-edge-connected component (Menger).  A seed not
+        in g raises UnknownVertex.
 
         Both relations are equivalences, so each seed in turn needs `paths`
         edge-disjoint paths to the seeds already proved, found one at a time
         as augmenting paths of a unit flow (_augmenting_path).  A negative
-        answer stops as soon as either side of a search is used up, so it
-        costs about the smaller side of the cut that separates the seeds,
-        not the whole graph.
+        answer comes from a search that used up one side of a cut separating
+        the seeds, so it reads the adjacency of at most twice that side's
+        vertices, however large the other side.
         """
-        seeds = list(set(seeds))
+        seeds = list(self._known_set(seeds))
         proved = set(seeds[:1])
         adj = self._adj
         for s in seeds[1:]:
@@ -328,8 +329,8 @@ class Graph:
             flow: set[Edge] = set()
             passed = []
             for _ in range(paths):
-                path = _augmenting_path(adj, s, proved, flow)
-                if path is None:
+                side, path = _augmenting_path(adj, (s,), proved, flow)
+                if side is not None:
                     return False
                 passed += path
                 flow.update(zip(path, path[1:]))
@@ -342,31 +343,16 @@ class Graph:
     def smaller_side(
         self, a: Iterable[int], b: Iterable[int], cut: set[int]
     ) -> tuple[int, set[int]] | None:
-        """Two searches in g - cut, from the vertex sets a and b: None if
-        they meet (a path outside cut joins a vertex of a to one of b), else
-        (0, what the search from a found) or (1, the same from b) for the
-        search used up first, whose side is then no larger than the other.
-
-        The searches take turns one vertex at a time, the one that has found
-        fewer vertices going next, so an answer that is not None costs about
-        twice the smaller side, however large the other.
+        """The search of _augmenting_path in g - cut, with no flow, from the
+        vertex sets a and b (a seed not in g raises UnknownVertex): None if
+        the sides meet, else (0, the side of a) or (1, the side of b) for the
+        side used up.  That side holds every vertex that g - cut joins to its
+        seeds, and no more vertices than the other side, and the search
+        reads the adjacency of at most twice as many vertices as it holds.
         """
-        adj = self._adj
-        found = (set(a), set(b))
-        if not found[0].isdisjoint(found[1]):
-            return None
-        todo = (list(found[0]), list(found[1]))
-        while True:
-            i = int(len(found[0]) > len(found[1]))
-            if not todo[i]:
-                return i, found[i]
-            mine, other = found[i], found[1 - i]
-            for w in adj[todo[i].pop()]:
-                if w not in mine and w not in cut:
-                    if w in other:
-                        return None
-                    mine.add(w)
-                    todo[i].append(w)
+        a, b = self._known_set(a), self._known_set(b)
+        i, found = _augmenting_path(self._adj, a, b, (), cut)
+        return None if i is None else (i, found.keys() - cut)
 
     def cubic_components(self) -> list[set[int]]:
         """Components in which every vertex has degree exactly 3."""
@@ -481,51 +467,67 @@ def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int])
     return parent, cut
 
 
-def _augmenting_path(adj: dict[int, set[int]], s: int, target: set[int], flow: set[Edge]):
-    """A shortest path from s to the set `target` (s outside it) in the
-    residual graph of the unit flow `flow`, or None if there is none.
+def _augmenting_path(adj: dict[int, set[int]], sources, targets, flow, cut=()):
+    """The one two-sided search: a shortest path from the vertex set
+    `sources` to the set `targets` in g - cut (none of them in cut), in the
+    residual graph of the unit flow `flow` (a set of arcs, or () for none).
+    Returns (None, the path), or, if there is none, (i, found) for the side
+    i (0 for the sources, 1 for the targets) that was used up, found keyed
+    by every vertex it reached and the cut.
 
     Every edge is a pair of arcs of capacity one; the arc u -> w is free
     unless (u, w) carries flow, and taking it when (w, u) carries flow
-    cancels that flow.  The search is bidirectional, breadth-first from s
-    forward and from the whole target backward, one layer at a time on the
-    side whose frontier is smaller; it ends when the sides meet, or with
-    None as soon as either frontier is empty.
+    cancels that flow.  The search is breadth-first, forward from the
+    sources and backward from the targets, one layer at a time on the side
+    that has found fewer vertices (the sources' on a tie); the cut counts
+    as found on both sides, so neither enters it.  It stops when the sides
+    meet, or when the side to grow has nothing left: that side has found no
+    more vertices than the other, which grew only while it had found no
+    more than this one.  A layer of a subcubic graph adds at most three
+    vertices for each one found before it, so the other side has found at
+    most four times as many (or only its seeds), and the search has read
+    the adjacency of at most twice as many vertices as the used-up side.
     """
-    before = {s: None}  # forward: vertex -> its predecessor on the path from s
-    after = dict.fromkeys(target)  # backward: vertex -> its successor towards the target
-    ahead, behind = [s], list(target)
-    meet = None
-    while meet is None:
-        if not ahead or not behind:
-            return None
-        layer = []
-        if len(ahead) <= len(behind):
+    after = dict.fromkeys(targets)  # backward: vertex -> its successor on the path
+    before = {}  # forward: vertex -> its predecessor on the path
+    for v in sources:
+        if v in after:
+            return None, [v]
+        before[v] = None
+    ahead, behind = list(before), list(after)
+    for v in cut:
+        before[v] = after[v] = None
+    while True:
+        if len(before) <= len(after):
+            if not ahead:
+                return 0, before
+            layer = []
             for u in ahead:
                 for w in adj[u]:
                     if w not in before and (u, w) not in flow:
                         before[w] = u
                         if w in after:
-                            meet = w
-                            break
+                            return None, _path(before, after, w)
                         layer.append(w)
-                if meet is not None:
-                    break
             ahead = layer
         else:
+            if not behind:
+                return 1, after
+            layer = []
             for w in behind:
                 for u in adj[w]:
                     if u not in after and (u, w) not in flow:
                         after[u] = w
                         if u in before:
-                            meet = u
-                            break
+                            return None, _path(before, after, u)
                         layer.append(u)
-                if meet is not None:
-                    break
             behind = layer
-    path = [meet]
-    v = before[meet]
+
+
+def _path(before: dict, after: dict, meet: int) -> list[int]:
+    """The path through `meet` that the two sides' maps spell out."""
+    path = []
+    v = meet
     while v is not None:
         path.append(v)
         v = before[v]

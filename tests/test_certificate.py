@@ -6,8 +6,11 @@ when two edge-disjoint paths join each vertex of the step's boundary to the
 others, and after any linear step it skips the full connectivity check when
 one path does.  Tarjan's lowlink search (Graph.find_bridges), is_connected
 and component_of stay the reference: both path tests must agree with them
-exactly, a refuted test must cost about the smaller side of the cut, and the
-traces must be the ones the solver makes without any certificate.
+exactly, and the traces must be the ones the solver makes without any
+certificate.  Both path tests and Graph.smaller_side run one search from two
+sides that grows the side which has found fewer vertices, so a refuted
+search must read the adjacency of about the smaller side of the cut only,
+even when the other side is a long path whose frontier stays at one vertex.
 """
 
 import random
@@ -202,6 +205,34 @@ def test_refuted_path_tests_read_the_smaller_side():
         g._adj.reads = 0
         assert not g.joined(seeds, 1)
         assert g._adj.reads < (n + 12) / 10, (seeds, g._adj.reads)
+
+
+@pytest.mark.parametrize("length", [1000, 16000])
+def test_refuted_searches_read_a_thin_side_too(length):
+    # a path's frontier stays at one vertex however far it runs, so a search
+    # must be balanced by the vertices each side has found, not by frontiers
+    blob = gen_random_cubic(12, 7)
+    for x, y in blob.edges():
+        blob.remove_edge(x, y)
+        if blob.is_connected():
+            break
+        blob.add_edge(x, y)
+    path = [(v, v + 1) for v in range(length - 1)]
+    blob_edges = [(u + length, v + length) for u, v in blob.edges()]
+    ends = [v + length for v in blob.vertices()]
+    apart = Graph.from_edges(path + blob_edges)
+    bridged = Graph.from_edges(path + blob_edges + [(0, x + length)])
+    for g in (apart, bridged):
+        g._adj = CountingAdjacency(g._adj)
+    for b in ends:
+        for g, seeds, paths in ((apart, {length - 1, b}, 1), (bridged, {0, b}, 2)):
+            g._adj.reads = 0
+            assert not g.joined(seeds, paths)
+            assert g._adj.reads < 100, (seeds, paths, g._adj.reads)
+    cut = {0, x + length}
+    bridged._adj.reads = 0
+    assert bridged.smaller_side([1], bridged.neighbors(x + length) - cut, cut) == (1, set(ends) - cut)
+    assert bridged._adj.reads < 100, bridged._adj.reads
 
 
 def test_joined_without_bridges_across_a_bridge():

@@ -65,11 +65,11 @@ def test_gk_seven_blocks():
 
 
 def test_gk_block_boundaries_have_chain_edges():
-    fam = gen_gk(4)
-    ps = [p for p, _ in fam.block_boundaries]
-    qs = [q for _, q in fam.block_boundaries]
+    # block i's attachment points are p_i = 6i and q_i = 6i + 3
+    g = gen_gk(4).graph
     for i in range(4):
-        assert fam.graph.has_edge(qs[i], ps[(i + 1) % 4])
+        assert not g.has_edge(6 * i, 6 * i + 3)
+        assert g.has_edge(6 * i + 3, 6 * ((i + 1) % 4))
 
 
 def test_gk_pattern_sizes_up_to_20():

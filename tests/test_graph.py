@@ -44,6 +44,34 @@ def test_add_edge_rejects_self_loop_and_duplicate():
         g.add_edge(1, 0)
 
 
+@pytest.mark.parametrize(
+    "u, v, error",
+    [
+        (2, 2, SelfLoop),
+        (1, 0, DuplicateEdge),
+        (0, 99, DegreeOverflow),  # 99 is new
+        (99, 0, DegreeOverflow),
+    ],
+)
+def test_refused_add_edge_changes_nothing(u, v, error):
+    g = gen_named("K4")
+    before = g.copy()
+    with pytest.raises(error):
+        g.add_edge(u, v)
+    assert g == before
+    g.validate()
+
+
+def test_joined_and_smaller_side_reject_unknown_seeds():
+    g = gen_named("K4")
+    for seeds, paths in (({0, 99}, 1), ({99}, 2), ({99}, 1), ({1, 2, 99}, 2)):
+        with pytest.raises(UnknownVertex):
+            g.joined(seeds, paths)
+    for a, b in (([99], [1]), ([1], [99]), ([1, 99], [2])):
+        with pytest.raises(UnknownVertex):
+            g.smaller_side(a, b, {0})
+
+
 def test_remove_vertices_k33_minus_one():
     g = gen_named("K33")
     g.remove_vertices({0})
@@ -156,7 +184,7 @@ def test_census_sum_identity():
     for n in range(1, 6):
         for g in enumerate_connected_subcubic(n):
             c = g.degree_census()
-            assert c.n0 + c.n1 + c.n2 + c.n3 == c.n
+            assert len(g.degree_bucket(0)) + c.n1 + c.n2 + c.n3 == c.n
             assert c.n1 + 2 * c.n2 + 3 * c.n3 == 2 * c.m
 
 
