@@ -17,6 +17,7 @@ from .errors import (
     DuplicateEdge,
     InternalInvariantViolation,
     MissingEdge,
+    PreconditionViolated,
     SelfLoop,
     UnknownVertex,
 )
@@ -44,15 +45,17 @@ class Graph:
     """Mutable subcubic graph: adjacency sets plus degree-indexed buckets.
 
     The buckets (vertices of degree 0, 1 and 2; degree 3 is implicit) keep
-    rule dispatch to one pass over the degree-2 bucket at most.
+    rule dispatch to one pass over the degree-2 bucket at most.  The ear
+    store keeps what two-path tests proved (joined).
     """
 
-    __slots__ = ("_adj", "_m", "_buckets")
+    __slots__ = ("_adj", "_m", "_buckets", "_ears")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._m = 0
         self._buckets: tuple[set[int], set[int], set[int]] = (set(), set(), set())
+        self._ears: tuple[dict, dict] | None = None  # (owner, units) once joined(_, 2) runs
 
     # -- construction ---------------------------------------------------------
 
@@ -83,14 +86,16 @@ class Graph:
             nu.add(v)
             nv.add(u)
             m += 1
+        return cls._of(adj, m)
+
+    @classmethod
+    def _of(cls, adj: dict[int, set[int]], m: int) -> "Graph":
+        """The graph with adjacency `adj` and m edges, its buckets filled."""
         g = cls()
-        g._adj = adj
-        g._m = m
-        buckets = g._buckets
+        g._adj, g._m = adj, m
         for v, nbrs in adj.items():
-            d = len(nbrs)
-            if d < MAX_DEGREE:
-                buckets[d].add(v)
+            if len(nbrs) < MAX_DEGREE:
+                g._buckets[len(nbrs)].add(v)
         return g
 
     def copy(self) -> "Graph":
@@ -103,10 +108,14 @@ class Graph:
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertex set (copied)."""
         keep = self._known_set(vertices)
-        adj = self._adj
-        return Graph.from_edges(
-            ((v, w) for v in keep for w in adj[v] if v < w and w in keep), keep
-        )
+        adj, new, m = self._adj, {v: set() for v in keep}, 0  # filled as from_edges would
+        for v in keep:
+            for w in adj[v]:
+                if v < w and w in keep:
+                    new[v].add(w)
+                    new[w].add(v)
+                    m += 1
+        return Graph._of(new, m)
 
     # -- basic accessors ------------------------------------------------------
 
@@ -206,6 +215,7 @@ class Graph:
         self._bucket_move(u, du, du - 1)
         self._bucket_move(v, dv, dv - 1)
         self._m -= 1
+        self._ears = None  # an ear may have used uv
 
     def remove_vertices(self, vs: Iterable[int]) -> None:
         """Delete the vertices and all incident edges (in place)."""
@@ -214,45 +224,54 @@ class Graph:
     def remove_vertices_with_undo(self, vs: Iterable[int]) -> dict[int, frozenset[int]]:
         """As remove_vertices, returning the data restore_vertices needs."""
         vset = self._known_set(vs)
-        saved = {}
+        adj, saved, cut = self._adj, {}, 0
         for v in vset:
-            nbrs = self._adj.pop(v)
+            nbrs = adj.pop(v)
             saved[v] = frozenset(nbrs)
             for w in nbrs:
                 if w not in vset:
-                    dw = len(self._adj[w])
-                    self._adj[w].discard(v)
-                    self._bucket_move(w, dw, dw - 1)
-                    self._m -= 1
-                elif v < w:
-                    self._m -= 1
+                    adj[w].discard(v)
+                    self._bucket_move(w, len(adj[w]) + 1, len(adj[w]))
+                    cut += 1
             if len(nbrs) < MAX_DEGREE:
                 self._buckets[len(nbrs)].discard(v)
+        self._m -= (sum(map(len, saved.values())) + cut) // 2  # an edge inside vset counts twice
+        if self._ears is not None:  # kill each unit that lost a vertex, and its dependents
+            owner, units = self._ears
+            dead = [owner[v] for v in owner.keys() & vset]  # walks the smaller set
+            while dead:
+                inside, _, later = units.pop(dead.pop(), ((), (), ()))
+                for v in inside:
+                    del owner[v]
+                dead += later
         return saved
 
     def restore_vertices(self, saved: dict[int, frozenset[int]]) -> None:
-        """Inverse of remove_vertices_with_undo (edges added back verbatim).
-
-        Writes the adjacency directly and moves each touched vertex between
-        buckets once, with the degree cap checked at the end."""
-        adj, before = self._adj, {}
-        for v in saved:
-            self.add_vertex(v)
+        """Inverse of remove_vertices_with_undo (its vertices must not be in
+        g).  Every degree cap is checked before anything is written, so a
+        refused restore changes nothing."""
+        if not saved:  # most steps carve nothing
+            return
+        adj, outside = self._adj, {}
         for v, nbrs in saved.items():
-            av = adj[v]
-            for w in nbrs:
-                if w not in av:
-                    aw = self.neighbors(w)
-                    before.setdefault(v, len(av))
-                    before.setdefault(w, len(aw))
-                    av.add(w)
-                    aw.add(v)
-                    self._m += 1
-        for v, d in before.items():
-            new = len(adj[v])
-            if new > MAX_DEGREE:
+            if v in adj:
+                raise PreconditionViolated(f"vertex {v} is in the graph already")
+            if len(nbrs) > MAX_DEGREE:
                 raise DegreeOverflow(f"vertex {v} would exceed degree {MAX_DEGREE}")
-            self._bucket_move(v, d, new)
+            for w in nbrs:
+                if w not in saved:
+                    outside.setdefault(w, []).append(v)
+        for w, vs in outside.items():
+            if len(self.neighbors(w)) + len(vs) > MAX_DEGREE:  # UnknownVertex if w is not in g
+                raise DegreeOverflow(f"vertex {w} would exceed degree {MAX_DEGREE}")
+        for v, nbrs in saved.items():
+            adj[v] = set(nbrs)
+            if len(nbrs) < MAX_DEGREE:
+                self._buckets[len(nbrs)].add(v)
+        for w, vs in outside.items():
+            adj[w].update(vs)
+            self._bucket_move(w, len(adj[w]) - len(vs), len(adj[w]))
+        self._m += (sum(map(len, saved.values())) + sum(map(len, outside.values()))) // 2
 
     # -- analysis -------------------------------------------------------------
 
@@ -312,33 +331,33 @@ class Graph:
         in g raises UnknownVertex.
 
         Both relations are equivalences, so each seed in turn needs `paths`
-        edge-disjoint paths to the seeds already proved, found one at a time
-        as augmenting paths of a unit flow (_augmenting_path).  A negative
-        answer comes from a search that used up one side of a cut separating
-        the seeds, so it reads the adjacency of at most twice that side's
-        vertices, however large the other side.
+        edge-disjoint paths to a proved set that starts as seeds[0], found one
+        at a time as augmenting paths of a unit flow (_augmenting_path).  With
+        two the proof outlives the call as an ear store: each unit is the
+        inside of an ear, and dies with a vertex or with a unit its ear ends
+        on; remove_edge drops the store.  So the live units form a
+        2-edge-connected subgraph of g (Robbins), and a test starts from all
+        they own, cold only if a bridge cuts every seed off them (_join).  A
+        refuted search used up one side of a cut separating two seeds, so it
+        reads the adjacency of at most twice that side's vertices.
         """
         seeds = list(self._known_set(seeds))
-        proved = set(seeds[:1])
-        adj = self._adj
-        for s in seeds[1:]:
-            if s in proved:  # joined already: proved lies in one class
-                continue
-            # the flow is the first path's arcs: with at most two paths, no
-            # search after the second needs what the second one cancelled
-            flow: set[Edge] = set()
-            passed = []
-            for _ in range(paths):
-                side, path = _augmenting_path(adj, (s,), proved, flow)
-                if side is not None:
-                    return False
-                passed += path
-                flow.update(zip(path, path[1:]))
-            # a simple path between two vertices of one class stays inside it
-            # (it would cross a separating bridge twice), so s and every
-            # vertex its paths pass join the target
-            proved.update(passed)
-        return True
+        if len(seeds) < 2:
+            return True
+        if paths == 1:
+            proved = set(seeds[:1])
+            for s in seeds[1:]:
+                if s not in proved:
+                    side, path = _augmenting_path(self._adj, (s,), proved)
+                    if side is not None:
+                        return False
+                    proved.update(path)
+            return True
+        answer = None if self._ears is None else _join(self._adj, seeds, self._ears)
+        if answer is None:  # start cold from seeds[0]
+            self._ears = ({seeds[0]: seeds[0]}, {seeds[0]: ((seeds[0],), (), [])})
+            answer = _join(self._adj, seeds, self._ears)
+        return answer
 
     def smaller_side(
         self, a: Iterable[int], b: Iterable[int], cut: set[int]
@@ -391,28 +410,33 @@ class Graph:
         )
 
     def validate(self) -> None:
-        """Debug check: symmetry, degree cap, counter and bucket consistency."""
+        """Debug check: symmetry, degree cap, counter and bucket consistency;
+        each owned vertex in g and owned by a live unit, with live anchors."""
+        adj, buckets = self._adj, self._buckets
         m2 = low = 0
-        for v, nbrs in self._adj.items():
-            if len(nbrs) > MAX_DEGREE:
+        for v, nbrs in adj.items():
+            d = len(nbrs)
+            if d > MAX_DEGREE:
                 raise InternalInvariantViolation(f"degree of {v} exceeds {MAX_DEGREE}")
             if v in nbrs:
                 raise InternalInvariantViolation(f"self-loop at {v}")
             for w in nbrs:
-                if w not in self._adj or v not in self._adj[w]:
+                if w not in adj or v not in adj[w]:
                     raise InternalInvariantViolation(f"asymmetric edge {v}-{w}")
-            m2 += len(nbrs)
-            d = len(nbrs)
+            m2 += d
             low += d < MAX_DEGREE
-            for b in range(MAX_DEGREE):
-                if (v in self._buckets[b]) != (d == b):
-                    raise InternalInvariantViolation(f"bucket {b} wrong for {v}")
-        # each vertex of degree < 3 is in its bucket, so equal sizes leave
-        # no room for an entry that is not a vertex of that degree
-        if sum(map(len, self._buckets)) != low:
+            if d < MAX_DEGREE and v not in buckets[d]:
+                raise InternalInvariantViolation(f"bucket {d} wrong for {v}")
+        # each vertex of degree < 3 is in its bucket, so equal sizes leave no
+        # room for a stale entry or a vertex in a second bucket
+        if sum(map(len, buckets)) != low:
             raise InternalInvariantViolation("a bucket holds a vertex of no such degree")
         if m2 != 2 * self._m:
             raise InternalInvariantViolation(f"edge counter {self._m} != {m2 // 2}")
+        owner, units = self._ears or ({}, {})
+        owned = all(v in adj and k in units for v, k in owner.items())
+        if not owned or any(not units.keys() >= set(anchors) for _, anchors, _ in units.values()):
+            raise InternalInvariantViolation("the ear store owns a vertex not in g, or lost a unit")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -467,56 +491,93 @@ def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int])
     return parent, cut
 
 
-def _augmenting_path(adj: dict[int, set[int]], sources, targets, flow, cut=()):
+def _join(adj: dict[int, set[int]], seeds: list[int], store: tuple) -> bool | None:
+    """The two-path test from the ear store (owner: vertex -> unit; units:
+    unit -> (its vertices, the units its ear ends on, those ending on it)):
+    True if all seeds join its class, each now owned; False if a bridge
+    separates two seeds; None if one separates them all from the store."""
+    owner, units = store
+    for s in seeds:
+        if s in owner:
+            continue
+        side, found = _augmenting_path(adj, (s,), owner)
+        if side is None:
+            path = found
+            side, found = _augmenting_path(adj, (s,), owner, path)
+        if side is not None:  # `found`: a side of a cut of at most one edge, s or the store in it
+            return False if any((v in found) != (s in found) for v in seeds) else None
+        # a simple path between two vertices of one class stays inside it
+        # (it would cross a separating bridge twice)
+        inside = dict.fromkeys(path[:-1] + found[:-1], s)
+        anchors = (owner[path[-1]], owner[found[-1]])
+        owner.update(inside)
+        units[s] = (inside, anchors, [])
+        units[anchors[0]][2].append(s)
+        units[anchors[1]][2].append(s)
+    return True
+
+
+def _augmenting_path(adj: dict[int, set[int]], sources, targets, first=(), cut=()):
     """The one two-sided search: a shortest path from the vertex set
     `sources` to the set `targets` in g - cut (none of them in cut), in the
-    residual graph of the unit flow `flow` (a set of arcs, or () for none).
+    residual graph of the unit flow along the path `first` (() for none).
     Returns (None, the path), or, if there is none, (i, found) for the side
     i (0 for the sources, 1 for the targets) that was used up, found keyed
     by every vertex it reached and the cut.
 
     Every edge is a pair of arcs of capacity one; the arc u -> w is free
-    unless (u, w) carries flow, and taking it when (w, u) carries flow
-    cancels that flow.  The search is breadth-first, forward from the
-    sources and backward from the targets, one layer at a time on the side
-    that has found fewer vertices (the sources' on a tie); the cut counts
-    as found on both sides, so neither enters it.  It stops when the sides
-    meet, or when the side to grow has nothing left: that side has found no
-    more vertices than the other, which grew only while it had found no
-    more than this one.  A layer of a subcubic graph adds at most three
-    vertices for each one found before it, so the other side has found at
-    most four times as many (or only its seeds), and the search has read
+    unless the flow takes it (w follows u on `first`), and taking it when
+    the flow takes w -> u cancels that flow.  The search is breadth-first,
+    forward from the sources and backward from the targets, one layer at a
+    time on the side that has found fewer vertices (the sources' on a tie);
+    the cut counts as found on both sides, so neither enters it.  The
+    targets are copied only if their side must grow, so a search that meets
+    a large target set early costs nothing for its size.  It stops when the
+    sides meet, or when the side to grow has nothing left: that side has
+    found no more vertices than the other, which grew only while it had
+    found no more than this one.  A layer of a subcubic graph adds at most
+    three vertices for each one found before it, so the other side has found
+    at most four times as many (or only its seeds), and the search has read
     the adjacency of at most twice as many vertices as the used-up side.
     """
-    after = dict.fromkeys(targets)  # backward: vertex -> its successor on the path
+    succ, pred = (dict(zip(first, first[1:])), dict(zip(first[1:], first))) if first else ({}, {})
     before = {}  # forward: vertex -> its predecessor on the path
     for v in sources:
-        if v in after:
+        if v in targets:
             return None, [v]
         before[v] = None
-    ahead, behind = list(before), list(after)
+    ahead = list(before)
     for v in cut:
-        before[v] = after[v] = None
+        before[v] = None
+    # backward: vertex -> its successor on the path, once it must grow
+    after, goal, extra = None, targets, len(cut)
     while True:
-        if len(before) <= len(after):
+        if len(before) <= len(goal) + extra:
             if not ahead:
                 return 0, before
             layer = []
             for u in ahead:
+                taken = succ.get(u)
                 for w in adj[u]:
-                    if w not in before and (u, w) not in flow:
+                    if w not in before and w != taken:
                         before[w] = u
-                        if w in after:
+                        if w in goal:
                             return None, _path(before, after, w)
                         layer.append(w)
             ahead = layer
         else:
+            if after is None:
+                goal = after = dict.fromkeys(targets)
+                behind, extra = list(after), 0
+                for v in cut:
+                    after[v] = None
             if not behind:
                 return 1, after
             layer = []
             for w in behind:
+                taken = pred.get(w)
                 for u in adj[w]:
-                    if u not in after and (u, w) not in flow:
+                    if u not in after and u != taken:
                         after[u] = w
                         if u in before:
                             return None, _path(before, after, u)
@@ -526,13 +587,12 @@ def _augmenting_path(adj: dict[int, set[int]], sources, targets, flow, cut=()):
 
 def _path(before: dict, after: dict, meet: int) -> list[int]:
     """The path through `meet` that the two sides' maps spell out."""
-    path = []
-    v = meet
+    path, v = [], meet
     while v is not None:
         path.append(v)
         v = before[v]
     path.reverse()
-    v = after[meet]
+    v = after[meet] if after else None  # no `after`: meet is a target
     while v is not None:
         path.append(v)
         v = after[v]

@@ -43,11 +43,11 @@ those left pendant, found at D and B.  A step whose D is not connected, or
 whose added edges leave N(D), can lose a bridge of K that D straddles, found
 only by a search; the engine then carries nothing, and the next bridge
 search runs again (no rule makes such a step).  With K = {} no condition is
-needed.  The solver tests B* on G' itself by joining each vertex of it to
-the others with two edge-disjoint paths (Graph.joined(B*, 2)), a search that
-stops as soon as it is refuted, at a cost of about the smaller side of the
-bridge that refutes it.  A bridge split hands each gamma part the edges of
-K inside it (no cycle uses the bridge, so cutting it changes no other edge),
+needed.  The solver tests B* on G' itself: two edge-disjoint paths join each
+vertex of it to the ears earlier tests proved and the step left whole
+(Graph.joined(B*, 2)); a refuted search costs about the smaller side of the
+bridge that refutes it.  A bridge split hands each gamma part the edges of K
+inside it (no cycle uses the bridge, so cutting it changes no other edge),
 less one left pendant; forest parts, which lose both ends of the bridge, may
 gain bridges and start unknown.  The sets are exact, so the bridge search
 runs again only on forest parts and after a refuted test, and the bridge a

@@ -11,6 +11,10 @@ certificate.  Both path tests and Graph.smaller_side run one search from two
 sides that grows the side which has found fewer vertices, so a refuted
 search must read the adjacency of about the smaller side of the cut only,
 even when the other side is a long path whose frontier stays at one vertex.
+The two-path test keeps its proof, an ear store on the graph, across the
+graph's changes: it must stay exact under any mix of deletions, restores
+and added or removed edges, and a warm test must read less than a cold one
+where the proof is larger than the balls a cold search grows.
 """
 
 import random
@@ -19,6 +23,7 @@ import pytest
 
 from conftest import bead_ring, bridge_chain, random_connected_subcubic
 from minmatch import solver
+from minmatch.errors import DegreeOverflow, UnknownVertex
 from minmatch.generators import gen_random_cubic
 from minmatch.graph import Graph
 from minmatch.solver import solve
@@ -205,6 +210,94 @@ def test_refuted_path_tests_read_the_smaller_side():
         g._adj.reads = 0
         assert not g.joined(seeds, 1)
         assert g._adj.reads < (n + 12) / 10, (seeds, g._adj.reads)
+
+
+def test_refuted_path_tests_read_the_smaller_side_from_a_warm_store():
+    # the store holds a proof on the big side, which a refuted blob test
+    # must not make it read
+    n = 2000
+    g, blob, rest = blob_on_a_bridge(n, 5)
+    rng = random.Random(6)
+    assert g.joined(rng.sample(rest, 6), 2)
+    g._adj = CountingAdjacency(g._adj)
+    for v in blob:
+        seeds = {v, rng.choice(rest)}
+        assert g._ears[0] and not g._ears[0].keys() & set(blob)
+        g._adj.reads = 0
+        assert not g.joined(seeds, 2)
+        assert g._adj.reads < (n + 12) / 10, (seeds, g._adj.reads)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_warm_path_test_reads_less_than_a_cold_one(seed):
+    # prove the ball of radius 5 around a vertex, then delete a vertex next
+    # to the proof, as a step does: the proof survives, and the boundary
+    # test that follows starts from it.  A random cubic graph is an
+    # expander, so a proof only saves reads once it holds more vertices than
+    # the balls (about sqrt(n)) that a cold two-sided search grows.
+    g = gen_random_cubic(2000, seed)
+    v = random.Random(seed).choice(g.vertices())
+    ball = {v}
+    for _ in range(5):
+        ball |= set().union(*(g.neighbors(u) for u in ball))
+    assert g.joined(ball, 2)
+    owner = g._ears[0]
+    size = len(owner)
+    x = min(w for u in owner for w in g.neighbors(u) if w not in owner)
+    saved = g.remove_vertices_with_undo({x})
+    assert len(owner) == size  # no unit held x
+    boundary = set().union(*saved.values())
+    cold = g.copy()
+    for h in (g, cold):
+        h._adj = CountingAdjacency(h._adj)
+        assert h.joined(boundary, 2)
+    assert g._adj.reads < cold._adj.reads, (g._adj.reads, cold._adj.reads)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ear_store_stays_exact_under_mutation(seed):
+    # deletions, restores, added and removed edges between two-path tests:
+    # every answer equals the reference, and most tests start from the store
+    rng = random.Random(200 + seed)
+    graphs = [
+        gen_random_cubic(60, seed),
+        random_connected_subcubic(80, seed, 10),
+        bridge_chain(4, seed),
+        bead_ring(5, 0),
+    ]
+    checks = warm = refuted = 0
+    for g in graphs:
+        undo = []
+        for _ in range(40):
+            r = rng.random()
+            if r < 0.4 and g.n > 12:
+                v = rng.choice(g.vertices())
+                nbrs = sorted(g.neighbors(v))
+                undo.append(g.remove_vertices_with_undo({v, *rng.sample(nbrs, min(len(nbrs), rng.randrange(3)))}))
+            elif r < 0.6 and undo:
+                try:
+                    g.restore_vertices(undo.pop())
+                except (DegreeOverflow, UnknownVertex):
+                    pass  # refused: an edge or a deletion since took its place
+            elif r < 0.8:
+                free = [v for d in (0, 1, 2) for v in sorted(g.degree_bucket(d))]
+                u, v = rng.sample(free, 2) if len(free) > 1 else (0, 0)
+                if u != v and not g.has_edge(u, v):
+                    g.add_edge(u, v)
+            elif r < 0.9 and g.m:
+                g.remove_edge(*rng.choice(g.edges()))
+            g.validate()
+            if g.n < 2:
+                break
+            label = two_edge_components(g)
+            for seeds in seed_sets(g, rng, 4):
+                warm += g._ears is not None and bool(g._ears[0])
+                same = len({label[v] for v in seeds}) == 1
+                assert g.joined(seeds, 2) == same, (g.edges(), seeds)
+                checks += 1
+                refuted += not same
+    assert checks > 400 and warm > 0.7 * checks, (checks, warm)
+    assert 0.1 * checks < refuted < 0.9 * checks, (checks, refuted)
 
 
 @pytest.mark.parametrize("length", [1000, 16000])

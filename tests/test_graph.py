@@ -8,6 +8,7 @@ from minmatch.errors import (
     DegreeOverflow,
     DuplicateEdge,
     InternalInvariantViolation,
+    PreconditionViolated,
     SelfLoop,
     UnknownVertex,
 )
@@ -70,6 +71,54 @@ def test_joined_and_smaller_side_reject_unknown_seeds():
     for a, b in (([99], [1]), ([1], [99]), ([1, 99], [2])):
         with pytest.raises(UnknownVertex):
             g.smaller_side(a, b, {0})
+
+
+def test_refused_restore_changes_nothing():
+    g = gen_named("K4")
+    saved = g.remove_vertices_with_undo({0})
+    g.add_edge(1, 9)  # 1 is back at degree 3, so 0 cannot return
+    before = g.copy()
+    with pytest.raises(DegreeOverflow):
+        g.restore_vertices(saved)
+    assert g == before and g.degree_census() == before.degree_census()
+    g.validate()
+    g.remove_vertices([2])  # a neighbour of 0 is gone
+    before = g.copy()
+    with pytest.raises(UnknownVertex):
+        g.restore_vertices(saved)
+    assert g == before
+    g.validate()
+    with pytest.raises(PreconditionViolated):  # a vertex of saved is in g
+        g.restore_vertices({1: frozenset({3})})
+    assert g == before
+    g.validate()
+
+
+def ear_store_graph() -> Graph:
+    g = gen_random_cubic(50, 3)
+    assert g.joined({0, 10, 20, 30}, 2)
+    return g
+
+
+def test_validate_checks_the_ear_store():
+    ear_store_graph().validate()
+    g = ear_store_graph()
+    owner, units = g._ears
+    owner[99] = next(iter(units))  # not a vertex of g
+    with pytest.raises(InternalInvariantViolation):
+        g.validate()
+    g = ear_store_graph()
+    owner, units = g._ears
+    owner[next(v for v in g.iter_vertices() if v not in owner)] = -1  # no such unit
+    with pytest.raises(InternalInvariantViolation):
+        g.validate()
+    g = ear_store_graph()
+    owner, units = g._ears
+    root = next(k for k, unit in units.items() if not unit[1])
+    for v in units.pop(root)[0]:  # the root dies, but not the units on it
+        del owner[v]
+    with pytest.raises(InternalInvariantViolation):
+        g.validate()
 
 
 def test_remove_vertices_k33_minus_one():
