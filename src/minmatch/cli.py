@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from multiprocessing import Pool
 
@@ -153,7 +154,7 @@ def cmd_gen(args) -> int:
         if args.path_n is not None:
             graphs.append(gen_named("P_n", args.path_n))
         if args.gk is not None:
-            graphs.append(gen_gk(args.gk).graph)
+            graphs.append(gen_gk(args.gk))
         if args.random_cubic is not None:
             n, seed = args.random_cubic
             for i in range(args.count):
@@ -196,8 +197,7 @@ def _verify_one(payload) -> dict:
         if not (cert.matching <= edges and len(covered) == len(ends)
                 and all(u in covered or v in covered for u, v in edges)):
             failures.append("not_maximal")
-        trace_rules = {s.rule for s in cert.trace}
-        record["rules"] = sorted(trace_rules)
+        record["rules"] = sorted({s.rule for s in cert.trace})
     except MinmatchError as exc:
         failures.append(_failure(exc))
         cert = None
@@ -264,6 +264,7 @@ def _batch_report(records) -> dict:
         for r in records
         if r.get("gamma_lower")
     ]
+    coverage = Counter(rule for r in records for rule in r.get("rules", ()))
 
     def stats(vals):
         if not vals:
@@ -283,6 +284,7 @@ def _batch_report(records) -> dict:
             "bound_ratio": stats(bound_ratios),
             "lower_ratio": stats(lower_ratios),
         },
+        "rule_coverage": dict(sorted(coverage.items())),  # records whose trace used each rule
     }
 
 

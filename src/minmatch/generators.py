@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BadParameter, InternalInvariantViolation, RejectionLimitExceeded, TooLarge
+from .errors import BadParameter, RejectionLimitExceeded, TooLarge
 from .graph import Edge, Graph
-from .matching import Matching, as_matching, is_maximal
 
 _REJECTION_CAP = 10_000
 
@@ -56,13 +54,7 @@ def gen_named(name: str, n: int | None = None) -> Graph:
 # close the cycle, so the result is cubic on n = 6k vertices with m = 9k.
 
 
-@dataclass(frozen=True)
-class GkFamily:
-    k: int
-    graph: Graph
-
-
-def gen_gk(k: int) -> GkFamily:
+def gen_gk(k: int) -> Graph:
     if k < 1:
         raise BadParameter("chain length k must be >= 1")
     edges: list[Edge] = []
@@ -74,52 +66,7 @@ def gen_gk(k: int) -> GkFamily:
                     edges.append((o + i, o + j))
     for b in range(k):
         edges.append((6 * b + 3, 6 * ((b + 1) % k)))
-    return GkFamily(k=k, graph=Graph.from_edges(edges))
-
-
-# Per-block matching patterns, offsets relative to the block base.  Two edges
-# suffice for a block whenever one attachment point is covered from outside;
-# three consecutive blocks then fit in 7 edges: cover-p block, chain edge,
-# cover-q block, plain light block.
-_BLOCK_FULL = ((0, 4), (1, 3), (2, 5))
-_BLOCK_LIGHT = ((1, 4), (2, 5))
-_BLOCK_COVER_P = ((0, 4), (1, 5))
-_BLOCK_COVER_Q = ((1, 3), (2, 4))
-
-
-def gen_gk_optimal_matching(fam: GkFamily) -> Matching:
-    """Maximal matching of the k-chain of size ceil(7k/3).
-
-    Period-3 pattern with explicit remainder blocks; validated against the
-    graph before returning since the stitching is easy to get wrong.
-    """
-    k = fam.k
-    t, r = divmod(k, 3)
-    chosen: list[Edge] = []
-
-    def put(block: int, pattern) -> None:
-        o = 6 * block
-        chosen.extend((o + a, o + b) for a, b in pattern)
-
-    for s in range(t):
-        put(3 * s, _BLOCK_COVER_P)
-        put(3 * s + 1, _BLOCK_COVER_Q)
-        put(3 * s + 2, _BLOCK_LIGHT)
-        # chain edge between the cover-p and cover-q blocks
-        chosen.append((6 * (3 * s) + 3, 6 * (3 * s + 1)))
-    if r == 1:
-        put(k - 1, _BLOCK_FULL)
-    elif r == 2:
-        put(k - 2, _BLOCK_FULL)
-        put(k - 1, _BLOCK_LIGHT)
-
-    M = as_matching(chosen)
-    want = -(-7 * k // 3)
-    if len(M) != want or not is_maximal(fam.graph, M):
-        raise InternalInvariantViolation(
-            f"chain matching pattern failed for k={k} (size {len(M)}, want {want})"
-        )
-    return M
+    return Graph.from_edges(edges)
 
 
 def gen_random_cubic(n: int, seed: int) -> Graph:

@@ -99,11 +99,7 @@ class Graph:
         return g
 
     def copy(self) -> "Graph":
-        g = Graph()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        g._m = self._m
-        g._buckets = tuple(set(b) for b in self._buckets)  # type: ignore[assignment]
-        return g
+        return Graph._of({v: set(nbrs) for v, nbrs in self._adj.items()}, self._m)
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertex set (copied)."""
@@ -217,12 +213,8 @@ class Graph:
         self._m -= 1
         self._ears = None  # an ear may have used uv
 
-    def remove_vertices(self, vs: Iterable[int]) -> None:
-        """Delete the vertices and all incident edges (in place)."""
-        self.remove_vertices_with_undo(vs)
-
     def remove_vertices_with_undo(self, vs: Iterable[int]) -> dict[int, frozenset[int]]:
-        """As remove_vertices, returning the data restore_vertices needs."""
+        """Delete the vertices and their edges in place; return the undo data."""
         vset = self._known_set(vs)
         adj, saved, cut = self._adj, {}, 0
         for v in vset:
@@ -328,7 +320,7 @@ class Graph:
         """True iff any two seeds are joined by `paths` (1 or 2) edge-disjoint
         paths: with one, iff the seeds lie in one component of g; with two,
         iff they lie in one 2-edge-connected component (Menger).  A seed not
-        in g raises UnknownVertex.
+        in g raises UnknownVertex, any other `paths` PreconditionViolated.
 
         Both relations are equivalences, so each seed in turn needs `paths`
         edge-disjoint paths to a proved set that starts as seeds[0], found one
@@ -341,6 +333,8 @@ class Graph:
         refuted search used up one side of a cut separating two seeds, so it
         reads the adjacency of at most twice that side's vertices.
         """
+        if paths not in (1, 2):
+            raise PreconditionViolated(f"paths must be 1 or 2, not {paths!r}")
         seeds = list(self._known_set(seeds))
         if len(seeds) < 2:
             return True

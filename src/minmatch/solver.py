@@ -41,17 +41,19 @@ connected and A joins vertices of N(D), every e of K with both ends outside
 D has D, and so all of B, on one side, and K' is K less the edges at D and
 those left pendant, found at D and B.  A step whose D is not connected, or
 whose added edges leave N(D), can lose a bridge of K that D straddles, found
-only by a search; the engine then carries nothing, and the next bridge
-search runs again (no rule makes such a step).  With K = {} no condition is
-needed.  The solver tests B* on G' itself: two edge-disjoint paths join each
-vertex of it to the ears earlier tests proved and the step left whole
-(Graph.joined(B*, 2)); a refuted search costs about the smaller side of the
-bridge that refutes it.  A bridge split hands each gamma part the edges of K
-inside it (no cycle uses the bridge, so cutting it changes no other edge),
-less one left pendant; forest parts, which lose both ends of the bridge, may
-gain bridges and start unknown.  The sets are exact, so the bridge search
-runs again only on forest parts and after a refuted test, and the bridge a
-split takes, and with it every trace, is the one the full scans give.
+only by a search; the engine then carries nothing.  But no rule makes such a
+step with K != {}: BRIDGE outranks every linear rule but DEGREE1, and a
+DEGREE1 step deletes a path and adds no edge.  With K = {} no condition is
+needed.  Either way the solver makes one test (_dropped), of B* on G'
+itself: two edge-disjoint paths join each vertex of it to the ears earlier
+tests proved and the step left whole (Graph.joined(B*, 2)); a refuted search
+costs about the smaller side of the bridge that refutes it.  A bridge split
+hands each gamma part the edges of K inside it (no cycle uses the bridge, so
+cutting it changes no other edge), less one left pendant; forest parts,
+which lose both ends of the bridge, may gain bridges and start unknown.
+The sets are exact, so the bridge search runs again only on forest parts and
+after a refuted test, and the bridge a split takes, and with it every trace,
+is the one the full scans give.
 Clean or not, G is connected, so by the first point one path joining each
 vertex of B to the others proves G' connected; only when that fails are the
 components listed in full.
@@ -297,7 +299,10 @@ def _reduced(g: Graph, saved: dict, added: list[Edge], bridges) -> tuple[dict, l
     the non-pendant bridges `bridges` (None: unknown) by deleting the
     vertices in `saved` (their undo data) and adding `added`; the undo data
     of carving them; and, when there is one task and it takes over
-    `bridges`, the edges to drop from that set, else None."""
+    `bridges`, the edges to drop from that set, else None.  A contraction
+    needs no test; with `bridges` known, the lemma's one boundary test
+    (_dropped) gives g's bridges; failing that, one path from each boundary
+    vertex to the others proves g connected; only then is g listed whole."""
     if not bridges and _contraction(saved, added):
         # G' is G with the path v1-u1-u2-v2 turned back into the edge v1v2:
         # a path joins two vertices of G' iff one joined them in G, with v1v2
@@ -339,19 +344,24 @@ def _boundary(saved: dict, added: list[Edge]) -> set[int]:
     return boundary
 
 
-def _stays_clean(g: Graph, saved: dict, added: list[Edge]) -> bool:
-    """The boundary certificate: True iff g, just reduced in place from a
-    clean graph by deleting the vertices in `saved` (their undo data) and
-    adding `added`, is connected and clean (for g of three or more vertices,
-    where an isolated boundary vertex or a pendant edge's degree-1 neighbour
-    makes g disconnected)."""
-    return _joined_boundary(g, _boundary(saved, added))
+def _dropped(g: Graph, saved: dict, added: list[Edge], bridges: set[Edge]) -> set[Edge] | None:
+    """The edges of `bridges`, the non-pendant bridges of g before a linear
+    step (as in _reduced), that are not among them after it, by the lemma in
+    the module docstring; None if the lemma does not give g's bridges.
 
-
-def _joined_boundary(g: Graph, boundary: set[int]) -> bool:
-    """True iff B*, the boundary with each vertex of degree 1 replaced by its
-    neighbour, lies in one 2-edge-connected component of g (False if a
-    boundary vertex is isolated)."""
+    The one test is the lemma's: B*, the boundary with each vertex of degree
+    1 replaced by its neighbour, lies in one 2-edge-connected component of g
+    (Graph.joined(B*, 2); an isolated boundary vertex fails it).  A non-empty
+    `bridges` needs first that the deleted set D is connected and the added
+    edges join vertices of N(D); then B* is N(D) - D, its pendants replaced.
+    """
+    boundary = _boundary(saved, added)
+    if bridges:
+        if boundary - set().union(*saved.values()):  # an added edge leaves N(D)
+            return None
+        inner = [(d, w) for d in saved for w in saved[d] if d < w and w in saved]
+        if not Graph.from_edges(inner, saved).is_connected():
+            return None
     seeds = set()
     for b in boundary:
         nbrs = g.neighbors(b)
@@ -360,26 +370,13 @@ def _joined_boundary(g: Graph, boundary: set[int]) -> bool:
         elif nbrs:
             seeds.add(b)
         else:
-            return False
-    return g.joined(seeds, 2)
-
-
-def _dropped(g: Graph, saved: dict, added: list[Edge], bridges: set[Edge]) -> set[Edge] | None:
-    """The edges of `bridges`, the non-pendant bridges of g before a linear
-    step (as in _reduced), that are not among them after it, by the lemma in
-    the module docstring; None if the lemma does not give g's bridges: the
-    boundary test fails, or `bridges` is not empty and the step's deleted set
-    is not connected or its added edges leave N(D)."""
+            return None
+    if not g.joined(seeds, 2):
+        return None
     if not bridges:
-        return set() if _stays_clean(g, saved, added) else None
-    outside = set().union(*saved.values()).difference(saved)
-    if any(v not in outside for e in added for v in e):
-        return None
-    inner = [(d, w) for d in saved for w in saved[d] if d < w and w in saved]
-    if not Graph.from_edges(inner, saved).is_connected() or not _joined_boundary(g, outside):
-        return None
+        return set()
     dropped = {edge(d, w) for d, nbrs in saved.items() for w in nbrs}
-    dropped.update(edge(b, *g.neighbors(b)) for b in outside if g.degree(b) == 1)
+    dropped.update(edge(b, *g.neighbors(b)) for b in boundary if g.degree(b) == 1)
     return dropped & bridges
 
 

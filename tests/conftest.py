@@ -5,8 +5,10 @@ import random
 import pytest
 
 from minmatch import solver
-from minmatch.generators import enumerate_connected_subcubic, gen_random_cubic
-from minmatch.graph import Graph
+from minmatch.errors import InternalInvariantViolation
+from minmatch.generators import enumerate_connected_subcubic, gen_gk, gen_random_cubic
+from minmatch.graph import Edge, Graph
+from minmatch.matching import Matching, as_matching, is_maximal
 
 
 def random_connected_subcubic(n: int, seed: int, deletions: int = 0) -> Graph:
@@ -104,7 +106,7 @@ def reduced(g: Graph, step) -> Graph:
     """g after a linear reduction step, rebuilt here without the solver's
     code so that tests cross-check the engine's in-place reduction."""
     h = g.copy()
-    h.remove_vertices(step.deleted)
+    h.remove_vertices_with_undo(step.deleted)
     for e in step.added_edges:
         h.add_edge(*e)
     return h
@@ -119,6 +121,50 @@ def bridge_candidates(g: Graph, bridge) -> list:
         rest = set(g.iter_vertices()).difference(removed)
         out.append((name, tuple((rest if vs is None else vs, c) for vs, c in parts)))
     return out
+
+
+# Per-block matching patterns of gen_gk's chain, offsets relative to the
+# block base.  Two edges suffice for a block whenever one attachment point is
+# covered from outside; three consecutive blocks then fit in 7 edges:
+# cover-p block, chain edge, cover-q block, plain light block.
+_BLOCK_FULL = ((0, 4), (1, 3), (2, 5))
+_BLOCK_LIGHT = ((1, 4), (2, 5))
+_BLOCK_COVER_P = ((0, 4), (1, 5))
+_BLOCK_COVER_Q = ((1, 3), (2, 4))
+
+
+def gen_gk_optimal_matching(k: int) -> Matching:
+    """Maximal matching of gen_gk(k) of size ceil(7k/3).
+
+    Period-3 pattern with explicit remainder blocks; validated against the
+    graph before returning since the stitching is easy to get wrong.
+    """
+    t, r = divmod(k, 3)
+    chosen: list[Edge] = []
+
+    def put(block: int, pattern) -> None:
+        o = 6 * block
+        chosen.extend((o + a, o + b) for a, b in pattern)
+
+    for s in range(t):
+        put(3 * s, _BLOCK_COVER_P)
+        put(3 * s + 1, _BLOCK_COVER_Q)
+        put(3 * s + 2, _BLOCK_LIGHT)
+        # chain edge between the cover-p and cover-q blocks
+        chosen.append((6 * (3 * s) + 3, 6 * (3 * s + 1)))
+    if r == 1:
+        put(k - 1, _BLOCK_FULL)
+    elif r == 2:
+        put(k - 2, _BLOCK_FULL)
+        put(k - 1, _BLOCK_LIGHT)
+
+    M = as_matching(chosen)
+    want = -(-7 * k // 3)
+    if len(M) != want or not is_maximal(gen_gk(k), M):
+        raise InternalInvariantViolation(
+            f"chain matching pattern failed for k={k} (size {len(M)}, want {want})"
+        )
+    return M
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,10 @@ import time
 
 import pytest
 
-from conftest import random_connected_subcubic
+from conftest import gen_gk_optimal_matching, random_connected_subcubic
 from minmatch.generators import (
     enumerate_connected_subcubic,
     gen_gk,
-    gen_gk_optimal_matching,
     gen_named,
     gen_random_cubic,
 )
@@ -84,17 +83,16 @@ def test_criterion_3_extremal_family():
     failures = []
     t0 = time.perf_counter()
     for k, want in ((1, 3), (2, 5), (3, 7), (4, 10)):
-        got = gamma_exact(gen_gk(k).graph).gamma
+        got = gamma_exact(gen_gk(k)).gamma
         if got != want:
             failures.append(("gamma", k, got, want))
     oracle_elapsed = time.perf_counter() - t0
     if oracle_elapsed >= 60.0:
         failures.append(("oracle_runtime", oracle_elapsed))
     for k in range(1, 21):
-        fam = gen_gk(k)
-        M = gen_gk_optimal_matching(fam)
+        M = gen_gk_optimal_matching(k)
         want = -(-7 * k // 3)
-        if len(M) != want or not is_maximal(fam.graph, M):
+        if len(M) != want or not is_maximal(gen_gk(k), M):
             failures.append(("pattern", k, len(M)))
         if 3 * want > 7 * k + 2:  # ceil(7k/3) <= 7(6k)/18 + 2/3 in thirds
             failures.append(("asymptotic", k))
@@ -268,7 +266,7 @@ def test_criterion_10_graph6_roundtrip(small_corpus_results):
         if parse_graph6(write_graph6(g)) != g:
             failures.append(name)
     for k in (1, 2, 3, 7):
-        g = gen_gk(k).graph
+        g = gen_gk(k)
         if parse_graph6(write_graph6(g)) != g:
             failures.append(f"G{k}")
     report(10, "graph6 write-parse identity on corpus and generators", failures)

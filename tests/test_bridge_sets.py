@@ -87,7 +87,7 @@ def reference_candidates(g: Graph, bridge):
     m0 = sum(h.degree(v) for v in side0) // 2
     m1 = h.m - m0
     if (4 * len(side0) - m0) % 6 == 0 and (4 * len(side1) - m1) % 6 == 0:
-        h.remove_vertices(bridge)
+        h.remove_vertices_with_undo(bridge)
         comps = h.connected_components()
         comps.sort(key=lambda c: next(iter(c)) not in side0)
         out.append(("forest", tuple((c, None) for c in comps)))

@@ -21,10 +21,10 @@ import random
 
 import pytest
 
-from conftest import bead_ring, bridge_chain, random_connected_subcubic
+from conftest import bead_ring, bridge_chain, bridged_pair, random_connected_subcubic
 from minmatch import solver
 from minmatch.errors import DegreeOverflow, UnknownVertex
-from minmatch.generators import gen_random_cubic
+from minmatch.generators import gen_gk, gen_named, gen_random_cubic
 from minmatch.graph import Graph
 from minmatch.solver import solve
 
@@ -55,17 +55,19 @@ def two_edge_components(g: Graph) -> dict[int, int]:
 
 def test_positive_certificates_agree_with_tarjan(monkeypatch):
     answers = []
-    certify = solver._stays_clean
+    certify = solver._dropped
 
-    def checked(g, saved, added):
-        proved = certify(g, saved, added)
-        if proved:
-            assert g.is_connected()
-            assert all(min(g.degree(u), g.degree(v)) == 1 for u, v in g.find_bridges())
-        answers.append(proved)
-        return proved
+    def checked(g, saved, added, bridges):
+        dropped = certify(g, saved, added, bridges)
+        if not bridges:  # a step on a clean graph
+            proved = dropped is not None
+            if proved:
+                assert dropped == set() and g.is_connected()
+                assert all(min(g.degree(u), g.degree(v)) == 1 for u, v in g.find_bridges())
+            answers.append(proved)
+        return dropped
 
-    monkeypatch.setattr(solver, "_stays_clean", checked)
+    monkeypatch.setattr(solver, "_dropped", checked)
     for g in corpus():
         assert solve(g).valid
     assert answers.count(True) > 100
@@ -75,7 +77,9 @@ def test_positive_certificates_agree_with_tarjan(monkeypatch):
 def test_traces_equal_those_without_certificate(monkeypatch):
     graphs = corpus()
     with_certificate = [solve(g) for g in graphs]
-    monkeypatch.setattr(solver, "_stays_clean", lambda g, saved, added: False)
+    certify = solver._dropped
+    # no certificate on a clean graph; a known non-empty set is kept as before
+    monkeypatch.setattr(solver, "_dropped", lambda g, s, a, b: certify(g, s, a, b) if b else None)
     for g, cert in zip(graphs, with_certificate):
         plain = solve(g)
         assert rows(cert) == rows(plain)
@@ -89,7 +93,29 @@ def test_bridges_far_from_the_step_are_not_certified():
     saved = g.remove_vertices_with_undo([x])
     # every link but the one x ended is now a bridge, none of them near x
     assert len([e for e in g.find_bridges() if e[0] // 12 != e[1] // 12]) == 4
-    assert not solver._stays_clean(g, saved, [])
+    assert solver._dropped(g, saved, [], set()) is None
+
+
+def test_steps_with_known_bridges_are_pendant_steps(monkeypatch):
+    # the module docstring's claim that no rule makes a step the lemma cannot
+    # take with K != {}: BRIDGE outranks every linear rule but DEGREE1, whose
+    # step adds no edge and deletes the pendant with its path
+    seen = []
+    reduced = solver._reduced
+
+    def checked(g, saved, added, bridges):
+        if bridges:
+            assert not added and any(len(nbrs) == 1 for nbrs in saved.values()), (saved, added)
+            seen.append(saved)
+        return reduced(g, saved, added, bridges)
+
+    monkeypatch.setattr(solver, "_reduced", checked)
+    graphs = [gen_gk(k) for k in (3, 5, 10, 20)]
+    graphs += [gen_named("P_n", 40), gen_named("C_n", 41), bridged_pair(20, 1), bead_ring(5, 2)]
+    graphs += [random_connected_subcubic(n, seed, d) for n, seed, d in ((60, 5, 4), (120, 6, 9))]
+    for g in graphs:
+        assert solve(g).valid
+    assert seen
 
 
 def seed_sets(g: Graph, rng: random.Random, count: int = 40):
@@ -112,7 +138,7 @@ def test_joined_without_bridges_never_proves_a_false_case(seed):
         bead_ring(4, seed),
     ]
     ring = bead_ring(5, seed)
-    ring.remove_vertices([next(v for v in ring.iter_vertices() if ring.degree(v) == 3)])
+    ring.remove_vertices_with_undo([next(v for v in ring.iter_vertices() if ring.degree(v) == 3)])
     graphs.append(ring)
     proved = refuted = 0
     for g in graphs:
@@ -131,7 +157,7 @@ def test_joined_without_bridges_never_proves_a_false_case(seed):
 def test_joined_by_one_path_is_exact(seed):
     rng = random.Random(100 + seed)
     ring = bead_ring(5, seed)
-    ring.remove_vertices([next(v for v in ring.iter_vertices() if ring.degree(v) == 3)])
+    ring.remove_vertices_with_undo([next(v for v in ring.iter_vertices() if ring.degree(v) == 3)])
     graphs = [
         random_connected_subcubic(rng.randrange(20, 200), seed, rng.randrange(0, 30)),
         bridge_chain(4, seed),
@@ -140,14 +166,14 @@ def test_joined_by_one_path_is_exact(seed):
     for g in list(graphs):
         # without a few vertices and the ends of its most even bridge
         h = g.copy()
-        h.remove_vertices(rng.sample(h.vertices(), 3))
+        h.remove_vertices_with_undo(rng.sample(h.vertices(), 3))
         sides = []
         for u, v in sorted(h.find_bridges()):
             h.remove_edge(u, v)
             sides.append((min(len(h.component_of(u)), len(h.component_of(v))), (u, v)))
             h.add_edge(u, v)
         if sides:
-            h.remove_vertices(max(sides)[1])
+            h.remove_vertices_with_undo(max(sides)[1])
         graphs.append(h)
     joined = split = 0
     for g in graphs:
@@ -331,7 +357,7 @@ def test_refuted_searches_read_a_thin_side_too(length):
 def test_joined_without_bridges_across_a_bridge():
     # two bridgeless beads joined by one link, which is a bridge
     g = bead_ring(4, 0)
-    g.remove_vertices([v for v in g.vertices() if v >= 24])
+    g.remove_vertices_with_undo([v for v in g.vertices() if v >= 24])
     assert len(g.find_bridges()) == 1
     assert g.joined({0, 1, 2}, 2)
     assert not g.joined({0, 23}, 2)

@@ -82,14 +82,14 @@ def test_exact_known_values(capsys, monkeypatch):
 
 
 def test_exact_g4(capsys, monkeypatch):
-    line = write_graph6(gen_gk(4).graph)
+    line = write_graph6(gen_gk(4))
     code, out, _ = run(capsys, ["exact"], stdin=line + "\n", monkeypatch=monkeypatch)
     assert code == 0
     assert json.loads(out.strip())["gamma"] == 10
 
 
 def test_exact_budget_exit(capsys, monkeypatch):
-    line = write_graph6(gen_gk(3).graph)
+    line = write_graph6(gen_gk(3))
     code, out, err = run(
         capsys, ["exact", "--budget", "3"], stdin=line + "\n", monkeypatch=monkeypatch
     )
@@ -101,7 +101,7 @@ def test_exact_budget_exit(capsys, monkeypatch):
 def test_exact_ignores_budget_environment_variable(capsys, monkeypatch):
     # the node limit is --budget alone; an environment variable sets nothing
     monkeypatch.setenv("MMM_ORACLE_BUDGET", "abc")
-    line = write_graph6(gen_gk(3).graph)
+    line = write_graph6(gen_gk(3))
     code, out, err = run(capsys, ["exact"], stdin=line + "\n", monkeypatch=monkeypatch)
     assert code == 0 and err == ""
     payload = json.loads(out.strip())
@@ -155,7 +155,7 @@ def test_verify_small_batch(capsys, monkeypatch):
 
 
 def test_verify_chain_family_with_oracle(capsys, monkeypatch):
-    lines = "".join(write_graph6(gen_gk(k).graph) + "\n" for k in range(1, 5))
+    lines = "".join(write_graph6(gen_gk(k)) + "\n" for k in range(1, 5))
     code, out, _ = run(
         capsys, ["verify", "--with-oracle"], stdin=lines, monkeypatch=monkeypatch
     )
@@ -185,6 +185,22 @@ def test_verify_jobs_deterministic(capsys, monkeypatch):
     _, out1, _ = run(capsys, ["verify"], stdin=lines, monkeypatch=monkeypatch)
     _, out2, _ = run(capsys, ["verify", "--jobs", "2"], stdin=lines, monkeypatch=monkeypatch)
     assert out1 == out2
+
+
+def test_verify_reports_rule_coverage(capsys, monkeypatch):
+    # minmatch gen --random-cubic 32 1 --count 2 | minmatch verify, plus a
+    # bad line, which has no trace and counts for no rule
+    code, lines, _ = run(capsys, ["gen", "--random-cubic", "32", "1", "--count", "2"])
+    assert code == 0
+    outs = []
+    for jobs in ("1", "2"):
+        stdin = lines + "D~{\n"
+        _, out, _ = run(capsys, ["verify", "--jobs", jobs], stdin=stdin, monkeypatch=monkeypatch)
+        outs.append(out)
+    coverage = json.loads(outs[0])["rule_coverage"]
+    assert coverage["CUBIC_FINISH"] == 2
+    assert list(coverage) == sorted(coverage) and max(coverage.values()) == 2
+    assert outs[0] == outs[1]
 
 
 def test_verify_plot_data(tmp_path, capsys, monkeypatch):
@@ -344,7 +360,7 @@ def test_budget_only_batch_exits_4(tmp_path, capsys):
     target = tmp_path / "budget.g6"
     target.write_text("".join(
         write_graph6(g) + "\n"
-        for g in (gen_named("K4"), gen_named("PETERSEN"), gen_gk(3).graph)
+        for g in (gen_named("K4"), gen_named("PETERSEN"), gen_gk(3))
     ))
     code, out, err = run(capsys, ["exact", "--budget", "3", str(target)])
     assert code == 4

@@ -2,11 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from conftest import gen_gk_optimal_matching
 from minmatch.errors import BadParameter, TooLarge
 from minmatch.generators import (
     enumerate_connected_subcubic,
     gen_gk,
-    gen_gk_optimal_matching,
     gen_named,
     gen_random_cubic,
 )
@@ -50,23 +50,22 @@ def test_named_petersen_and_cube():
 
 
 def test_gk_small_censuses():
-    fam1 = gen_gk(1)
-    assert is_k33(fam1.graph)
-    fam2 = gen_gk(2)
-    c = fam2.graph.degree_census()
+    assert is_k33(gen_gk(1))
+    g2 = gen_gk(2)
+    c = g2.degree_census()
     assert (c.n, c.m, c.n3) == (12, 18, 12)
-    assert fam2.graph.find_bridges() == set()
-    assert fam2.graph.is_connected()
+    assert g2.find_bridges() == set()
+    assert g2.is_connected()
 
 
 def test_gk_seven_blocks():
-    g = gen_gk(7).graph
+    g = gen_gk(7)
     assert g.n == 42 and g.is_cubic() and g.is_connected()
 
 
 def test_gk_block_boundaries_have_chain_edges():
     # block i's attachment points are p_i = 6i and q_i = 6i + 3
-    g = gen_gk(4).graph
+    g = gen_gk(4)
     for i in range(4):
         assert not g.has_edge(6 * i, 6 * i + 3)
         assert g.has_edge(6 * i + 3, 6 * ((i + 1) % 4))
@@ -74,19 +73,17 @@ def test_gk_block_boundaries_have_chain_edges():
 
 def test_gk_pattern_sizes_up_to_20():
     for k in range(1, 21):
-        fam = gen_gk(k)
-        M = gen_gk_optimal_matching(fam)
+        M = gen_gk_optimal_matching(k)
         want = -(-7 * k // 3)
         assert len(M) == want
-        assert is_maximal(fam.graph, M)
+        assert is_maximal(gen_gk(k), M)
         # stays below the asymptotic line 7n/18 + 2/3
         assert 3 * want <= 7 * k + 2
 
 
 def test_gk_pattern_matches_oracle_small():
     for k in (1, 2, 3):
-        fam = gen_gk(k)
-        assert len(gen_gk_optimal_matching(fam)) == gamma_exact(fam.graph).gamma
+        assert len(gen_gk_optimal_matching(k)) == gamma_exact(gen_gk(k)).gamma
 
 
 def test_random_cubic_structure():

@@ -73,6 +73,18 @@ def test_joined_and_smaller_side_reject_unknown_seeds():
             g.smaller_side(a, b, {0})
 
 
+@pytest.mark.parametrize("paths", [0, 3, -1, 1.5])
+def test_joined_rejects_paths_other_than_one_or_two(paths):
+    # C_6 joins 0 and 3 by two edge-disjoint paths, not three; P_5 joins 0
+    # and 4 by one; a single seed or an unknown one is no excuse either
+    cases = [(gen_named("C_n", 6), [0, 3]), (gen_named("P_n", 5), [0, 4]), (gen_named("K4"), [0])]
+    for g, seeds in cases:
+        with pytest.raises(PreconditionViolated):
+            g.joined(seeds, paths)
+    with pytest.raises(PreconditionViolated):
+        gen_named("K4").joined([99], paths)
+
+
 def test_refused_restore_changes_nothing():
     g = gen_named("K4")
     saved = g.remove_vertices_with_undo({0})
@@ -82,7 +94,7 @@ def test_refused_restore_changes_nothing():
         g.restore_vertices(saved)
     assert g == before and g.degree_census() == before.degree_census()
     g.validate()
-    g.remove_vertices([2])  # a neighbour of 0 is gone
+    g.remove_vertices_with_undo([2])  # a neighbour of 0 is gone
     before = g.copy()
     with pytest.raises(UnknownVertex):
         g.restore_vertices(saved)
@@ -123,14 +135,14 @@ def test_validate_checks_the_ear_store():
 
 def test_remove_vertices_k33_minus_one():
     g = gen_named("K33")
-    g.remove_vertices({0})
+    g.remove_vertices_with_undo({0})
     c = g.degree_census()
     assert (c.n, c.m, c.n2, c.n3) == (5, 6, 3, 2)
 
 
 def test_remove_vertices_c4_minus_one_gives_p3():
     g = gen_named("C_n", 4)
-    g.remove_vertices({3})
+    g.remove_vertices_with_undo({3})
     assert (g.n, g.m) == (3, 2)
     assert g.degree_census().n1 == 2
 
@@ -138,19 +150,19 @@ def test_remove_vertices_c4_minus_one_gives_p3():
 def test_remove_vertices_empty_set_is_identity():
     g = gen_named("PETERSEN")
     h = g.copy()
-    g.remove_vertices(set())
+    g.remove_vertices_with_undo(set())
     assert g == h
 
 
 def test_remove_vertices_unknown():
     g = gen_named("K2")
     with pytest.raises(UnknownVertex):
-        g.remove_vertices({5})
+        g.remove_vertices_with_undo({5})
 
 
 def test_vertex_ids_stable_across_deletion():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-    g.remove_vertices({1})
+    g.remove_vertices_with_undo({1})
     assert g.vertices() == [0, 2, 3]
 
 

@@ -99,7 +99,7 @@ def test_roundtrip_named_and_chain():
         g = gen_named(name)
         assert parse_graph6(write_graph6(g)) == g
         assert write_graph6(g) == reference_graph6(g)
-    g2 = gen_gk(2).graph
+    g2 = gen_gk(2)
     back = parse_graph6(write_graph6(g2))
     assert back == g2
     assert (back.n, back.m) == (12, 18)
@@ -261,7 +261,7 @@ def test_certificate_json_fields_and_order():
 def test_certificate_json_k2_and_chain():
     k2 = certificate_dict(solve(gen_named("K2")))
     assert (k2["matching_size"], k2["lambda_times_6"]) == (1, 6)
-    g3 = certificate_dict(solve(gen_gk(3).graph))
+    g3 = certificate_dict(solve(gen_gk(3)))
     assert g3["matching_size"] <= 7
     assert g3["valid"] is True
 

@@ -78,7 +78,7 @@ def test_bound_report_rejects_disconnected():
 
 def test_gamma_lower_bound():
     assert gamma_lower_bound(gen_named("K33")) == 2
-    g30 = gen_gk(5).graph  # cubic, n=30, m=45
+    g30 = gen_gk(5)  # cubic, n=30, m=45
     assert gamma_lower_bound(g30) == 9 == (3 * 30) // 10
     assert gamma_lower_bound(gen_named("K2")) == 1
     from minmatch.generators import gen_random_cubic

@@ -38,7 +38,7 @@ def test_gamma_cycles():
 
 def test_gamma_chain_family():
     for k, want in ((1, 3), (2, 5), (3, 7)):
-        assert gamma_exact(gen_gk(k).graph).gamma == want
+        assert gamma_exact(gen_gk(k)).gamma == want
 
 
 def test_witness_is_maximal_and_minimum(corpus_n6):
@@ -142,7 +142,7 @@ def test_avoiding_requires_existing_edge():
 
 
 def test_budget_exceeded_carries_incumbent():
-    g = gen_gk(3).graph
+    g = gen_gk(3)
     with pytest.raises(BudgetExceeded) as exc:
         gamma_exact(g, budget=5)
     res = exc.value.result
@@ -216,7 +216,7 @@ def _pinned_searches():
             yield g, e, None
     for s in range(4):
         yield gen_random_cubic(32, s), None, None
-    for g in (gen_gk(3).graph, gen_random_cubic(32, 0)):
+    for g in (gen_gk(3), gen_random_cubic(32, 0)):
         for budget in (1, 5, 50):
             yield g, None, budget
 

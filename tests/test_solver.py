@@ -79,7 +79,7 @@ def test_solve_k2():
 
 
 def test_solve_g3_within_floor():
-    g = gen_gk(3).graph
+    g = gen_gk(3)
     cert = solve(g)
     assert_sound(g, cert)
     assert len(cert.matching) <= 7  # floor((72-27+2)/6)
@@ -248,7 +248,7 @@ def crossing_graph():
 def test_choose_crossing_pair_rejects_cubic_closing_choice():
     g = crossing_graph()
     bad = g.copy()
-    bad.remove_vertices({0, 1, 2, 4, 5})
+    bad.remove_vertices_with_undo({0, 1, 2, 4, 5})
     bad.add_edge(3, 7)
     bad.add_edge(6, 9)
     assert bad.cubic_components() == [{6, 9, 12, 13}]
