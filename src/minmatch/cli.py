@@ -232,8 +232,9 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     with plot:
         work = [(ident, line, args.with_oracle, args.budget) for ident, line in records]
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
+        jobs = min(args.jobs, len(work))  # no idle workers on a short input
+        if jobs > 1:
+            with Pool(jobs) as pool:
                 records = list(pool.imap(_verify_one, work, chunksize=16))
         else:
             records = [_verify_one(item) for item in work]

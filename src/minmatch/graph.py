@@ -382,7 +382,7 @@ class Graph:
         No code in the package calls it: the solver reads cubic components
         off its tasks' degree buckets.  It stays only because the benchmark's
         trace groups name it, and goes with their next revision (ROADMAP
-        item 5).
+        item 2).
         """
         seen: set[int] = set()
         for s in vertices:

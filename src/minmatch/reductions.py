@@ -103,6 +103,17 @@ def _incident_edges(g: Graph, vs: set[int]) -> int:
     return total - internal
 
 
+def _crossing(g: Graph, w11, w12, w21, w22) -> tuple[int, int, int, int] | None:
+    """The outer pairs (w11, w12) and (w21, w22), each relabelled within
+    itself so that w12-w21 is the least edge between the pairs; None if
+    there is none."""
+    cross = min(((a, b) for a in (w11, w12) for b in (w21, w22) if g.has_edge(a, b)), default=None)
+    if cross is None:
+        return None
+    a, b = cross
+    return (w11 if a == w12 else w12), a, b, (w22 if b == w21 else w21)
+
+
 # -- insertions that must avoid a cubic component -------------------------------
 #
 # A rule that adds edges must add ones that leave G' without a cubic
@@ -247,13 +258,8 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
             _recipe(((), (), ((u1, u2), (w11, w12)))), budget=2,
         )
 
-    crosses = sorted(
-        (a, b) for a in (w11, w12) for b in (w21, w22) if g.has_edge(a, b)
-    )
-    if crosses:
-        a, b = crosses[0]
-        w12, w11 = a, (w11 if a == w12 else w12)
-        w21, w22 = b, (w22 if b == w21 else w21)
+    if crossed := _crossing(g, w11, w12, w21, w22):
+        w11, w12, w21, w22 = crossed
         xs = [
             x for x in sorted(g.neighbors(w11) - {v1})
             if x != w21 and not g.has_edge(x, w21)
@@ -321,11 +327,8 @@ def deg2_step(g: Graph) -> ReductionStep:
             (w11, w12), (w21, w22) = (w21, w22), (w11, w12)
         return _deg2_case21(g, u, v1, v2, w11, w12, w21, w22)
 
-    crosses = sorted(
-        (a, b) for a in (w11, w12) for b in (w21, w22) if g.has_edge(a, b)
-    )
-    if crosses:
-        return _deg2_case22(g, u, v1, v2, w11, w12, w21, w22, crosses[0])
+    if crossed := _crossing(g, w11, w12, w21, w22):
+        return _deg2_case22(g, u, v1, v2, *crossed)
 
     return _deg2_case23(g, u, v1, v2, w11, w12, w21, w22)
 
@@ -379,13 +382,8 @@ def _deg2_case1(g, u, v1, v2, common):
 
 def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
     """An edge inside the v1-side outer pair."""
-    crosses = sorted(
-        (a, b) for a in (w11, w12) for b in (w21, w22) if g.has_edge(a, b)
-    )
-    if crosses:
-        a, b = crosses[0]
-        w12, w11 = a, (w11 if a == w12 else w12)
-        w21, w22 = b, (w22 if b == w21 else w21)
+    if crossed := _crossing(g, w11, w12, w21, w22):
+        w11, w12, w21, w22 = crossed
         return _step(
             RULE_DEG2, "2.1", {u, v1, v2, w11, w12, w21}, (),
             _recipe(((), (), ((v1, w11), (v2, w21)))), budget=2, variant="cross",
@@ -415,11 +413,9 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
     return _edge_insertion(g, short, [(x, wt) for x in {x11, x12} for wt in (w21, w22)], build)
 
 
-def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22, cross):
-    """A crossing edge between the two outer pairs, no intra-pair edges."""
-    a, b = cross
-    w12, w11 = a, (w11 if a == w12 else w12)
-    w21, w22 = b, (w22 if b == w21 else w21)
+def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22):
+    """A crossing edge between the two outer pairs, w12-w21 the least
+    (_crossing), and no intra-pair edges."""
     short = {u, v1, v2, w12, w21}
     if _incident_edges(g, short) <= 8:
         return _step(

@@ -196,13 +196,13 @@ def select_rule(
 # matching, and an added edge that a finished part holds lies outside g.
 #
 # A task also carries its non-pendant bridges, or None when they are unknown
-# (see the module docstring).  In solve, a task without a pendant whose set is
-# unknown is searched for them (Graph.find_bridges) before select_rule, which
-# takes the least; a step hands the set on to the task it leaves when the
-# lemma allows, and a split shares it among its gamma parts, each set owned by
-# one task at a time, so it is updated in place.  Replay carries none; a split
-# there is told apart by the candidate its recorded step names (step.case), so
-# None means only "unknown".  After every linear step, connectivity is tested
+# (see the module docstring).  A task without a pendant whose set is unknown
+# is searched for them (Graph.find_bridges) before its step, whose source in
+# solve, select_rule, takes the least; a step hands the set on to the task it
+# leaves when the lemma allows, and a split shares it among its gamma parts,
+# each set owned by one task at a time, so it is updated in place.  Replay
+# carries the sets as solve does, since they are a function of g, so None
+# means only "unknown".  After every linear step, connectivity is tested
 # by paths from the step's boundary, and only a disconnected graph is scanned
 # whole for its components.  No task left by a step that adds edges may be
 # cubic, an O(1) test on its buckets, and exact: each component of G' holds a
@@ -217,19 +217,14 @@ def select_rule(
 # is cubic, however the tasks were built (one certified graph, or carved
 # components).  So the kept step is the first candidate, in the rule's order,
 # after which no component touching its added edges is cubic: a function of
-# g alone, and with it every trace.  In replay the recorded step is the only
-# candidate.  The kept step is recorded without `later`, so a trace holds data
-# only.
+# g alone, and with it every trace.  The kept step is recorded without
+# `later`, so a trace holds data only, and replay's source drops any `later`
+# a step comes with: the recorded step is its only candidate.
 
-def _run(
-    g: Graph,
-    constraint: PendantConstraint | None,
-    steps: list[ReductionStep],
-    recorded: Iterator[ReductionStep] | None,
-) -> set[Edge]:
+def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
     """Maximal matching of connected g, built in one set, appending its
-    steps to `steps`.  Steps come from the rules (solve) or, when `recorded`
-    is given, from a recorded trace (replay)."""
+    steps to `steps`.  Each step is source(g, constraint, bridges): the
+    rules' (_next_step, solve) or a recorded trace's (_replayed, replay)."""
     M: set[Edge] = set()
     stack: list[tuple] = [("task", g, constraint, None)]
     while stack:
@@ -242,9 +237,9 @@ def _run(
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
             continue
         _, g, constraint, bridges = item
-        if recorded is None and bridges is None and g.n > BASE_SIZE and not g.degree_bucket(1):
+        if bridges is None and g.n > BASE_SIZE and not g.degree_bucket(1):
             bridges = g.find_bridges()  # with no pendant, every bridge is a non-pendant one
-        step = _next_step(g, constraint, recorded, bridges)
+        step = source(g, constraint, bridges)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             M |= _leaf(g, step, constraint, steps)
             steps.append(step)
@@ -253,9 +248,8 @@ def _run(
             step, carved, tasks = _split(g, step, bridges)
             saved, added = {}, []
         else:
-            # the rule's later candidates; in replay the recorded step is the only one
-            later = iter(())
-            if recorded is None and step.later is not None:
+            later = iter(())  # the rule's later candidates
+            if step.later is not None:
                 later, step = step.later, replace(step, later=None)
             while True:
                 saved, added = _reduce(g, step)
@@ -380,14 +374,9 @@ def _dropped(g: Graph, saved: dict, added: list[Edge], bridges: set[Edge]) -> se
     return dropped & bridges
 
 
-def _next_step(g: Graph, constraint, recorded, bridges) -> ReductionStep:
-    """The step source: the recorded trace in replay; in solve, the oracle
-    on small graphs and the first applicable rule otherwise."""
-    if recorded is not None:
-        step = next(recorded, None)
-        if step is None:
-            raise InternalInvariantViolation("trace ended before the graph was consumed")
-        return step
+def _next_step(g: Graph, constraint, bridges) -> ReductionStep:
+    """Solve's step source: the oracle on small graphs, the first
+    applicable rule otherwise."""
     if g.n > BASE_SIZE:
         return select_rule(g, constraint, bridges)
     if constraint is not None:
@@ -397,6 +386,19 @@ def _next_step(g: Graph, constraint, recorded, bridges) -> ReductionStep:
     # the witness's edges are in (min, max) form already
     recipe = ExtensionRecipe((ExtensionBranch((), (), tuple(sorted(res.witness))),))
     return ReductionStep(rule, None, frozenset(g.iter_vertices()), frozenset(), recipe, None)
+
+
+def _replayed(recorded: Iterator[ReductionStep]):
+    """Replay's step source: the trace's next step, without any `later`,
+    so that it is the only candidate."""
+
+    def source(g, constraint, bridges) -> ReductionStep:
+        step = next(recorded, None)
+        if step is None:
+            raise InternalInvariantViolation("trace ended before the graph was consumed")
+        return step if step.later is None else replace(step, later=None)
+
+    return source
 
 
 def _reduce(g: Graph, step: ReductionStep) -> tuple[dict, list[Edge]]:
@@ -488,9 +490,9 @@ def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict,
     1 for forest's bridge edge, bounds the candidate before anything is
     solved; the construction guarantees that it meets floor(lambda(g)/6).
 
-    `bridges`, g's non-pendant bridges, are None when unknown, as in replay,
-    which carries none.  A gamma part takes the edges of a known set inside
-    it, less one left pendant; the other parts start unknown.
+    `bridges`, g's non-pendant bridges, are None only when unknown.  A gamma
+    part takes the edges of a known set inside it, less one left pendant;
+    the other parts start unknown.
     """
     bridge = step.bridge
     s, small, candidates = _candidates(g, bridge, bridges)
@@ -644,7 +646,7 @@ def _solve(g: Graph, constraint: PendantConstraint | None) -> SolveCertificate:
     if constraint is not None:
         _check_constraint(work, constraint)
     steps: list[ReductionStep] = []
-    M = frozenset(_run(work, constraint, steps, None))
+    M = frozenset(_run(work, constraint, steps, _next_step))
     report = bound_report(g, connected=True)  # _prepare checked it
     valid = maximality_status(g, M) == 0 and matching_within_bound(g, M, report)
     return SolveCertificate(
@@ -672,7 +674,7 @@ def replay(g: Graph, cert: SolveCertificate) -> Matching:
     has steps left over raises InternalInvariantViolation.
     """
     recorded = iter(cert.trace)
-    M = _run(_prepare(g), None, [], recorded)
+    M = _run(_prepare(g), None, [], _replayed(recorded))
     if next(recorded, None) is not None:
         raise InternalInvariantViolation("trace has unconsumed steps")
     return frozenset(M)

@@ -25,13 +25,16 @@ from minmatch.errors import InternalInvariantViolation
 from minmatch.generators import gen_named
 from minmatch.graph import Graph, edge
 from minmatch.matching import lambda6, lambda6_of
-from minmatch.reductions import RULE_BRIDGE, ReductionStep
+from minmatch.reductions import RULE_BRIDGE, ExtensionBranch, ExtensionRecipe, ReductionStep
 from minmatch.solver import PendantConstraint, solve
+from test_trace_digest import corpus as trace_corpus
 
 
-def tarjan(g: Graph) -> set:
-    """Reference: the non-pendant bridges of g."""
-    return {e for e in g.find_bridges() if min(g.degree(e[0]), g.degree(e[1])) > 1}
+def tarjan(g: Graph, find=Graph.find_bridges) -> set:
+    """Reference: the non-pendant bridges of g.  The search is bound when
+    this module loads, so a test that counts Graph.find_bridges calls does
+    not count these."""
+    return {e for e in find(g) if min(g.degree(e[0]), g.degree(e[1])) > 1}
 
 
 def sparse_shape(seed: int, n: int, density: float) -> Graph:
@@ -190,6 +193,66 @@ def test_carried_bridge_sets_match_tarjan(monkeypatch):
     for g in graphs:
         assert solve(g).valid
     assert seen["known"] > 300 and seen["bridged"] > 100 and seen["with_pendants"] > 10
+
+
+def test_replay_is_the_same_engine(monkeypatch):
+    # replay searches for bridges, carries the sets and makes the boundary
+    # tests where solve does: only the source of each step differs
+    count = {"find_bridges": 0, "joined2": 0}
+    seen = {"known": 0, "bridged": 0}
+    find, joined, replayed = Graph.find_bridges, Graph.joined, solver._replayed
+
+    def counted_find(g):
+        count["find_bridges"] += 1
+        return find(g)
+
+    def counted_joined(g, seeds, paths=1):
+        count["joined2"] += paths == 2
+        return joined(g, seeds, paths)
+
+    def checked_replayed(recorded):
+        source = replayed(recorded)
+
+        def checked(g, constraint, bridges):
+            if bridges is not None:
+                assert bridges == tarjan(g), g.edges()
+                seen["known"] += 1
+                seen["bridged"] += bool(bridges)
+            return source(g, constraint, bridges)
+
+        return checked
+
+    monkeypatch.setattr(Graph, "find_bridges", counted_find)
+    monkeypatch.setattr(Graph, "joined", counted_joined)
+    monkeypatch.setattr(solver, "_replayed", checked_replayed)
+    graphs = trace_corpus() + [bridge_chain(k, seed) for k, seed in ((5, 0), (30, 3), (60, 1))]
+    for g in graphs:
+        count.update(dict.fromkeys(count, 0))
+        cert = solve(g)
+        solved = dict(count)
+        count.update(dict.fromkeys(count, 0))
+        assert solver.replay(g, cert) == cert.matching
+        assert count == solved, (g.edges(), solved, count)
+    assert seen["known"] > 400 and seen["bridged"] > 100
+
+    # a recorded step is the only candidate: a `later` it comes with is not
+    # read, even where it would rescue a step that leaves a cubic graph.
+    # Petersen with the edge (0, 1) subdivided by 10; the step puts it back
+    g = gen_named("PETERSEN")
+    g.remove_edge(0, 1)
+    g.add_edge(0, 10)
+    g.add_edge(1, 10)
+    cert = solve(g)
+    back = ReductionStep(
+        rule="DEG2_TWO_DEG3", case="test", deleted=frozenset({10}),
+        added_edges=frozenset({(0, 1)}),
+        extension=ExtensionRecipe((ExtensionBranch((), (), ()),)), budget=1,
+    )
+    later = iter([cert.trace[0]])
+    trace = [replace(back, later=later)] + cert.trace[1:]
+    with pytest.raises(InternalInvariantViolation, match="test produced a cubic component"):
+        solver.replay(g, replace(cert, trace=trace))
+    assert next(later) == cert.trace[0]
 
 
 def test_lemma_on_deleted_sets():

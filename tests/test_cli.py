@@ -187,6 +187,33 @@ def test_verify_jobs_deterministic(capsys, monkeypatch):
     assert out1 == out2
 
 
+def test_verify_starts_no_more_workers_than_records(capsys, monkeypatch):
+    # a fake pool that records its size and maps in this process, so the
+    # test starts no process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    for count in (3, 1, 0):
+        lines = "".join(write_graph6(gen_random_cubic(16, seed)) + "\n" for seed in range(count))
+        _, serial, _ = run(capsys, ["verify"], stdin=lines, monkeypatch=monkeypatch)
+        _, pooled, _ = run(capsys, ["verify", "--jobs", "64"], stdin=lines, monkeypatch=monkeypatch)
+        assert pooled == serial
+    assert sizes == [3]
+
+
 def test_verify_reports_rule_coverage(capsys, monkeypatch):
     # minmatch gen --random-cubic 32 1 --count 2 | minmatch verify, plus a
     # bad line, which has no trace and counts for no rule
