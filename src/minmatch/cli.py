@@ -234,8 +234,9 @@ def cmd_verify(args) -> int:
         work = [(ident, line, args.with_oracle, args.budget) for ident, line in records]
         jobs = min(args.jobs, len(work))  # no idle workers on a short input
         if jobs > 1:
+            chunk = min(16, -(-len(work) // jobs))  # every worker gets a chunk
             with Pool(jobs) as pool:
-                records = list(pool.imap(_verify_one, work, chunksize=16))
+                records = list(pool.imap(_verify_one, work, chunksize=chunk))
         else:
             records = [_verify_one(item) for item in work]
         if args.plot_data:

@@ -45,17 +45,15 @@ class Graph:
     """Mutable subcubic graph: adjacency sets plus degree-indexed buckets.
 
     The buckets (vertices of degree 0, 1 and 2; degree 3 is implicit) keep
-    rule dispatch to one pass over the degree-2 bucket at most.  The ear
-    store keeps what two-path tests proved (joined).
+    rule dispatch to one pass over the degree-2 bucket at most.
     """
 
-    __slots__ = ("_adj", "_m", "_buckets", "_ears")
+    __slots__ = ("_adj", "_m", "_buckets")
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._m = 0
         self._buckets: tuple[set[int], set[int], set[int]] = (set(), set(), set())
-        self._ears: tuple[dict, dict] | None = None  # (owner, units) once joined(_, 2) runs
 
     # -- construction ---------------------------------------------------------
 
@@ -211,7 +209,6 @@ class Graph:
         self._bucket_move(u, du, du - 1)
         self._bucket_move(v, dv, dv - 1)
         self._m -= 1
-        self._ears = None  # an ear may have used uv
 
     def remove_vertices_with_undo(self, vs: Iterable[int]) -> dict[int, frozenset[int]]:
         """Delete the vertices and their edges in place; return the undo data."""
@@ -228,14 +225,6 @@ class Graph:
             if len(nbrs) < MAX_DEGREE:
                 self._buckets[len(nbrs)].discard(v)
         self._m -= (sum(map(len, saved.values())) + cut) // 2  # an edge inside vset counts twice
-        if self._ears is not None:  # kill each unit that lost a vertex, and its dependents
-            owner, units = self._ears
-            dead = [owner[v] for v in owner.keys() & vset]  # walks the smaller set
-            while dead:
-                inside, _, later = units.pop(dead.pop(), ((), (), ()))
-                for v in inside:
-                    del owner[v]
-                dead += later
         return saved
 
     def restore_vertices(self, saved: dict[int, frozenset[int]]) -> None:
@@ -316,56 +305,46 @@ class Graph:
                 bridges.update(edge(parent[v], v) for v in cut)
         return bridges
 
-    def joined(self, seeds: Iterable[int], paths: int = 1) -> bool:
-        """True iff any two seeds are joined by `paths` (1 or 2) edge-disjoint
-        paths: with one, iff the seeds lie in one component of g; with two,
-        iff they lie in one 2-edge-connected component (Menger).  A seed not
-        in g raises UnknownVertex, any other `paths` PreconditionViolated.
-
-        Both relations are equivalences, so each seed in turn needs `paths`
-        edge-disjoint paths to a proved set that starts as seeds[0], found one
-        at a time as augmenting paths of a unit flow (_augmenting_path).  With
-        two the proof outlives the call as an ear store: each unit is the
-        inside of an ear, and dies with a vertex or with a unit its ear ends
-        on; remove_edge drops the store.  So the live units form a
-        2-edge-connected subgraph of g (Robbins), and a test starts from all
-        they own, cold only if a bridge cuts every seed off them (_join).  A
-        refuted search used up one side of a cut separating two seeds, so it
-        reads the adjacency of at most twice that side's vertices.
+    def cut_off(self, boundary: Iterable[int]) -> list[set[int]]:
+        """Every component of g that holds a vertex of `boundary` but one,
+        which is at least as large as each (a vertex not in g raises
+        UnknownVertex).  The boundary vertices are joined in increasing
+        order: each one outside the components found so far is searched for
+        from those joined (_search).  A refuted search used up one side, a
+        whole component, which is cut off; if that side held the joined
+        ones, the searched vertex alone is joined from then on.  Only
+        boundary vertices are joined, never a path a search found, so which
+        side a search uses up, and with it what is cut off, depends on g
+        alone, not on the order its adjacency sets iterate in.  A refuted
+        search reads the adjacency of at most twice what it cuts off.
         """
-        if paths not in (1, 2):
-            raise PreconditionViolated(f"paths must be 1 or 2, not {paths!r}")
-        seeds = list(self._known_set(seeds))
-        if len(seeds) < 2:
-            return True
-        if paths == 1:
-            proved = set(seeds[:1])
-            for s in seeds[1:]:
-                if s not in proved:
-                    side, path = _augmenting_path(self._adj, (s,), proved)
-                    if side is not None:
-                        return False
-                    proved.update(path)
-            return True
-        answer = None if self._ears is None else _join(self._adj, seeds, self._ears)
-        if answer is None:  # start cold from seeds[0]
-            self._ears = ({seeds[0]: seeds[0]}, {seeds[0]: ((seeds[0],), (), [])})
-            answer = _join(self._adj, seeds, self._ears)
-        return answer
+        sides: list[set[int]] = []
+        joined: set[int] = set()
+        for s in sorted(self._known_set(boundary)):
+            if any(s in side for side in sides):
+                continue
+            found = _search(self._adj, (s,), joined) if joined else None
+            if found is None:
+                joined.add(s)
+            else:
+                sides.append(found[1])
+                if found[0] == 1:
+                    joined = {s}
+        return sides
 
     def smaller_side(
         self, a: Iterable[int], b: Iterable[int], cut: set[int]
     ) -> tuple[int, set[int]] | None:
-        """The search of _augmenting_path in g - cut, with no flow, from the
-        vertex sets a and b (a seed not in g raises UnknownVertex): None if
-        the sides meet, else (0, the side of a) or (1, the side of b) for the
-        side used up.  That side holds every vertex that g - cut joins to its
-        seeds, and no more vertices than the other side, and the search
-        reads the adjacency of at most twice as many vertices as it holds.
+        """_search in g - cut from the vertex sets a and b (a seed not in g
+        raises UnknownVertex): None if the sides meet, else (0, the side of
+        a) or (1, the side of b) for the side used up.  That side holds
+        every vertex that g - cut joins to its seeds, and no more vertices
+        than the other side, and the search reads the adjacency of at most
+        twice as many vertices as it holds.
         """
         a, b = self._known_set(a), self._known_set(b)
-        i, found = _augmenting_path(self._adj, a, b, (), cut)
-        return None if i is None else (i, found.keys() - cut)
+        found = _search(self._adj, a, b, cut)
+        return None if found is None else (found[0], found[1] - cut)
 
     def cubic_components(self) -> list[set[int]]:
         """Components in which every vertex has degree exactly 3."""
@@ -404,8 +383,7 @@ class Graph:
         )
 
     def validate(self) -> None:
-        """Debug check: symmetry, degree cap, counter and bucket consistency;
-        each owned vertex in g and owned by a live unit, with live anchors."""
+        """Debug check: symmetry, degree cap, counter and bucket consistency."""
         adj, buckets = self._adj, self._buckets
         m2 = low = 0
         for v, nbrs in adj.items():
@@ -427,10 +405,6 @@ class Graph:
             raise InternalInvariantViolation("a bucket holds a vertex of no such degree")
         if m2 != 2 * self._m:
             raise InternalInvariantViolation(f"edge counter {self._m} != {m2 // 2}")
-        owner, units = self._ears or ({}, {})
-        owned = all(v in adj and k in units for v, k in owner.items())
-        if not owned or any(not units.keys() >= set(anchors) for _, anchors, _ in units.values()):
-            raise InternalInvariantViolation("the ear store owns a vertex not in g, or lost a unit")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -485,112 +459,63 @@ def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int])
     return parent, cut
 
 
-def _join(adj: dict[int, set[int]], seeds: list[int], store: tuple) -> bool | None:
-    """The two-path test from the ear store (owner: vertex -> unit; units:
-    unit -> (its vertices, the units its ear ends on, those ending on it)):
-    True if all seeds join its class, each now owned; False if a bridge
-    separates two seeds; None if one separates them all from the store."""
-    owner, units = store
-    for s in seeds:
-        if s in owner:
-            continue
-        side, found = _augmenting_path(adj, (s,), owner)
-        if side is None:
-            path = found
-            side, found = _augmenting_path(adj, (s,), owner, path)
-        if side is not None:  # `found`: a side of a cut of at most one edge, s or the store in it
-            return False if any((v in found) != (s in found) for v in seeds) else None
-        # a simple path between two vertices of one class stays inside it
-        # (it would cross a separating bridge twice)
-        inside = dict.fromkeys(path[:-1] + found[:-1], s)
-        anchors = (owner[path[-1]], owner[found[-1]])
-        owner.update(inside)
-        units[s] = (inside, anchors, [])
-        units[anchors[0]][2].append(s)
-        units[anchors[1]][2].append(s)
-    return True
+def _search(adj: dict[int, set[int]], sources, targets, cut=()):
+    """The one two-sided search, from the vertex set `sources` to the set
+    `targets` in g - cut (none of them in cut): None if a path joins them,
+    else (i, found) for the side i (0 for the sources, 1 for the targets)
+    that was used up, found holding every vertex it reached and the cut.
 
-
-def _augmenting_path(adj: dict[int, set[int]], sources, targets, first=(), cut=()):
-    """The one two-sided search: a shortest path from the vertex set
-    `sources` to the set `targets` in g - cut (none of them in cut), in the
-    residual graph of the unit flow along the path `first` (() for none).
-    Returns (None, the path), or, if there is none, (i, found) for the side
-    i (0 for the sources, 1 for the targets) that was used up, found keyed
-    by every vertex it reached and the cut.
-
-    Every edge is a pair of arcs of capacity one; the arc u -> w is free
-    unless the flow takes it (w follows u on `first`), and taking it when
-    the flow takes w -> u cancels that flow.  The search is breadth-first,
-    forward from the sources and backward from the targets, one layer at a
-    time on the side that has found fewer vertices (the sources' on a tie);
-    the cut counts as found on both sides, so neither enters it.  The
-    targets are copied only if their side must grow, so a search that meets
-    a large target set early costs nothing for its size.  It stops when the
-    sides meet, or when the side to grow has nothing left: that side has
-    found no more vertices than the other, which grew only while it had
-    found no more than this one.  A layer of a subcubic graph adds at most
-    three vertices for each one found before it, so the other side has found
-    at most four times as many (or only its seeds), and the search has read
-    the adjacency of at most twice as many vertices as the used-up side.
+    The search is breadth-first, forward from the sources and backward from
+    the targets, one layer at a time on the side that has found fewer
+    vertices (the sources' on a tie); the cut counts as found on both sides,
+    so neither enters it.  The targets are copied only if their side must
+    grow, so a search that meets a large target set early costs nothing for
+    its size.  It stops when the sides meet, or when the side to grow has
+    nothing left: that side has found no more vertices than the other, which
+    grew only while it had found no more than this one.  A layer of a
+    subcubic graph adds at most three vertices for each one found before it,
+    so the other side has found at most four times as many (or only its
+    seeds), and the search has read the adjacency of at most twice as many
+    vertices as the used-up side.  Which side is used up depends on the
+    layers alone, not on the order in which a layer is walked.
     """
-    succ, pred = (dict(zip(first, first[1:])), dict(zip(first[1:], first))) if first else ({}, {})
-    before = {}  # forward: vertex -> its predecessor on the path
+    before = set()
     for v in sources:
         if v in targets:
-            return None, [v]
-        before[v] = None
+            return None
+        before.add(v)
     ahead = list(before)
-    for v in cut:
-        before[v] = None
-    # backward: vertex -> its successor on the path, once it must grow
-    after, goal, extra = None, targets, len(cut)
+    before.update(cut)
+    after, goal, extra = None, targets, len(cut)  # after: the targets' side, once it must grow
     while True:
         if len(before) <= len(goal) + extra:
             if not ahead:
                 return 0, before
             layer = []
             for u in ahead:
-                taken = succ.get(u)
                 for w in adj[u]:
-                    if w not in before and w != taken:
-                        before[w] = u
+                    if w not in before:
                         if w in goal:
-                            return None, _path(before, after, w)
+                            return None
+                        before.add(w)
                         layer.append(w)
             ahead = layer
         else:
             if after is None:
-                goal = after = dict.fromkeys(targets)
+                goal = after = set(targets)
                 behind, extra = list(after), 0
-                for v in cut:
-                    after[v] = None
+                after.update(cut)
             if not behind:
                 return 1, after
             layer = []
             for w in behind:
-                taken = pred.get(w)
                 for u in adj[w]:
-                    if u not in after and u != taken:
-                        after[u] = w
+                    if u not in after:
                         if u in before:
-                            return None, _path(before, after, u)
+                            return None
+                        after.add(u)
                         layer.append(u)
             behind = layer
-
-
-def _path(before: dict, after: dict, meet: int) -> list[int]:
-    """The path through `meet` that the two sides' maps spell out."""
-    path, v = [], meet
-    while v is not None:
-        path.append(v)
-        v = before[v]
-    path.reverse()
-    v = after[meet] if after else None  # no `after`: meet is a target
-    while v is not None:
-        path.append(v)
-        v = after[v]
-    return path
 
 
 def is_k33(g: Graph) -> bool:

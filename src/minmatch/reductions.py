@@ -8,10 +8,11 @@ re-running the case analysis.  Rules read g and never change it; a rule that
 inserts edges returns its first candidate and leaves the choice among the
 rest to the solver (see _insertion).
 
-Rule tags: DEGREE1 (pendant), BRIDGE (marker; the solver assembles the split
-itself), ADJ_DEG2 (two adjacent degree-2 vertices), DEG2_TWO_DEG3 (a
-degree-2 vertex whose neighbours both have degree 3), CUBIC_FINISH (the
-remaining 3-regular case), plus BASE_SMALL / K33_SPECIAL leaves.
+Rule tags: DEGREE1 (pendant), BRIDGE (marker where a configuration closes
+off at a bridge; the solver assembles the split itself), ADJ_DEG2 (two
+adjacent degree-2 vertices), DEG2_TWO_DEG3 (a degree-2 vertex whose
+neighbours both have degree 3), CUBIC_FINISH (the remaining 3-regular
+case), plus BASE_SMALL / K33_SPECIAL leaves.
 """
 
 from __future__ import annotations
@@ -77,8 +78,9 @@ class ReductionStep:
     """One recorded step: the compared fields are what a certificate
     writes, every edge in (min, max) form.  `variant` labels the rule's
     sub-case for coverage and is not compared; `later` is the engine's, the
-    steps for a rule's other candidate insertions (see _insertion), and is
-    never set on a recorded step."""
+    steps to try in turn if this one leaves a cubic component (a rule's
+    other candidate insertions, see _insertion), and is never set on a
+    recorded step."""
 
     rule: str
     case: str | None
@@ -95,6 +97,22 @@ def _step(rule, case, deleted, added, recipe, budget, variant=None) -> Reduction
     """A rule's step, its added edges normalised."""
     added = frozenset([edge(*e) for e in added])
     return ReductionStep(rule, case, frozenset(deleted), added, recipe, budget, variant=variant)
+
+
+def bridge_step(bridge: Edge) -> ReductionStep:
+    """The marker for a split at `bridge`, in (min, max) form: the solver
+    picks the candidate and builds the recipe (solver._split)."""
+    return ReductionStep(RULE_BRIDGE, None, frozenset(), frozenset(), None, None, bridge)
+
+
+def bridge_at(g: Graph, vs) -> ReductionStep | None:
+    """The marker for a split at the least edge at the vertex set vs that
+    Graph.smaller_side proves a bridge of g; None if no such edge is one."""
+    for e in sorted({edge(v, w) for v in vs for w in g.neighbors(v)}):
+        cut = set(e)
+        if g.smaller_side(g.neighbors(e[0]) - cut, g.neighbors(e[1]) - cut, cut) is not None:
+            return bridge_step(e)
+    return None
 
 
 def _incident_edges(g: Graph, vs: set[int]) -> int:
@@ -127,10 +145,11 @@ def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) ->
     """build(*trial) for the first of `trials`, each a tuple of edges
     between neighbours of v0 to add once v0 is deleted, with the steps for
     the later trials in its `later`, built lazily.  Trials holding an edge
-    of g are dropped; g is not changed.  Some trial leaves no cubic component
-    by the structure around v0 (bridgeless, and the candidate graph on the
-    neighbours is connected enough), so the engine running out of them is an
-    internal error.
+    of g are dropped; g is not changed.  Where g is bridgeless around v0,
+    some trial is left, and one leaves no cubic component (the candidate
+    graph on the neighbours is connected enough); so with no trial left,
+    the step is a split at a bridge at v0 (bridge_at), and the solver
+    offers one after the last trial too (solver._next_step).
     """
     outside = set().union(*(g.neighbors(v) for v in v0)) - v0
     for trial in trials:
@@ -139,8 +158,11 @@ def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) ->
                 f"candidate endpoint not a neighbour of the deleted set: {trial}"
             )
     trials = [t for t in trials if not any(g.has_edge(*e) for e in t)]
-    if not trials:
-        raise PreconditionViolated("no candidate that is not already an edge")
+    if not trials:  # every trial is an edge of g: v0 is closed off at a bridge
+        step = bridge_at(g, v0)
+        if step is None:
+            raise PreconditionViolated("no candidate that is not already an edge")
+        return step
     return replace(build(*trials[0]), later=(build(*t) for t in trials[1:]))
 
 
@@ -475,10 +497,12 @@ def _deg2_case23(g, u, v1, v2, w11, w12, w21, w22):
 
 
 def _deg2_case231(g, u, v1, v2, w11, w12, w21, w22, common3):
-    """w11 and w12 see the same three vertices: v1 plus x1, x2."""
+    """w11 and w12 see the same three vertices: v1 plus x1, x2.  If x1 and
+    x2 are adjacent or both of degree 2, {v1, w11, w12, x1, x2} meets the
+    rest of g only at the stem u v1, a bridge: split there."""
     x1, x2 = sorted(common3 - {v1})
     if g.has_edge(x1, x2) or (g.degree(x1) == 2 and g.degree(x2) == 2):
-        raise InternalInvariantViolation("configuration forces a bridge at the stem")
+        return bridge_step(edge(u, v1))
     if g.degree(x1) == 2 or g.degree(x2) == 2:
         if g.degree(x1) == 2:
             x1, x2 = x2, x1

@@ -6,64 +6,45 @@ gets |M| = 3 instead).  The solver repeatedly picks the first applicable
 rule and reduces, then extends the reduced graph's matching back through
 each step's recipe, validating maximality, growth budget, and the bound
 after every extension.  Rule priority: small-graph base case, then pendants,
-bridges, adjacent degree-2 pairs, degree-2 vertices with degree-3
-neighbours, and finally the cubic case.  At a bridge only one candidate split
-is solved, chosen by bound arithmetic before any solving, so the matching
-may be larger than the best candidate's, though always within the bound.
-A split costs about its smaller side, not the graph: a search from both ends
-of the bridge stops once one side is used up, every candidate's bound is
-counted from that side alone (_census), and only the winner is carved out of
-the working graph, like the components a reduction leaves: the part holding
-the larger side stays in the graph, only the others are copied, so each
-vertex has one live copy however deep bridges nest.
+adjacent degree-2 pairs, degree-2 vertices with degree-3 neighbours, and
+finally the cubic case.
 
-Connectivity and bridges are not rescanned after every step.  A task carries
-the set K of its non-pendant bridges when it is known; K = {} says the graph
-is clean, every bridge in it a pendant edge.  Lemma: let G be connected, and
-let a linear step delete D != {} and add the edges A, giving G'.  The step's
-boundary is B = (N(D) - D) | V(A); B* is B with each vertex of degree 1 in
-G' replaced by its neighbour (one of degree 0 gives no certificate).  If B*
-lies in one 2-edge-connected component of G', then G' is connected, and its
-non-pendant bridges are the edges e = xy of K with x, y outside D, neither
-of degree 1 in G', and a side in G - e that holds no vertex of B.
-  - A component of G' with no boundary vertex would already have been a
-    component of G, which is connected and holds D.
-  - A non-pendant bridge e of G' has B* on one side of G' - e, so B too (a
-    vertex of degree 1 stays with its neighbour, as e is not its edge).  On
-    the other side Y no vertex meets D or A, so each keeps its edges from G,
-    and e was already Y's only way out: a bridge of G, not a pendant one,
-    since the side of G - e opposite Y holds D as well as x.
-  - Conversely, if a side Y of G - e holds no vertex of B, it holds none of
-    D either (a path in Y from D to y would meet B first); its vertices keep
-    their edges in G', and e stays Y's only way out.
-So no bridge is new, and none of K is lost but by the condition.  If D is
-connected and A joins vertices of N(D), every e of K with both ends outside
-D has D, and so all of B, on one side, and K' is K less the edges at D and
-those left pendant, found at D and B.  A step whose D is not connected, or
-whose added edges leave N(D), can lose a bridge of K that D straddles, found
-only by a search; the engine then carries nothing.  But no rule makes such a
-step with K != {}: BRIDGE outranks every linear rule but DEGREE1, and a
-DEGREE1 step deletes a path and adds no edge.  With K = {} no condition is
-needed.  Either way the solver makes one test (_dropped), of B* on G'
-itself: two edge-disjoint paths join each vertex of it to the ears earlier
-tests proved and the step left whole (Graph.joined(B*, 2)); a refuted search
-costs about the smaller side of the bridge that refutes it.  A bridge split
-hands each gamma part the edges of K inside it (no cycle uses the bridge, so
-cutting it changes no other edge), less one left pendant; forest parts,
-which lose both ends of the bridge, may gain bridges and start unknown.
-The sets are exact, so the bridge search runs again only on forest parts and
-after a refuted test, and the bridge a split takes, and with it every trace,
-is the one the full scans give.
-Clean or not, G is connected, so by the first point one path joining each
-vertex of B to the others proves G' connected; only when that fails are the
-components listed in full.
-Likewise each extension is checked for maximality only where it can differ
-from the sub-matching (_checked); the `valid` verdict (_solve) scans it
-whole once.  The matching is one set per solve, built in place (_run).
-Each step reduces g once: where a rule must insert edges that leave no cubic
-component, it offers its candidates in order, and the engine's test for a
-cubic task, read off the parts it builds anyway, keeps the first that passes
-(_run); no rule reduces g on trial.
+The linear rules run before any bridge is split, and no bridge is looked
+for before a step.  _checked bounds every step from g's own counts (n, m,
+n1, and whether g is cubic) and the step's budget, so a rule needs only
+that its configuration exists and that no component of G' is cubic, which
+the engine tests; both are local to the deleted set D and its boundary, and
+hold on any connected G, bridged or not.  A rule relies on a
+2-edge-connected neighbourhood only where a configuration must exist, and
+where it does not, the failure names a bridge, at which the engine splits:
+  - case 2.3.1's stem: w11 and w12 see v1, x1 and x2, and x1, x2 adjacent or
+    both of degree 2 close {v1, w11, w12, x1, x2} off but for the edge
+    u v1; the rule returns the BRIDGE step there;
+  - an insertion whose candidates are all edges of g already, or all leave
+    a cubic component: the split is at the least edge at D that
+    Graph.smaller_side proves a bridge (reductions.bridge_at), which the
+    rule returns, or solve's step source offers after the last candidate
+    (_next_step).
+At a bridge only one candidate split is solved, chosen by bound arithmetic
+before any solving, so the matching may be larger than the best candidate's,
+though always within the bound.  A split costs about its smaller side, not
+the graph: a search from both ends of the bridge stops once one side is used
+up, every candidate's bound is counted from that side alone (_census), and
+only the winner is carved out of the working graph, like the components a
+reduction leaves: the part holding the larger side stays in the graph, only
+the others are copied, so each vertex has one live copy however deep bridges
+nest.
+
+After a linear step, searches from its boundary cut off the components G'
+falls into (Graph.cut_off), each refuted search costing about the side it
+cuts off, so connectivity is never rescanned whole.  Likewise each extension is
+checked for maximality only where it can differ from the sub-matching
+(_checked); the `valid` verdict (_solve) scans it whole once.  The matching
+is one set per solve, built in place (_run).  Each step reduces g once:
+where a rule must insert edges that leave no cubic component, it offers its
+candidates in order, and the engine's test for a cubic task, read off the
+parts it builds anyway, keeps the first that passes (_run); no rule reduces
+g on trial.
 
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
@@ -142,19 +123,16 @@ def _check_constraint(g: Graph, c: PendantConstraint) -> None:
         raise InvalidConstraint("a single-edge graph has no avoiding maximal matching")
 
 
-def select_rule(
-    g: Graph, constraint: PendantConstraint | None = None, bridges: set[Edge] | None = None
-) -> ReductionStep:
+def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> ReductionStep:
     """First applicable reduction in priority order (callers handle n <= 9).
 
-    `bridges`, when the caller knows them, are g's non-pendant bridges; they
-    are read only when g has no pendant, where they are all of its bridges,
-    and None makes select_rule search g for them.  Past that, dispatch reads
-    only the degree buckets; its largest cost is adjacent_deg2_step's one
-    pass over the degree-2 bucket.
-    A rule that inserts edges returns the step for its first candidate
-    insertion, which may leave a cubic component; the steps for the others
-    are in its `later`, for the engine to try in turn.
+    Dispatch reads only the degree buckets; its largest cost is
+    adjacent_deg2_step's one pass over the degree-2 bucket.  A rule that
+    inserts edges returns the step for its first candidate insertion, which
+    may leave a cubic component; the steps for the others are in its
+    `later`, for the engine to try in turn.  Case 2.3.1's stem, and an
+    insertion with no trial left, return a BRIDGE step at the bridge their
+    configuration closes off at.
     """
     if constraint is not None:
         _check_constraint(g, constraint)
@@ -162,11 +140,6 @@ def select_rule(
     pendants = g.degree_bucket(1)
     if pendants:
         return R.degree1_step(g, min(pendants))
-    if bridges is None:
-        bridges = g.find_bridges()
-    if bridges:
-        bridge = min(bridges)
-        return ReductionStep(R.RULE_BRIDGE, None, frozenset(), frozenset(), None, None, bridge)
     if g.degree_bucket(2):
         return R.adjacent_deg2_step(g) or R.deg2_step(g)
     return R.cubic_step(g)
@@ -178,8 +151,9 @@ def select_rule(
 # undo data, then one task per subproblem, popped in preorder (the trace
 # order): the components left by a linear step's in-place reduction, or the
 # parts of a bridge split's candidate.  Either way _carve keeps one
-# subproblem in the working graph itself (the largest component, or the part
-# holding the bridge's larger side) and copies only the others.
+# subproblem in the working graph itself (the component no search of
+# Graph.cut_off used up, or the part holding the bridge's larger side) and
+# copies only the others.
 # Unwinding a frame puts back what the carving and the reduction removed, and
 # extends the matching through the step's recipe.  The stack is the engine's
 # own, so the Python stack grows neither with n nor with the nesting depth of
@@ -195,38 +169,30 @@ def select_rule(
 # check and the forbidden-edge test in _checked read M as if it held only g's
 # matching, and an added edge that a finished part holds lies outside g.
 #
-# A task also carries its non-pendant bridges, or None when they are unknown
-# (see the module docstring).  A task without a pendant whose set is unknown
-# is searched for them (Graph.find_bridges) before its step, whose source in
-# solve, select_rule, takes the least; a step hands the set on to the task it
-# leaves when the lemma allows, and a split shares it among its gamma parts,
-# each set owned by one task at a time, so it is updated in place.  Replay
-# carries the sets as solve does, since they are a function of g, so None
-# means only "unknown".  After every linear step, connectivity is tested
-# by paths from the step's boundary, and only a disconnected graph is scanned
-# whole for its components.  No task left by a step that adds edges may be
-# cubic, an O(1) test on its buckets, and exact: each component of G' holds a
-# boundary vertex, so one that no added edge touches lost a degree there.
-#
-# The same test picks the edges a rule inserts.  A rule that must add edges
-# avoiding a cubic component offers candidates that all delete the same set
-# (the step's `later`): the engine reduces with the first, builds the tasks, and
-# if one is cubic puts g back as a frame's unwinding does (_undo) and tries
-# the next, leaving the bridge set as it was.  By the argument above, "some
-# task is cubic" holds iff some component of G' that touches the added edges
-# is cubic, however the tasks were built (one certified graph, or carved
-# components).  So the kept step is the first candidate, in the rule's order,
-# after which no component touching its added edges is cubic: a function of
-# g alone, and with it every trace.  The kept step is recorded without
-# `later`, so a trace holds data only, and replay's source drops any `later`
-# a step comes with: the recorded step is its only candidate.
+# No task left by a step that adds edges may be cubic, an O(1) test on its
+# buckets, and exact: each component of G' holds a boundary vertex, so one
+# that no added edge touches lost a degree there.  The same test picks the
+# edges a rule inserts.  A rule that must add edges avoiding a cubic
+# component offers candidates that all delete the same set (the step's
+# `later`): the engine reduces with the first, builds the tasks, and if one
+# is cubic puts g back as a frame's unwinding does (_undo) and tries the
+# next.  By the argument above, "some task is cubic" holds iff some
+# component of G' that touches the added edges is cubic, however the tasks
+# were built (one certified graph, or carved components).  So the kept step
+# is the first candidate, in the rule's order, after which no component
+# touching its added edges is cubic: a function of g alone, and with it
+# every trace.  After the last candidate, solve's source offers a split at a
+# bridge (_next_step).  The kept step is recorded without `later`, so a
+# trace holds data only, and replay's source drops any `later` a step comes
+# with: the recorded step is its only candidate, and one that leaves a cubic
+# task is refused.
 
 def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
     """Maximal matching of connected g, built in one set, appending its
-    steps to `steps`.  Each step is source(g, constraint, bridges): the
-    rules' (_next_step, solve) or a recorded trace's (_replayed, replay)."""
+    steps to `steps`.  Each step is source(g, constraint): the rules'
+    (_next_step, solve) or a recorded trace's (_replayed, replay)."""
     M: set[Edge] = set()
-    stack: list[tuple] = [("task", g, constraint, None)]
+    stack: list[tuple] = [("task", g, constraint)]
     while stack:
         item = stack.pop()
         if item[0] == "frame":
@@ -236,34 +202,29 @@ def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
             step.extension.apply(M)
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
             continue
-        _, g, constraint, bridges = item
-        if bridges is None and g.n > BASE_SIZE and not g.degree_bucket(1):
-            bridges = g.find_bridges()  # with no pendant, every bridge is a non-pendant one
-        step = source(g, constraint, bridges)
+        _, g, constraint = item
+        step = source(g, constraint)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             M |= _leaf(g, step, constraint, steps)
             steps.append(step)
             continue
-        if step.rule == R.RULE_BRIDGE:
-            step, carved, tasks = _split(g, step, bridges)
+        later = iter(())  # the source's later candidates
+        if step.later is not None:
+            later, step = step.later, replace(step, later=None)
+        while step.rule != R.RULE_BRIDGE:
+            saved, added = _reduce(g, step)
+            carved, tasks = _reduced(g, saved, added)
+            if not (added and any(t[1].is_cubic() for t in tasks)):
+                break
+            _undo(g, carved, saved, added)
+            rejected, step = step, next(later, None)
+            if step is None:
+                raise InternalInvariantViolation(
+                    f"{rejected.rule}/{rejected.case} produced a cubic component"
+                )
+        else:  # a BRIDGE step, first or after the candidates
+            step, carved, tasks = _split(g, step)
             saved, added = {}, []
-        else:
-            later = iter(())  # the rule's later candidates
-            if step.later is not None:
-                later, step = step.later, replace(step, later=None)
-            while True:
-                saved, added = _reduce(g, step)
-                carved, tasks, dropped = _reduced(g, saved, added, bridges)
-                if not (added and any(t[1].is_cubic() for t in tasks)):
-                    break
-                _undo(g, carved, saved, added)
-                rejected, step = step, next(later, None)
-                if step is None:
-                    raise InternalInvariantViolation(
-                        f"{rejected.rule}/{rejected.case} produced a cubic component"
-                    )
-            if dropped:
-                bridges -= dropped  # the set of the one task left, as _reduced says
         steps.append(step)
         stack.append(("frame", len(M), g, step, carved, saved, added, constraint))
         stack.extend(reversed(tasks))
@@ -280,105 +241,51 @@ def _undo(g: Graph, carved: dict, saved: dict, added: list[Edge]) -> None:
 
 def _carve(g: Graph, removed, parts) -> tuple[dict, list[tuple]]:
     """Tasks for connected parts of g, given in preorder as (vertex set,
-    constraint, bridges), and the undo data of the carving.  The part given
-    as None is what is left of g once the vertices `removed` are taken out,
-    and stays in g itself; every other is copied first.  Only the listed
+    constraint), and the undo data of the carving.  The part given as None
+    is what is left of g once the vertices `removed` are taken out, and
+    stays in g itself; every other is copied first.  Only the listed
     vertices are read, never all of g."""
-    tasks = [("task", g if vs is None else g.subgraph(vs), c, b) for vs, c, b in parts]
+    tasks = [("task", g if vs is None else g.subgraph(vs), c) for vs, c in parts]
     return g.remove_vertices_with_undo(removed), tasks
 
 
-def _reduced(g: Graph, saved: dict, added: list[Edge], bridges) -> tuple[dict, list, set | None]:
-    """The tasks g leaves, just reduced in place from a connected graph with
-    the non-pendant bridges `bridges` (None: unknown) by deleting the
-    vertices in `saved` (their undo data) and adding `added`; the undo data
-    of carving them; and, when there is one task and it takes over
-    `bridges`, the edges to drop from that set, else None.  A contraction
-    needs no test; with `bridges` known, the lemma's one boundary test
-    (_dropped) gives g's bridges; failing that, one path from each boundary
-    vertex to the others proves g connected; only then is g listed whole."""
-    if not bridges and _contraction(saved, added):
-        # G' is G with the path v1-u1-u2-v2 turned back into the edge v1v2:
-        # a path joins two vertices of G' iff one joined them in G, with v1v2
-        # for the subpath through u1 and u2, and the path's three edges are
-        # bridges of G iff v1v2 is one of G'.  So G' is connected, and clean
-        # if G was; an unknown set stays unknown.
-        return {}, [("task", g, None, bridges)], set()
-    if bridges is not None and g.n > BASE_SIZE:
-        dropped = _dropped(g, saved, added, bridges)
-        if dropped is not None:
-            return {}, [("task", g, None, bridges)], dropped
-    # every component of g holds a boundary vertex, so g is connected iff one
-    # path joins each boundary vertex to the others (Graph.joined)
-    boundary = _boundary(saved, added)
-    if boundary and g.joined(boundary, 1):
-        return {}, [("task", g, None, None)], None
-    comps = g.connected_components()
-    keep = max(comps, key=len, default=None)  # a step may delete all of g
-    removed = [v for c in comps if c is not keep for v in c]
-    carved, tasks = _carve(g, removed, [(None if c is keep else c, None, None) for c in comps])
-    return carved, tasks, None
-
-
-def _contraction(saved: dict, added: list[Edge]) -> bool:
-    """True iff a step deleted two adjacent vertices of degree 2 (their undo
-    data is `saved`) and added the one edge that joins their other
-    neighbours: an ADJ_DEG2 contraction, read off the step itself."""
-    if len(saved) != 2 or len(added) != 1:
-        return False
-    (u1, n1), (u2, n2) = saved.items()
-    return len(n1) == len(n2) == 2 and u2 in n1 and set(added[0]) == (n1 | n2) - {u1, u2}
+def _reduced(g: Graph, saved: dict, added: list[Edge]) -> tuple[dict, list]:
+    """The tasks g leaves, just reduced in place from a connected graph by
+    deleting the vertices in `saved` (their undo data) and adding `added`,
+    and the undo data of carving them: the component that Graph.cut_off
+    leaves from the step's boundary stays in g and comes first, then the
+    components it cut off, by least vertex."""
+    if not g.n:  # the step deleted all of g
+        return {}, []
+    sides = sorted(g.cut_off(_boundary(saved, added)), key=min)
+    return _carve(g, set().union(*sides), [(None, None)] + [(side, None) for side in sides])
 
 
 def _boundary(saved: dict, added: list[Edge]) -> set[int]:
     """The boundary of a step that deleted the vertices in `saved` (their
-    undo data) and added the edges `added`: (N(D) - D) | V(A)."""
+    undo data) and added the edges `added`: (N(D) - D) | V(A).  Every
+    component of the reduced graph holds one of its vertices."""
     boundary = set().union(*saved.values()).difference(saved)
     boundary.update(v for e in added for v in e)
     return boundary
 
 
-def _dropped(g: Graph, saved: dict, added: list[Edge], bridges: set[Edge]) -> set[Edge] | None:
-    """The edges of `bridges`, the non-pendant bridges of g before a linear
-    step (as in _reduced), that are not among them after it, by the lemma in
-    the module docstring; None if the lemma does not give g's bridges.
-
-    The one test is the lemma's: B*, the boundary with each vertex of degree
-    1 replaced by its neighbour, lies in one 2-edge-connected component of g
-    (Graph.joined(B*, 2); an isolated boundary vertex fails it).  A non-empty
-    `bridges` needs first that the deleted set D is connected and the added
-    edges join vertices of N(D); then B* is N(D) - D, its pendants replaced.
-    """
-    boundary = _boundary(saved, added)
-    if bridges:
-        if boundary - set().union(*saved.values()):  # an added edge leaves N(D)
-            return None
-        inner = [(d, w) for d in saved for w in saved[d] if d < w and w in saved]
-        if not Graph.from_edges(inner, saved).is_connected():
-            return None
-    seeds = set()
-    for b in boundary:
-        nbrs = g.neighbors(b)
-        if len(nbrs) == 1:
-            seeds |= nbrs  # a pendant edge may be a bridge: certify its other end
-        elif nbrs:
-            seeds.add(b)
-        else:
-            return None
-    if not g.joined(seeds, 2):
-        return None
-    if not bridges:
-        return set()
-    dropped = {edge(d, w) for d, nbrs in saved.items() for w in nbrs}
-    dropped.update(edge(b, *g.neighbors(b)) for b in boundary if g.degree(b) == 1)
-    return dropped & bridges
-
-
-def _next_step(g: Graph, constraint, bridges) -> ReductionStep:
+def _next_step(g: Graph, constraint) -> ReductionStep:
     """Solve's step source: the oracle on small graphs, the first
-    applicable rule otherwise."""
+    applicable rule otherwise.  A step that adds edges offers, after the
+    rule's later candidates, a split at the least bridge at its deleted set
+    (reductions.bridge_at; None if there is none), for the engine to take
+    when every candidate leaves a cubic component."""
     if g.n > BASE_SIZE:
-        return select_rule(g, constraint, bridges)
+        step = select_rule(g, constraint)
+        if not step.added_edges:
+            return step
+
+        def later():
+            yield from step.later or ()
+            yield R.bridge_at(g, step.deleted)
+
+        return replace(step, later=later())
     if constraint is not None:
         rule, res = R.RULE_BASE_SMALL, gamma_exact_avoiding(g, constraint.forbidden_edge)
     else:
@@ -392,7 +299,7 @@ def _replayed(recorded: Iterator[ReductionStep]):
     """Replay's step source: the trace's next step, without any `later`,
     so that it is the only candidate."""
 
-    def source(g, constraint, bridges) -> ReductionStep:
+    def source(g, constraint) -> ReductionStep:
         step = next(recorded, None)
         if step is None:
             raise InternalInvariantViolation("trace ended before the graph was consumed")
@@ -481,7 +388,7 @@ def _checked(g: Graph, step, M, size: int, grown: int, constraint, special=False
 CANDIDATES = ("gamma0", "gamma1", "forest")  # the order that breaks ties
 
 
-def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict, list[tuple]]:
+def _split(g: Graph, step: ReductionStep) -> tuple[ReductionStep, dict, list[tuple]]:
     """The bridge step to record, and g carved into its candidate's parts:
     the candidate a recorded step names in its case (replay), else, for
     select_rule's step, whose case is None, the smallest a-priori bound (ties
@@ -489,15 +396,10 @@ def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict,
     checked against its own lambda, so the sum of their floor(lambda/6), plus
     1 for forest's bridge edge, bounds the candidate before anything is
     solved; the construction guarantees that it meets floor(lambda(g)/6).
-
-    `bridges`, g's non-pendant bridges, are None only when unknown.  A gamma
-    part takes the edges of a known set inside it, less one left pendant;
-    the other parts start unknown.
     """
     bridge = step.bridge
-    s, small, candidates = _candidates(g, bridge, bridges)
     best = None
-    for name, removed, parts in candidates:
+    for name, removed, parts in _candidates(g, bridge):
         if step.case is not None and name != step.case:
             continue
         bound = sum(lambda6_of(*_census(g, vs, removed)) // 6 for vs, _ in parts)
@@ -509,27 +411,14 @@ def _split(g: Graph, step: ReductionStep, bridges) -> tuple[ReductionStep, dict,
     bound, name, removed, parts = best
     if bound > lambda6(g) // 6:
         raise InternalInvariantViolation(f"bridge candidate {name} misses the bound a priori")
-    shares = [None] * len(parts)
-    if bridges is not None and name != "forest":
-        # gamma i: side i plus the other end as a pendant, then side 1 - i,
-        # whose end lost the bridge and may have left a pendant edge
-        i = CANDIDATES.index(name)
-        inner = {(v, w) for v in small for w in g.neighbors(v) if v < w and w in small} & bridges
-        bridges -= inner
-        bridges.discard(bridge)
-        shares = [inner, bridges] if i == s else [bridges, inner]
-        end = bridge[1 - i]
-        if g.degree(end) == 2:
-            shares[1].discard(edge(end, *(g.neighbors(end) - {bridge[i]})))
     recipe = ExtensionRecipe((ExtensionBranch((), (), (bridge,) if name == "forest" else ()),))
     step = ReductionStep(R.RULE_BRIDGE, name, frozenset(), frozenset(), recipe, None, bridge)
-    carved, tasks = _carve(g, removed, [(vs, c, b) for (vs, c), b in zip(parts, shares)])
+    carved, tasks = _carve(g, removed, parts)
     return step, carved, tasks
 
 
-def _candidates(g: Graph, bridge: Edge, bridges) -> tuple[int, set[int], list[tuple]]:
-    """The bridge's smaller side, as (s, side s) with side s holding
-    bridge[s], and the candidate splits, each (name, removed, parts).
+def _candidates(g: Graph, bridge: Edge) -> list[tuple]:
+    """The candidate splits at the bridge, each (name, removed, parts).
 
     For each side i, a pendant-avoiding matching of that side plus the bridge
     endpoint of the other side, united with a plain matching of the other
@@ -540,8 +429,8 @@ def _candidates(g: Graph, bridge: Edge, bridges) -> tuple[int, set[int], list[tu
     of g once the vertices `removed` are taken out.  Only the smaller side is
     listed: the search for it stops once it is used up, and a component of
     the larger side less its end is split off only when the end's other
-    edges are bridges (read off `bridges` when known, else searched the same
-    way).  Then, and only then, ordering the two walks g.
+    edges are bridges, searched the same way.  Then, and only then, ordering
+    the two walks g.
     """
     if bridge is None or not g.has_edge(*bridge):
         raise InternalInvariantViolation(f"{bridge} is not an edge")
@@ -561,7 +450,7 @@ def _candidates(g: Graph, bridge: Edge, bridges) -> tuple[int, set[int], list[tu
     candidates = [(CANDIDATES[i], *gamma[i]) for i in (0, 1)]
     n_s, m_s = len(small), (sum(g.degree(v) for v in small) - 1) // 2
     if (4 * n_s - m_s) % 6 or (4 * (g.n - n_s) - (g.m - 1 - m_s)) % 6:
-        return s, small, candidates
+        return candidates
     removed = cut | small
     parts = []
     for i, u in enumerate(bridge):
@@ -569,11 +458,8 @@ def _candidates(g: Graph, bridge: Edge, bridges) -> tuple[int, set[int], list[tu
         if not a:
             continue  # the side is its end alone
         rest = small - {u} if i == s else None  # the side less its end
-        # a[0] and a[1] are apart iff the edges from u to them are bridges,
-        # which on the larger side is read off `bridges` when they are known
-        known = i != s and bridges is not None
-        joined = known and g.degree(a[0]) > 1 and edge(u, a[0]) not in bridges
-        apart = g.smaller_side(a[:1], a[1:], cut) if len(a) == 2 and not joined else None
+        # a[0] and a[1] are apart iff the edges from u to them are bridges
+        apart = g.smaller_side(a[:1], a[1:], cut) if len(a) == 2 else None
         if apart is None:
             parts.append((rest, None))
             continue
@@ -586,7 +472,7 @@ def _candidates(g: Graph, bridge: Edge, bridges) -> tuple[int, set[int], list[tu
             first = min(comp) < min(rest)
         parts += [(comp, None), (rest, None)] if first else [(rest, None), (comp, None)]
     candidates.append(("forest", removed, parts))
-    return s, small, candidates
+    return candidates
 
 
 def _census(g: Graph, vs, removed) -> tuple[int, int, int]:

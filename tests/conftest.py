@@ -117,7 +117,7 @@ def bridge_candidates(g: Graph, bridge) -> list:
     preorder), each part (vertex set, constraint) listed in full; the
     candidates the solver's bridge split chooses from (solver._candidates)."""
     out = []
-    for name, removed, parts in solver._candidates(g, bridge, None)[2]:
+    for name, removed, parts in solver._candidates(g, bridge):
         rest = set(g.iter_vertices()).difference(removed)
         out.append((name, tuple((rest if vs is None else vs, c) for vs, c in parts)))
     return out

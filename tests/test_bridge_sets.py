@@ -1,11 +1,11 @@
-"""Bridge sets carried by the engine, and bridge splits that cost the small side.
+"""Bridge splits that cost the small side, and components cut off after a step.
 
-A task carries its non-pendant bridges when they are known, so that the
-bridge search does not run again after every step, and a bridge split counts
-its candidates' bounds from the smaller side and carves only the winner.
-Tarjan's lowlink search (Graph.find_bridges) and plain component searches
-stay the reference: every carried set, every candidate and every bound must
-be the one they give, and the work a split does must stay linear in n.
+A bridge split counts its candidates' bounds from the smaller side and
+carves only the winner, and after a linear step the searches of
+Graph.cut_off list only the components that the kept one is not.  Tarjan's
+lowlink search (Graph.find_bridges) and plain component searches stay the
+reference: every candidate, every bound and every component cut off must be
+the one they give, and the work of a solve must stay linear in n.
 """
 
 import random
@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
-    bead_ring,
     bridge_candidates,
     bridge_chain,
     bridged_pair,
@@ -23,9 +22,9 @@ from conftest import (
 from minmatch import solver
 from minmatch.errors import InternalInvariantViolation
 from minmatch.generators import gen_named
-from minmatch.graph import Graph, edge
+from minmatch.graph import Graph
 from minmatch.matching import lambda6, lambda6_of
-from minmatch.reductions import RULE_BRIDGE, ExtensionBranch, ExtensionRecipe, ReductionStep
+from minmatch.reductions import ExtensionBranch, ExtensionRecipe, ReductionStep, bridge_step
 from minmatch.solver import PendantConstraint, solve
 from test_trace_digest import corpus as trace_corpus
 
@@ -48,15 +47,6 @@ def sparse_shape(seed: int, n: int, density: float) -> Graph:
         if rng.random() < density and g.degree(u) < 3 and g.degree(v) < 3:
             g.add_edge(u, v)
     return g.subgraph(max(g.connected_components(), key=len))
-
-
-def relabelled(g: Graph, seed: int) -> Graph:
-    """g with its vertices renamed at random, so that the least bridge, and
-    the side its lesser end is on, fall anywhere."""
-    names = g.vertices()
-    random.Random(seed).shuffle(names)
-    rename = dict(zip(g.vertices(), names))
-    return Graph.from_edges((rename[u], rename[v]) for u, v in g.edges())
 
 
 def graphs_with_bridges():
@@ -97,6 +87,13 @@ def reference_candidates(g: Graph, bridge):
     return out
 
 
+def smaller_side(g: Graph, bridge) -> set:
+    """The side of g - bridge that the split lists, its end included."""
+    cut = set(bridge)
+    s, side = g.smaller_side(g.neighbors(bridge[0]) - cut, g.neighbors(bridge[1]) - cut, cut)
+    return side | {bridge[s]}
+
+
 def test_candidates_match_whole_graph_searches():
     splits = forests = two_large = 0
     for g in graphs_with_bridges():
@@ -108,132 +105,106 @@ def test_candidates_match_whole_graph_searches():
                 forests += 1
                 # the larger side less its end splits in two: one part is
                 # left in g, and its place in preorder is found by walking g
-                small = solver._candidates(g, bridge, None)[1]
+                small = smaller_side(g, bridge)
                 two_large += sum(vs.isdisjoint(small) for vs, _ in got[2][1]) == 2
     assert splits > 300 and forests > 30 and two_large > 3
 
 
 def test_counted_bounds_equal_those_of_the_parts():
     # each candidate's bound is counted from the smaller side (_census); it
-    # must be the sum of the parts' own bounds, with or without the known
-    # bridges that let the larger side's components go unsearched
+    # must be the sum of the parts' own bounds
     checked = 0
     for g in graphs_with_bridges():
-        known = tarjan(g)
         for bridge in sorted(g.find_bridges()):
-            for bridges in (None, known):
-                _, small, candidates = solver._candidates(g, bridge, bridges)
-                assert len(small) <= g.n - len(small)
-                for name, removed, parts in candidates:
-                    rest = set(g.iter_vertices()).difference(removed)
-                    for vs, _ in parts:
-                        part = g.subgraph(rest if vs is None else vs)
-                        assert part.is_connected() and not part.is_cubic()
-                        assert lambda6_of(*solver._census(g, vs, removed)) == lambda6(part)
-                        checked += 1
+            small = smaller_side(g, bridge)
+            assert len(small) <= g.n - len(small)
+            for name, removed, parts in solver._candidates(g, bridge):
+                rest = set(g.iter_vertices()).difference(removed)
+                for vs, _ in parts:
+                    part = g.subgraph(rest if vs is None else vs)
+                    assert part.is_connected() and not part.is_cubic()
+                    assert lambda6_of(*solver._census(g, vs, removed)) == lambda6(part)
+                    checked += 1
     assert checked > 1000
 
 
-def test_split_carves_the_winner_and_shares_the_bridges():
-    splits = shared = 0
+def test_split_carves_the_winner():
+    # solve's split takes the candidate of least bound, replay's the one it
+    # is given; both carve exactly its parts, and undo puts g back.  No
+    # solve in the corpora reaches a forest split, so here every candidate
+    # that meets the bound is split directly
+    splits = solved = 0
+    carved_cases = set()
     for g in graphs_with_bridges():
         for bridge in sorted(tarjan(g)):
-            step = ReductionStep(
-                RULE_BRIDGE, None, frozenset(), frozenset(), None, None, bridge
-            )
-            if not g.degree_bucket(1):  # where solve splits, and a candidate meets the bound
+            step = bridge_step(bridge)
+            if not g.degree_bucket(1):  # where a split meets the bound a priori
                 h = g.copy()
-                recorded, carved, tasks = solver._split(h, step, tarjan(h))
+                recorded, carved, tasks = solver._split(h, step)
                 parts = dict(bridge_candidates(g, bridge))[recorded.case]
-                assert [(t[1], t[2]) for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
-                for t in tasks:
-                    assert t[3] == (None if recorded.case == "forest" else tarjan(t[1]))
+                assert [t[1:] for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
                 solver._undo(h, carved, {}, [])
                 assert h == g
                 h.validate()
-                shared += 1
-            # replay carves the candidate it is given, if it meets the bound
+                solved += 1
             for name, parts in bridge_candidates(g, bridge):
                 h = g.copy()
                 bound = sum(lambda6(g.subgraph(vs)) // 6 for vs, _ in parts)
                 bound += name == "forest"
                 if bound > lambda6(g) // 6:
                     with pytest.raises(InternalInvariantViolation, match="misses the bound a priori"):
-                        solver._split(h, replace(step, case=name), None)
+                        solver._split(h, replace(step, case=name))
                     continue
-                _, carved, tasks = solver._split(h, replace(step, case=name), None)
-                assert [t[1:3] for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
-                assert all(t[3] is None for t in tasks)
+                recorded, carved, tasks = solver._split(h, replace(step, case=name))
+                assert recorded.case == name
+                assert [t[1:] for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
                 solver._undo(h, carved, {}, [])
                 assert h == g
+                carved_cases.add(name)
             splits += 1
-    assert splits > 100 and shared > 10
-
-
-def test_carried_bridge_sets_match_tarjan(monkeypatch):
-    # at every dispatch, a carried set is exactly the non-pendant bridges
-    seen = {"known": 0, "bridged": 0, "with_pendants": 0}
-    rules = solver.select_rule
-
-    def checked(g, constraint=None, bridges=None):
-        if bridges is not None:
-            assert bridges == tarjan(g), g.edges()
-            seen["known"] += 1
-            seen["bridged"] += bool(bridges)
-            seen["with_pendants"] += bool(bridges) and bool(g.degree_bucket(1))
-        return rules(g, constraint, bridges)
-
-    monkeypatch.setattr(solver, "select_rule", checked)
-    graphs = graphs_with_bridges() + [bead_ring(k, seed) for k, seed in ((4, 0), (6, 1))]
-    graphs += [gen_named("P_n", 40), bridge_chain(30, 3)]
-    # the least bridge anywhere: a gamma part that keeps the larger side, and
-    # its bridges, starts with a pendant step
-    graphs += [relabelled(bridge_chain(k, seed), seed) for k, seed in ((6, 4), (10, 5), (20, 6))]
-    graphs += [relabelled(g, seed) for seed, g in enumerate(graphs_with_bridges()[:10])]
-    for g in graphs:
-        assert solve(g).valid
-    assert seen["known"] > 300 and seen["bridged"] > 100 and seen["with_pendants"] > 10
+    assert splits > 100 and solved > 10
+    assert carved_cases == {"gamma0", "gamma1", "forest"}
 
 
 def test_replay_is_the_same_engine(monkeypatch):
-    # replay searches for bridges, carries the sets and makes the boundary
-    # tests where solve does: only the source of each step differs
-    count = {"find_bridges": 0, "joined2": 0}
-    seen = {"known": 0, "bridged": 0}
-    find, joined, replayed = Graph.find_bridges, Graph.joined, solver._replayed
+    # replay cuts off components after each recorded linear step, as solve
+    # does after each candidate it tries, splits where solve split, and
+    # searches for no bridge before a step: only the source of each step
+    # differs
+    count = {"reduced": 0, "split": 0, "find_bridges": 0}
+    reduced, split, find = solver._reduced, solver._split, Graph.find_bridges
+
+    def counted_reduced(g, saved, added):
+        count["reduced"] += 1
+        return reduced(g, saved, added)
+
+    def counted_split(g, step):
+        count["split"] += 1
+        return split(g, step)
 
     def counted_find(g):
         count["find_bridges"] += 1
         return find(g)
 
-    def counted_joined(g, seeds, paths=1):
-        count["joined2"] += paths == 2
-        return joined(g, seeds, paths)
-
-    def checked_replayed(recorded):
-        source = replayed(recorded)
-
-        def checked(g, constraint, bridges):
-            if bridges is not None:
-                assert bridges == tarjan(g), g.edges()
-                seen["known"] += 1
-                seen["bridged"] += bool(bridges)
-            return source(g, constraint, bridges)
-
-        return checked
-
+    monkeypatch.setattr(solver, "_reduced", counted_reduced)
+    monkeypatch.setattr(solver, "_split", counted_split)
     monkeypatch.setattr(Graph, "find_bridges", counted_find)
-    monkeypatch.setattr(Graph, "joined", counted_joined)
-    monkeypatch.setattr(solver, "_replayed", checked_replayed)
     graphs = trace_corpus() + [bridge_chain(k, seed) for k, seed in ((5, 0), (30, 3), (60, 1))]
+    splits = rejected = 0
     for g in graphs:
         count.update(dict.fromkeys(count, 0))
         cert = solve(g)
         solved = dict(count)
         count.update(dict.fromkeys(count, 0))
         assert solver.replay(g, cert) == cert.matching
-        assert count == solved, (g.edges(), solved, count)
-    assert seen["known"] > 400 and seen["bridged"] > 100
+        linear = sum(s.rule not in ("BASE_SMALL", "K33_SPECIAL", "BRIDGE") for s in cert.trace)
+        bridges = sum(s.rule == "BRIDGE" for s in cert.trace)
+        assert count == {"reduced": linear, "split": bridges, "find_bridges": 0}
+        assert solved["reduced"] >= linear and solved["split"] == bridges
+        assert solved["find_bridges"] == 0
+        splits += bridges
+        rejected += solved["reduced"] - linear
+    assert splits >= 2 and rejected >= 1
 
     # a recorded step is the only candidate: a `later` it comes with is not
     # read, even where it would rescue a step that leaves a cubic graph.
@@ -255,35 +226,30 @@ def test_replay_is_the_same_engine(monkeypatch):
     assert next(later) == cert.trace[0]
 
 
-def test_lemma_on_deleted_sets():
-    # _dropped on arbitrary deletions, against Tarjan after the step: exact
-    # whenever it answers; a deleted set that is not connected, with bridges
-    # known, gets no answer
+def test_cut_off_on_deleted_sets():
+    # Graph.cut_off from the boundary of arbitrary deletions, against the
+    # components listed whole: every component but one is cut off, and the
+    # one left is at least as large as each
     rng = random.Random(7)
-    answered = refused = apart = 0
+    split = whole = 0
     for g in graphs_with_bridges():
         for _ in range(10):
             h = g.copy()
-            known = tarjan(h)
             v = rng.choice(h.vertices())
             deleted = {v} | set(rng.sample(sorted(h.neighbors(v)), rng.randrange(0, h.degree(v) + 1)))
             if rng.random() < 0.3:
                 deleted.add(rng.choice(h.vertices()))
             if len(deleted) >= h.n - 2:
                 continue
-            connected = h.subgraph(deleted).is_connected()
             saved = h.remove_vertices_with_undo(deleted)
-            dropped = solver._dropped(h, saved, [], set(known))
-            if known and not connected:
-                assert dropped is None
-                apart += 1
-            elif dropped is None:
-                refused += 1
-            else:
-                assert h.is_connected()
-                assert known - dropped == tarjan(h), (g.edges(), deleted)
-                answered += 1
-    assert answered > 100 and refused > 20 and apart > 20
+            sides = h.cut_off(solver._boundary(saved, []))
+            comps = h.connected_components()
+            kept = [c for c in comps if c not in sides]
+            assert len(kept) == 1 and len(sides) == len(comps) - 1, (g.edges(), deleted)
+            assert all(len(side) <= len(kept[0]) for side in sides)
+            split += bool(sides)
+            whole += not sides
+    assert split > 100 and whole > 100
 
 
 def test_step_that_deletes_the_whole_graph():
@@ -294,22 +260,6 @@ def test_step_that_deletes_the_whole_graph():
     assert cert.valid
     assert any(s.rule not in ("BASE_SMALL", "K33_SPECIAL") for s in cert.trace)
     assert solver.replay(g, cert) == cert.matching
-
-
-def test_contraction_is_recognised_from_the_step():
-    g = gen_named("C_n", 12)
-    saved = g.remove_vertices_with_undo({3, 4})
-    assert solver._contraction(saved, [edge(2, 5)])
-    assert not solver._contraction(saved, [edge(2, 6)])
-    g = gen_named("C_n", 12)
-    saved = g.remove_vertices_with_undo({3, 5})
-    assert not solver._contraction(saved, [edge(2, 6)])
-    # two vertices with the same two other neighbours: adjacent of degree 3,
-    # or apart of degree 2, neither is a subdivided edge
-    for edges in ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)], [(0, 2), (0, 3), (1, 2), (1, 3)]):
-        g = Graph.from_edges(edges)
-        saved = g.remove_vertices_with_undo({0, 1})
-        assert not solver._contraction(saved, [(2, 3)])
 
 
 def test_census_of_any_part():
@@ -326,37 +276,48 @@ def test_census_of_any_part():
 
 
 def test_bridge_chain_scans_and_carves_stay_linear(monkeypatch):
-    # one search of the whole chain; the only other scans are of blob-sized
-    # parts whose certificate was refuted by a new bridge.  Every vertex a
-    # split or a carving lists or copies is on the smaller side of its
-    # bridge, so the total is linear in n, where walking the larger side at
-    # every split would be quadratic in the number of blobs
-    count = {"big": 0, "scanned": 0, "listed": 0}
-    find, side, carve = Graph.find_bridges, Graph.smaller_side, solver._carve
+    # no bridge search and no component listing of the whole graph: a step
+    # cuts off components by searches from its boundary, and a split lists
+    # the smaller side of its bridge.  Every vertex a split or a carving
+    # lists or copies, and every side cut off, is on the smaller side of its
+    # cut, so the totals are linear in n, where walking the larger side at
+    # every cut would be quadratic in the number of blobs
+    count = {"find_bridges": 0, "components": 0, "listed": 0, "cut_off": 0}
+    find, components = Graph.find_bridges, Graph.connected_components
+    side, cut_off, carve = Graph.smaller_side, Graph.cut_off, solver._carve
 
     def counted_find(g):
-        count["big"] += g.n > 24
-        count["scanned"] += g.n
+        count["find_bridges"] += 1
         return find(g)
+
+    def counted_components(g):
+        count["components"] += 1
+        return components(g)
 
     def counted_side(g, a, b, cut):
         found = side(g, a, b, cut)
         count["listed"] += 0 if found is None else len(found[1])
         return found
 
+    def counted_cut_off(g, boundary):
+        sides = cut_off(g, boundary)
+        count["cut_off"] += sum(map(len, sides))
+        return sides
+
     def counted_carve(g, removed, parts):
-        count["listed"] += len(removed) + sum(len(vs) for vs, _, _ in parts if vs is not None)
+        count["listed"] += len(removed) + sum(len(vs) for vs, _ in parts if vs is not None)
         return carve(g, removed, parts)
 
     monkeypatch.setattr(Graph, "find_bridges", counted_find)
+    monkeypatch.setattr(Graph, "connected_components", counted_components)
     monkeypatch.setattr(Graph, "smaller_side", counted_side)
+    monkeypatch.setattr(Graph, "cut_off", counted_cut_off)
     monkeypatch.setattr(solver, "_carve", counted_carve)
-    for k in (20, 40, 80):
-        for seed in (1, 2):
-            g = bridge_chain(k, seed)
-            for key in count:
-                count[key] = 0
-            assert solve(g).valid
-            assert count["big"] <= 2, (k, seed, count)
-            assert count["scanned"] <= 2 * g.n, (k, seed, count)
-            assert count["listed"] <= 6 * g.n, (k, seed, count)
+    for k, seed in ((20, 1), (20, 2), (40, 1), (40, 2), (80, 1), (80, 2), (1600, 1)):
+        g = bridge_chain(k, seed)
+        for key in count:
+            count[key] = 0
+        assert solve(g).valid
+        assert count["find_bridges"] == count["components"] == 0, (k, seed, count)
+        assert count["listed"] <= 6 * g.n, (k, seed, count)
+        assert count["cut_off"] <= g.n, (k, seed, count)

@@ -188,9 +188,10 @@ def test_verify_jobs_deterministic(capsys, monkeypatch):
 
 
 def test_verify_starts_no_more_workers_than_records(capsys, monkeypatch):
-    # a fake pool that records its size and maps in this process, so the
-    # test starts no process
-    sizes = []
+    # a fake pool that records its size and chunk size and maps in this
+    # process, so the test starts no process; chunks are small enough that
+    # every worker gets one
+    sizes, chunks = [], []
 
     class FakePool:
         def __init__(self, processes):
@@ -203,15 +204,17 @@ def test_verify_starts_no_more_workers_than_records(capsys, monkeypatch):
             return False
 
         def imap(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
     monkeypatch.setattr(cli, "Pool", FakePool)
-    for count in (3, 1, 0):
+    for count, jobs in ((3, "64"), (1, "64"), (0, "64"), (20, "4")):
         lines = "".join(write_graph6(gen_random_cubic(16, seed)) + "\n" for seed in range(count))
         _, serial, _ = run(capsys, ["verify"], stdin=lines, monkeypatch=monkeypatch)
-        _, pooled, _ = run(capsys, ["verify", "--jobs", "64"], stdin=lines, monkeypatch=monkeypatch)
+        _, pooled, _ = run(capsys, ["verify", "--jobs", jobs], stdin=lines, monkeypatch=monkeypatch)
         assert pooled == serial
-    assert sizes == [3]
+    assert sizes == [3, 4]
+    assert chunks == [1, 5]
 
 
 def test_verify_reports_rule_coverage(capsys, monkeypatch):

@@ -63,26 +63,14 @@ def test_refused_add_edge_changes_nothing(u, v, error):
     g.validate()
 
 
-def test_joined_and_smaller_side_reject_unknown_seeds():
+def test_cut_off_and_smaller_side_reject_unknown_seeds():
     g = gen_named("K4")
-    for seeds, paths in (({0, 99}, 1), ({99}, 2), ({99}, 1), ({1, 2, 99}, 2)):
+    for seeds in ({0, 99}, {99}, {1, 2, 99}):
         with pytest.raises(UnknownVertex):
-            g.joined(seeds, paths)
+            g.cut_off(seeds)
     for a, b in (([99], [1]), ([1], [99]), ([1, 99], [2])):
         with pytest.raises(UnknownVertex):
             g.smaller_side(a, b, {0})
-
-
-@pytest.mark.parametrize("paths", [0, 3, -1, 1.5])
-def test_joined_rejects_paths_other_than_one_or_two(paths):
-    # C_6 joins 0 and 3 by two edge-disjoint paths, not three; P_5 joins 0
-    # and 4 by one; a single seed or an unknown one is no excuse either
-    cases = [(gen_named("C_n", 6), [0, 3]), (gen_named("P_n", 5), [0, 4]), (gen_named("K4"), [0])]
-    for g, seeds in cases:
-        with pytest.raises(PreconditionViolated):
-            g.joined(seeds, paths)
-    with pytest.raises(PreconditionViolated):
-        gen_named("K4").joined([99], paths)
 
 
 def test_refused_restore_changes_nothing():
@@ -104,33 +92,6 @@ def test_refused_restore_changes_nothing():
         g.restore_vertices({1: frozenset({3})})
     assert g == before
     g.validate()
-
-
-def ear_store_graph() -> Graph:
-    g = gen_random_cubic(50, 3)
-    assert g.joined({0, 10, 20, 30}, 2)
-    return g
-
-
-def test_validate_checks_the_ear_store():
-    ear_store_graph().validate()
-    g = ear_store_graph()
-    owner, units = g._ears
-    owner[99] = next(iter(units))  # not a vertex of g
-    with pytest.raises(InternalInvariantViolation):
-        g.validate()
-    g = ear_store_graph()
-    owner, units = g._ears
-    owner[next(v for v in g.iter_vertices() if v not in owner)] = -1  # no such unit
-    with pytest.raises(InternalInvariantViolation):
-        g.validate()
-    g = ear_store_graph()
-    owner, units = g._ears
-    root = next(k for k, unit in units.items() if not unit[1])
-    for v in units.pop(root)[0]:  # the root dies, but not the units on it
-        del owner[v]
-    with pytest.raises(InternalInvariantViolation):
-        g.validate()
 
 
 def test_remove_vertices_k33_minus_one():

@@ -318,8 +318,8 @@ def test_rejected_connected_cubic_candidate(monkeypatch):
     offered = []
     offer_later = True
 
-    def fake(h, constraint=None, bridges=None):
-        step = rules(h, constraint, bridges)
+    def fake(h, constraint=None):
+        step = rules(h, constraint)
         if 10 not in h:
             return step
         step = replace(step, later=None)
@@ -364,9 +364,14 @@ def two_triangles_bridge():
 
 
 def split_at_bridge(g, bridge, monkeypatch):
-    """Solve with the base case lowered below g's size, so that the split at
-    the bridge runs even on these small graphs."""
+    """Solve with the base case lowered below g's size, and a split at the
+    bridge as the first step, so that the split runs even on these small
+    graphs; the rules solve its parts."""
     monkeypatch.setattr(solver, "BASE_SIZE", 5)
+    rules = solver.select_rule
+    monkeypatch.setattr(
+        solver, "select_rule", lambda h, c=None: R.bridge_step(bridge) if h.n == g.n else rules(h, c)
+    )
     cert = solve(g)
     assert_sound(g, cert)
     assert (cert.trace[0].rule, cert.trace[0].bridge) == ("BRIDGE", bridge)
@@ -432,14 +437,84 @@ def test_some_bridge_candidate_meets_the_bound_a_priori(corpus_n6):
     assert splits > 50
 
 
+def test_stem_of_case_231_is_split(monkeypatch):
+    # u = 0 has degree 2 between v1 = 1 and v2 = 6; w11 = 2 and w12 = 3 see
+    # v1, x1 = 4 and x2 = 5, which are adjacent, so {1, 2, 3, 4, 5} meets
+    # the rest only at the stem (0, 1), and the rule splits there
+    g = Graph.from_edges([
+        (0, 1), (0, 6), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5),
+        (6, 7), (6, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10),
+    ])
+    step = select_rule(g)
+    assert (step.rule, step.case, step.bridge) == ("BRIDGE", None, (0, 1))
+    stems = []
+    case231 = R._deg2_case231
+
+    def recorded(*args):
+        step = case231(*args)
+        if step.rule == "BRIDGE":
+            stems.append(step.bridge)
+        return step
+
+    monkeypatch.setattr(R, "_deg2_case231", recorded)
+    for h in (g, random_connected_subcubic(12, 52, 2), bridge_chain(14, 5)):
+        stems.clear()
+        cert = solve(h)
+        assert_sound(h, cert)
+        assert replay(h, cert) == cert.matching
+        assert stems and [s.bridge for s in cert.trace if s.rule == "BRIDGE"] == stems
+
+
+def test_split_when_every_candidate_leaves_a_cubic_part(monkeypatch):
+    # the first step of this graph is a case-1 relink whose one candidate
+    # leaves a cubic part: solve's source then offers the split at the least
+    # bridge at the deleted set, and the engine takes it
+    offered = []
+    bridge_at = R.bridge_at
+
+    def recorded(g, vs):
+        step = bridge_at(g, vs)
+        offered.append(step.bridge)
+        return step
+
+    monkeypatch.setattr(R, "bridge_at", recorded)
+    g = random_connected_subcubic(16, 971, 1)
+    first = select_rule(g)
+    assert (first.rule, first.case, first.variant) == ("DEG2_TWO_DEG3", "1", "relink")
+    cert = solve(g)
+    assert offered == [(1, 5)]
+    assert (cert.trace[0].rule, cert.trace[0].case, cert.trace[0].bridge) == ("BRIDGE", "gamma1", (1, 5))
+    assert_sound(g, cert)
+    assert replay(g, cert) == cert.matching
+
+
+def test_split_when_every_insertion_is_an_edge():
+    # the adjacent degree-2 pair 1, 2 between v1 = 3 and v2 = 4; the
+    # outer-independent insertions would join x1 = 7 or x2 = 8 to w21 = 5 or
+    # w22 = 6, all edges already, and {0, ..., 8} meets the rest only at
+    # (3, 9), where the rule splits
+    g = Graph.from_edges([
+        (1, 2), (1, 3), (2, 4), (0, 3), (3, 9), (4, 5), (4, 6), (0, 7), (0, 8),
+        (5, 7), (5, 8), (6, 7), (6, 8), (10, 12), (10, 13), (11, 12), (11, 13),
+        (12, 13), (9, 10), (9, 11),
+    ])
+    step = select_rule(g)
+    assert (step.rule, step.case, step.bridge) == ("BRIDGE", None, (3, 9))
+    cert = solve(g)
+    assert cert.trace[0] == replace(cert.trace[0], rule="BRIDGE", bridge=(3, 9))
+    assert_sound(g, cert)
+    assert replay(g, cert) == cert.matching
+
+
 def test_solve_on_bridged_blobs():
-    for seed in range(5):
-        g = bridged_pair(10, seed)
+    # the linear rules solve bridged pairs; on bridged_pair(14, 5) case
+    # 2.3.1's stem is a bridge, split with its first part anchored
+    for g in [bridged_pair(10, seed) for seed in range(5)] + [bridged_pair(14, 5)]:
         cert = solve(g)
         assert_sound(g, cert)
-        assert any(s.rule == "BRIDGE" for s in cert.trace)
-        assert any(s.rule == "DEGREE1" and s.variant == "anchored" for s in cert.trace)
         assert replay(g, cert) == cert.matching
+    assert any(s.rule == "BRIDGE" for s in cert.trace)
+    assert any(s.rule == "DEGREE1" and s.variant == "anchored" for s in cert.trace)
 
 
 # -- avoidance ---------------------------------------------------------------------
@@ -510,14 +585,16 @@ def test_replay_reproduces_matching_small(corpus_n6):
 
 
 def test_replay_every_certificate_of_the_digest_corpus():
-    # forest, gamma0 and gamma1 splits, bridged pairs, chains and cubic
-    # n = 100: a replayed split takes its candidate from the recorded case
+    # gamma0 and gamma1 splits, bridged pairs, chains and cubic n = 100: a
+    # replayed split takes its candidate from the recorded case.  No solve
+    # is known to choose a forest split; test_split_carves_the_winner
+    # replays one directly
     cases = set()
     for g in trace_corpus():
         cert = solve(g)
         assert replay(g, cert) == cert.matching
         cases.update(s.case for s in cert.trace if s.rule == "BRIDGE")
-    assert cases == {"gamma0", "gamma1", "forest"}
+    assert cases == {"gamma0", "gamma1"}
 
 
 def test_leaf_guards_the_exceptional_graph():
@@ -644,10 +721,11 @@ def _finished_edge_and_later_step(g, cert):
 
 
 @pytest.mark.parametrize("tamper", ["add", "require_and_remove"])
-def test_replay_rejects_a_recipe_that_touches_a_finished_part(tamper):
+def test_replay_rejects_a_recipe_that_touches_a_finished_part(tamper, monkeypatch):
     # the matching is one set across the parts of a split: a step of the
     # second part may neither add an edge the first part already holds, nor
-    # read (and so remove) one
+    # read (and so remove) one.  The chain is split at its first bridge
+    bridges_first(monkeypatch)
     g = bridge_chain(5, 0)
     cert = solve(g)
     e, j = _finished_edge_and_later_step(g, cert)
@@ -674,16 +752,17 @@ def test_matchings_are_frozen():
 
 
 def test_bridge_split_carves_the_winner_once(monkeypatch):
-    # gamma0, the first candidate, wins every split of this chain; the
-    # candidates' bounds are counted without carving them, so each split
-    # carves once, its winner
+    # the candidates' bounds are counted without carving them, so each
+    # split carves once, its winner: gamma0 at every bridge of a chain
+    # split in the order of earlier versions, and at the splits the rules
+    # fall back to
     carvings = []
     per_split = []
     carve, split = solver._carve, solver._split
 
-    def counting_split(g, step, bridges):
+    def counting_split(g, step):
         before = len(carvings)
-        out = split(g, step, bridges)
+        out = split(g, step)
         per_split.append(len(carvings) - before)
         return out
 
@@ -693,9 +772,13 @@ def test_bridge_split_carves_the_winner_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_carve", counting_carve)
     monkeypatch.setattr(solver, "_split", counting_split)
-    splits = [s for s in solve(bridge_chain(5, 0)).trace if s.rule == "BRIDGE"]
-    assert splits and {s.case for s in splits} == {"gamma0"}
-    assert per_split == [1] * len(splits)
+    fallbacks = [random_connected_subcubic(16, 971, 1), random_connected_subcubic(12, 52, 2)]
+    splits = [s for g in fallbacks for s in solve(g).trace if s.rule == "BRIDGE"]
+    assert [s.case for s in splits] == ["gamma1", "gamma0"]
+    bridges_first(monkeypatch)
+    chained = [s for s in solve(bridge_chain(5, 0)).trace if s.rule == "BRIDGE"]
+    assert len(chained) >= 4 and {s.case for s in chained} == {"gamma0"}
+    assert per_split == [1] * len(splits + chained)
 
 
 @settings(max_examples=60, deadline=None)
@@ -777,11 +860,26 @@ def test_solve_leaves_recursion_limit_alone(low_recursion_limit):
         assert sys.getrecursionlimit() == low_recursion_limit
 
 
-def test_bridge_chain_memory_grows_linearly():
+def bridges_first(monkeypatch):
+    """Rule order with BRIDGE at the least non-pendant bridge right after
+    DEGREE1, as earlier versions had it: every bridge of a chain is split,
+    the splits nested as deep as the chain is long."""
+    rules = solver.select_rule
+
+    def select(g, constraint=None):
+        bridges = () if constraint is not None or g.degree_bucket(1) else g.find_bridges()
+        return R.bridge_step(min(bridges)) if bridges else rules(g, constraint)
+
+    monkeypatch.setattr(solver, "select_rule", select)
+
+
+def test_bridge_chain_memory_grows_linearly(monkeypatch):
     # a bridge split carves its parts out of the working graph, as a linear
     # step does, and its step records no vertex sets; a frame that kept its
     # level's whole graph, or a step that listed its parts, would hold about
-    # k^2/2 blob copies on a chain of k blobs
+    # k^2/2 blob copies on a chain of k blobs split bridge by bridge
+    bridges_first(monkeypatch)
+
     def peak(k):
         g = bridge_chain(k, 7)
         tracemalloc.start()
@@ -831,7 +929,7 @@ def test_the_recorded_step_is_its_compared_fields():
     # names another bridge is another step
     compared = [f.name for f in fields(ReductionStep) if f.compare]
     assert compared == ["rule", "case", "deleted", "added_edges", "extension", "budget", "bridge"]
-    g = bridge_chain(3, 0)
+    g = random_connected_subcubic(12, 52, 2)  # case 2.3.1's stem is a bridge
     step = next(s for s in solve(g).trace if s.rule == "BRIDGE")
     other = next(e for e in sorted(g.edges()) if e != step.bridge)
     assert replace(step, bridge=other) != step

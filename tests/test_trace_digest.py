@@ -13,17 +13,19 @@ from conftest import bridge_chain, bridged_pair, random_connected_subcubic
 from minmatch.generators import enumerate_connected_subcubic, gen_random_cubic
 from minmatch.solver import solve
 
-EXPECTED = "3e0ad4836096a166a5720c6d7d876634039ed31c3f85a96ba0565c3655764126"
+EXPECTED = "ac027717a55439cc83e62e559a795d7852eb396ab685aa0237a98b9906fe2792"
 
 
 def corpus():
     small = [g for n in range(1, 7) for g in enumerate_connected_subcubic(n)]
     return small[::11] + [gen_random_cubic(100, seed) for seed in (1, 2, 3)] + [
         bridged_pair(10, 0),
-        random_connected_subcubic(40, 14),  # forest splits
-        random_connected_subcubic(40, 25, 6),  # forest splits
-        random_connected_subcubic(40, 28, 2),  # gamma1, then gamma0
+        random_connected_subcubic(40, 14),  # bridged, solved by linear steps alone
+        random_connected_subcubic(40, 25, 6),
+        random_connected_subcubic(40, 28, 2),
         bridge_chain(5, 0),
+        random_connected_subcubic(16, 971, 1),  # every candidate leaves a cubic part: gamma1
+        random_connected_subcubic(12, 52, 2),  # case 2.3.1's stem: gamma0
     ]
 
 
