@@ -308,24 +308,26 @@ class Graph:
     def cut_off(self, boundary: Iterable[int]) -> list[set[int]]:
         """Every component of g that holds a vertex of `boundary` but one,
         which is at least as large as each (a vertex not in g raises
-        UnknownVertex).  The boundary vertices are joined in increasing
-        order: each one outside the components found so far is searched for
-        from those joined (_search).  A refuted search used up one side, a
-        whole component, which is cut off; if that side held the joined
-        ones, the searched vertex alone is joined from then on.  Only
-        boundary vertices are joined, never a path a search found, so which
-        side a search uses up, and with it what is cut off, depends on g
-        alone, not on the order its adjacency sets iterate in.  A refuted
-        search reads the adjacency of at most twice what it cuts off.
+        UnknownVertex).  The boundary vertices are taken in increasing
+        order; each one outside the components found so far and outside
+        `joined`, the vertices proved to lie in one component, is searched
+        for from all of them (_search, which grows `joined` in place).  A
+        refuted search used up one side, a whole component, which is cut
+        off; if that was the joined side, the searched vertex alone is joined
+        from then on.  The side used up is the searched vertex's component
+        exactly when that is no larger than the joined one's, so what is cut
+        off depends on g alone, not on how far `joined` has grown nor on the
+        order adjacency sets iterate in.  A refuted search reads the
+        adjacency of at most twice what it cuts off.
         """
         sides: list[set[int]] = []
         joined: set[int] = set()
         for s in sorted(self._known_set(boundary)):
-            if any(s in side for side in sides):
+            if s in joined or any(s in side for side in sides):
                 continue
             found = _search(self._adj, (s,), joined) if joined else None
             if found is None:
-                joined.add(s)
+                joined.add(s)  # there already, unless s is the first
             else:
                 sides.append(found[1])
                 if found[0] == 1:
@@ -459,7 +461,7 @@ def _lowlink_tree(adj: dict[int, set[int]], root: int, preorder: dict[int, int])
     return parent, cut
 
 
-def _search(adj: dict[int, set[int]], sources, targets, cut=()):
+def _search(adj: dict[int, set[int]], sources, targets: set[int], cut=()):
     """The one two-sided search, from the vertex set `sources` to the set
     `targets` in g - cut (none of them in cut): None if a path joins them,
     else (i, found) for the side i (0 for the sources, 1 for the targets)
@@ -468,16 +470,18 @@ def _search(adj: dict[int, set[int]], sources, targets, cut=()):
     The search is breadth-first, forward from the sources and backward from
     the targets, one layer at a time on the side that has found fewer
     vertices (the sources' on a tie); the cut counts as found on both sides,
-    so neither enters it.  The targets are copied only if their side must
-    grow, so a search that meets a large target set early costs nothing for
-    its size.  It stops when the sides meet, or when the side to grow has
-    nothing left: that side has found no more vertices than the other, which
-    grew only while it had found no more than this one.  A layer of a
-    subcubic graph adds at most three vertices for each one found before it,
-    so the other side has found at most four times as many (or only its
-    seeds), and the search has read the adjacency of at most twice as many
-    vertices as the used-up side.  Which side is used up depends on the
-    layers alone, not on the order in which a layer is walked.
+    so neither enters it.  The targets' side grows in `targets` itself, and
+    the sources' side joins it when the sides meet: with one source and no
+    cut, `targets` ends holding only vertices joined to what it held.  The
+    search stops when the sides meet, or when the side to grow has nothing
+    left: that side has found no more vertices than the other, which grew
+    only while it had found no more than this one.  So a refuted search uses
+    up the sources' side exactly when what g - cut joins to them is no
+    larger than what it joins to the targets, whatever `targets` held at
+    the start.  A layer of a subcubic graph adds at most three vertices for
+    each one found before it, so the other side has found at most four times
+    as many (or only its seeds), and the search has read the adjacency of at
+    most twice as many vertices as the used-up side.
     """
     before = set()
     for v in sources:
@@ -486,34 +490,35 @@ def _search(adj: dict[int, set[int]], sources, targets, cut=()):
         before.add(v)
     ahead = list(before)
     before.update(cut)
-    after, goal, extra = None, targets, len(cut)  # after: the targets' side, once it must grow
+    behind, extra = None, len(cut)  # behind: the targets' frontier, once their side must grow
     while True:
-        if len(before) <= len(goal) + extra:
+        if len(before) <= len(targets) + extra:
             if not ahead:
                 return 0, before
             layer = []
             for u in ahead:
                 for w in adj[u]:
                     if w not in before:
-                        if w in goal:
+                        if w in targets:
+                            targets |= before
                             return None
                         before.add(w)
                         layer.append(w)
             ahead = layer
         else:
-            if after is None:
-                goal = after = set(targets)
-                behind, extra = list(after), 0
-                after.update(cut)
+            if behind is None:
+                behind, extra = list(targets), 0
+                targets.update(cut)
             if not behind:
-                return 1, after
+                return 1, targets
             layer = []
             for w in behind:
                 for u in adj[w]:
-                    if u not in after:
+                    if u not in targets:
                         if u in before:
+                            targets |= before
                             return None
-                        after.add(u)
+                        targets.add(u)
                         layer.append(u)
             behind = layer
 

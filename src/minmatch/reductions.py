@@ -17,7 +17,7 @@ case), plus BASE_SMALL / K33_SPECIAL leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import InternalInvariantViolation, PreconditionViolated
@@ -60,17 +60,13 @@ class ExtensionRecipe:
         raise InternalInvariantViolation("no extension branch matched")
 
 
+def _edges(es) -> tuple[Edge, ...]:
+    # (min, max) form inline, as edge() per edge costs more; a list, as tuple() of one is cheaper
+    return tuple([(u, v) if u < v else (v, u) for u, v in es])
+
+
 def _recipe(*branches: tuple) -> ExtensionRecipe:
-    return ExtensionRecipe(
-        branches=tuple([  # lists, not generators: tuple() of one costs more
-            ExtensionBranch(
-                requires=tuple([edge(*e) for e in req]),
-                remove=tuple([edge(*e) for e in rem]),
-                add=tuple([edge(*e) for e in add]),
-            )
-            for req, rem, add in branches
-        ])
-    )
+    return ExtensionRecipe(tuple([ExtensionBranch(_edges(q), _edges(r), _edges(a)) for q, r, a in branches]))
 
 
 @dataclass(frozen=True)
@@ -79,8 +75,9 @@ class ReductionStep:
     writes, every edge in (min, max) form.  `variant` labels the rule's
     sub-case for coverage and is not compared; `later` is the engine's, the
     steps to try in turn if this one leaves a cubic component (a rule's
-    other candidate insertions, see _insertion), and is never set on a
-    recorded step."""
+    other candidate insertions, set when the step is built, see
+    _insertion), and solve clears it (take_later) before it records the
+    step."""
 
     rule: str
     case: str | None
@@ -92,11 +89,19 @@ class ReductionStep:
     variant: str | None = field(default=None, compare=False)
     later: Iterator[ReductionStep] | None = field(default=None, compare=False, repr=False)
 
+    def take_later(self) -> Iterator[ReductionStep]:
+        """The steps in `later`, which this clears, so that the step itself
+        can be recorded: `later` is neither compared nor hashed, so the
+        step's value does not change, and no copy is built."""
+        later = self.later
+        object.__setattr__(self, "later", None)
+        return iter(()) if later is None else later
 
-def _step(rule, case, deleted, added, recipe, budget, variant=None) -> ReductionStep:
-    """A rule's step, its added edges normalised."""
-    added = frozenset([edge(*e) for e in added])
-    return ReductionStep(rule, case, frozenset(deleted), added, recipe, budget, variant=variant)
+
+def _step(rule, case, deleted, added, recipe, budget, variant=None, later=None) -> ReductionStep:
+    """A rule's step, its added edges normalised inline."""
+    added = frozenset([(u, v) if u < v else (v, u) for u, v in added])
+    return ReductionStep(rule, case, frozenset(deleted), added, recipe, budget, None, variant, later)
 
 
 def bridge_step(bridge: Edge) -> ReductionStep:
@@ -142,14 +147,15 @@ def _crossing(g: Graph, w11, w12, w21, w22) -> tuple[int, int, int, int] | None:
 
 
 def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) -> ReductionStep:
-    """build(*trial) for the first of `trials`, each a tuple of edges
-    between neighbours of v0 to add once v0 is deleted, with the steps for
-    the later trials in its `later`, built lazily.  Trials holding an edge
-    of g are dropped; g is not changed.  Where g is bridgeless around v0,
-    some trial is left, and one leaves no cubic component (the candidate
-    graph on the neighbours is connected enough); so with no trial left,
-    the step is a split at a bridge at v0 (bridge_at), and the solver
-    offers one after the last trial too (solver._next_step).
+    """build(*trial, later=...) for the first of `trials`, each a tuple of
+    edges between neighbours of v0 to add once v0 is deleted: one step,
+    built with the steps for the later trials, built lazily, in its
+    `later`.  Trials holding an edge of g are dropped; g is not changed.
+    Where g is bridgeless around v0, some trial is left, and one leaves no
+    cubic component (the candidate graph on the neighbours is connected
+    enough); so with no trial left, the step is a split at a bridge at v0
+    (bridge_at), and the solver offers one after the last trial too
+    (solver._offers).
     """
     outside = set().union(*(g.neighbors(v) for v in v0)) - v0
     for trial in trials:
@@ -163,7 +169,7 @@ def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) ->
         if step is None:
             raise PreconditionViolated("no candidate that is not already an edge")
         return step
-    return replace(build(*trials[0]), later=(build(*t) for t in trials[1:]))
+    return build(*trials[0], later=(build(*t) for t in trials[1:]))
 
 
 def _edge_insertion(g: Graph, v0: set[int], pairs: list[Edge], build) -> ReductionStep:
@@ -306,7 +312,7 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
     xs = sorted(g.neighbors(w11) - {v1})
     v0 = {u1, u2, v1, v2, w11}
 
-    def build(e):
+    def build(e, later=None):
         x, wt = e
         return _step(
             RULE_ADJ_DEG2, "outer-independent", v0, (e,),
@@ -314,7 +320,7 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
                 ((e,), (e,), ((x, w11), (wt, v2), (u1, v1))),
                 ((), (), ((v1, w11), (u2, v2))),
             ),
-            budget=2,
+            budget=2, later=later,
         )
 
     return _edge_insertion(g, v0, [(x, wt) for x in xs for wt in (w21, w22)], build)
@@ -419,7 +425,7 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
     (x11,) = sorted(g.neighbors(w11) - {v1, w12})
     (x12,) = sorted(g.neighbors(w12) - {v1, w11})
 
-    def build(e):
+    def build(e, later=None):
         xa, wb = e
         w_own, w_other = (w11, w12) if xa == x11 else (w12, w11)
         return _step(
@@ -428,7 +434,7 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
                 ((e,), (e,), ((xa, w_own), (v2, wb), (v1, w_other))),
                 ((), (), ((w11, w12), (u, v2))),
             ),
-            budget=2, variant="rewire",
+            budget=2, variant="rewire", later=later,
         )
 
     # x11 and x12 may be one vertex, which must give its two edges once
@@ -472,12 +478,12 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22):
         (edge(w22, x21), ((v2, w22), (x21, w21), (v1, w12))),
     ]
 
-    def build(e):
+    def build(e, later=None):
         add = next(a for p, a in relinks if p == e)
         return _step(
             RULE_DEG2, "2.2", short, (e,),
             _recipe(((e,), (e,), add), ((), (), ((v1, w12), (v2, w21)))),
-            budget=2, variant="rewire",
+            budget=2, variant="rewire", later=later,
         )
 
     return _edge_insertion(g, short, list(dict.fromkeys(p for p, _ in relinks)), build)
@@ -572,7 +578,7 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
         raise InternalInvariantViolation("triple common neighbourhood missed earlier")
     v0 = {u, v1, v2, w12, w21}
 
-    def build(e1, e2):
+    def build(e1, e2, later=None):
         (_, q1), (_, q2) = e1, e2
         side1_in = ((e1,), ((v1, w11), (w12, q1)))
         side1_out = ((), ((v1, w12),))
@@ -585,7 +591,7 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
         return _step(
             RULE_DEG2, "2.3.2", v0, (e1, e2),
             _recipe(*branches),
-            budget=2, variant="main",
+            budget=2, variant="main", later=later,
         )
 
     trials = [((w11, q1), (w22, q2)) for q1 in q1_cands for q2 in q2_cands]
@@ -606,7 +612,7 @@ def cubic_step(g: Graph) -> ReductionStep:
     v11, v12 = sorted(g.neighbors(u1) - {u2})
     v21, v22 = sorted(g.neighbors(u2) - {u1})
 
-    def build(e):
+    def build(e, later=None):
         a, b = e
         return _step(
             RULE_CUBIC, "crossing", {u1, u2}, (e,),
@@ -614,7 +620,7 @@ def cubic_step(g: Graph) -> ReductionStep:
                 ((e,), (e,), ((u1, a), (u2, b))),
                 ((), (), ((u1, u2),)),
             ),
-            budget=1,
+            budget=1, later=later,
         )
 
     return _edge_insertion(g, {u1, u2}, [(a, b) for a in (v11, v12) for b in (v21, v22)], build)

@@ -36,8 +36,9 @@ the others are copied, so each vertex has one live copy however deep bridges
 nest.
 
 After a linear step, searches from its boundary cut off the components G'
-falls into (Graph.cut_off), each refuted search costing about the side it
-cuts off, so connectivity is never rescanned whole.  Likewise each extension is
+falls into (Graph.cut_off): each boundary vertex is searched for from all
+that the step has proved joined, and each refuted search costs about the
+side it cuts off, so connectivity is never rescanned whole.  Likewise each extension is
 checked for maximality only where it can differ from the sub-matching
 (_checked); the `valid` verdict (_solve) scans it whole once.  The matching
 is one set per solve, built in place (_run).  Each step reduces g once:
@@ -58,7 +59,7 @@ input problem.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import reductions as R
@@ -182,15 +183,17 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
 # is the first candidate, in the rule's order, after which no component
 # touching its added edges is cubic: a function of g alone, and with it
 # every trace.  After the last candidate, solve's source offers a split at a
-# bridge (_next_step).  The kept step is recorded without `later`, so a
-# trace holds data only, and replay's source drops any `later` a step comes
-# with: the recorded step is its only candidate, and one that leaves a cubic
-# task is refused.
+# bridge (_next_step).  Each step is built once and recorded as it is: solve's
+# source takes `later` off the rule's step before handing it over, so a trace
+# holds data only, and replay's source offers nothing after a recorded step
+# and leaves any `later` it comes with unread: the recorded step is its only
+# candidate, and one that leaves a cubic task is refused.
 
 def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
     """Maximal matching of connected g, built in one set, appending its
-    steps to `steps`.  Each step is source(g, constraint): the rules'
-    (_next_step, solve) or a recorded trace's (_replayed, replay)."""
+    steps to `steps`.  Each step, with the steps to try in turn if it leaves
+    a cubic task, is source(g, constraint): the rules' (_next_step, solve)
+    or a recorded trace's (_replayed, replay)."""
     M: set[Edge] = set()
     stack: list[tuple] = [("task", g, constraint)]
     while stack:
@@ -203,14 +206,11 @@ def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
             continue
         _, g, constraint = item
-        step = source(g, constraint)
+        step, later = source(g, constraint)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             M |= _leaf(g, step, constraint, steps)
             steps.append(step)
             continue
-        later = iter(())  # the source's later candidates
-        if step.later is not None:
-            later, step = step.later, replace(step, later=None)
         while step.rule != R.RULE_BRIDGE:
             saved, added = _reduce(g, step)
             carved, tasks = _reduced(g, saved, added)
@@ -270,40 +270,40 @@ def _boundary(saved: dict, added: list[Edge]) -> set[int]:
     return boundary
 
 
-def _next_step(g: Graph, constraint) -> ReductionStep:
+def _next_step(g: Graph, constraint) -> tuple[ReductionStep, Iterator]:
     """Solve's step source: the oracle on small graphs, the first
-    applicable rule otherwise.  A step that adds edges offers, after the
-    rule's later candidates, a split at the least bridge at its deleted set
-    (reductions.bridge_at; None if there is none), for the engine to take
-    when every candidate leaves a cubic component."""
+    applicable rule otherwise, recorded as built: its `later` is taken
+    off (ReductionStep.take_later) and offered after it (_offers)."""
     if g.n > BASE_SIZE:
         step = select_rule(g, constraint)
-        if not step.added_edges:
-            return step
-
-        def later():
-            yield from step.later or ()
-            yield R.bridge_at(g, step.deleted)
-
-        return replace(step, later=later())
+        return step, _offers(g, step, step.take_later())
     if constraint is not None:
         rule, res = R.RULE_BASE_SMALL, gamma_exact_avoiding(g, constraint.forbidden_edge)
     else:
         rule, res = R.RULE_K33 if is_k33(g) else R.RULE_BASE_SMALL, gamma_exact(g)
     # the witness's edges are in (min, max) form already
     recipe = ExtensionRecipe((ExtensionBranch((), (), tuple(sorted(res.witness))),))
-    return ReductionStep(rule, None, frozenset(g.iter_vertices()), frozenset(), recipe, None)
+    return ReductionStep(rule, None, frozenset(g.iter_vertices()), frozenset(), recipe, None), iter(())
+
+
+def _offers(g: Graph, step: ReductionStep, later: Iterator) -> Iterator:
+    """What solve tries in turn if `step` leaves a cubic task: the rule's
+    `later` steps, then a split at the least bridge at its deleted set
+    (reductions.bridge_at; None if there is none), sought only if asked for."""
+    yield from later
+    yield R.bridge_at(g, step.deleted)
 
 
 def _replayed(recorded: Iterator[ReductionStep]):
-    """Replay's step source: the trace's next step, without any `later`,
-    so that it is the only candidate."""
+    """Replay's step source: the trace's next step, with nothing to try
+    after it, so that it is the only candidate; a `later` it comes with is
+    not read."""
 
-    def source(g, constraint) -> ReductionStep:
+    def source(g, constraint) -> tuple[ReductionStep, Iterator]:
         step = next(recorded, None)
         if step is None:
             raise InternalInvariantViolation("trace ended before the graph was consumed")
-        return step if step.later is None else replace(step, later=None)
+        return step, iter(())
 
     return source
 

@@ -112,6 +112,64 @@ def reduced(g: Graph, step) -> Graph:
     return h
 
 
+def cold_cut_off(g: Graph, boundary) -> list[set]:
+    """Graph.cut_off with every search cold: each boundary vertex, in
+    increasing order, is searched for from the boundary vertices joined
+    before it only, and the targets' side is a copy of them.  The reference
+    for what the warm searches cut off and how much they read: it reads g's
+    adjacency as Graph.cut_off does, through g._adj."""
+    adj = g._adj
+    sides, joined = [], set()
+    for s in sorted(boundary):
+        if any(s in side for side in sides):
+            continue
+        found = _cold_search(adj, s, joined) if joined else None
+        if found is None:
+            joined.add(s)
+        else:
+            sides.append(found[1])
+            if found[0] == 1:
+                joined = {s}
+    return sides
+
+
+def _cold_search(adj, s, targets):
+    """The two-sided search from s to the set targets, left unchanged: None
+    if they are joined, else (0, s's component) or (1, the targets'), the
+    side with fewer vertices found growing by a layer (s's on a tie)."""
+    if s in targets:
+        return None
+    before, ahead, goal, after = {s}, [s], targets, None  # after: the targets' side, once it grows
+    while True:
+        if len(before) <= len(goal):
+            if not ahead:
+                return 0, before
+            layer = []
+            for u in ahead:
+                for w in adj[u]:
+                    if w not in before:
+                        if w in goal:
+                            return None
+                        before.add(w)
+                        layer.append(w)
+            ahead = layer
+        else:
+            if after is None:
+                goal = after = set(targets)
+                behind = list(after)
+            if not behind:
+                return 1, after
+            layer = []
+            for w in behind:
+                for u in adj[w]:
+                    if u not in after:
+                        if u in before:
+                            return None
+                        after.add(u)
+                        layer.append(u)
+            behind = layer
+
+
 def bridge_candidates(g: Graph, bridge) -> list:
     """Candidate splits at a bridge of connected g: (name, connected parts in
     preorder), each part (vertex set, constraint) listed in full; the

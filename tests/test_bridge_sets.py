@@ -17,11 +17,12 @@ from conftest import (
     bridge_candidates,
     bridge_chain,
     bridged_pair,
+    cold_cut_off,
     random_connected_subcubic,
 )
 from minmatch import solver
 from minmatch.errors import InternalInvariantViolation
-from minmatch.generators import gen_named
+from minmatch.generators import gen_named, gen_random_cubic
 from minmatch.graph import Graph
 from minmatch.matching import lambda6, lambda6_of
 from minmatch.reductions import ExtensionBranch, ExtensionRecipe, ReductionStep, bridge_step
@@ -226,12 +227,11 @@ def test_replay_is_the_same_engine(monkeypatch):
     assert next(later) == cert.trace[0]
 
 
-def test_cut_off_on_deleted_sets():
-    # Graph.cut_off from the boundary of arbitrary deletions, against the
-    # components listed whole: every component but one is cut off, and the
-    # one left is at least as large as each
+def random_deletions():
+    """(g less the deleted set, the boundary of the deletion) for ten
+    random deletions from each of graphs_with_bridges: a vertex, some of its
+    neighbours and, now and then, one more vertex anywhere."""
     rng = random.Random(7)
-    split = whole = 0
     for g in graphs_with_bridges():
         for _ in range(10):
             h = g.copy()
@@ -242,14 +242,75 @@ def test_cut_off_on_deleted_sets():
             if len(deleted) >= h.n - 2:
                 continue
             saved = h.remove_vertices_with_undo(deleted)
-            sides = h.cut_off(solver._boundary(saved, []))
-            comps = h.connected_components()
-            kept = [c for c in comps if c not in sides]
-            assert len(kept) == 1 and len(sides) == len(comps) - 1, (g.edges(), deleted)
-            assert all(len(side) <= len(kept[0]) for side in sides)
-            split += bool(sides)
-            whole += not sides
+            yield h, solver._boundary(saved, [])
+
+
+def test_cut_off_on_deleted_sets():
+    # Graph.cut_off from the boundary of arbitrary deletions, against the
+    # components listed whole: every component but one is cut off, and the
+    # one left is at least as large as each
+    split = whole = 0
+    for h, boundary in random_deletions():
+        sides = h.cut_off(boundary)
+        comps = h.connected_components()
+        kept = [c for c in comps if c not in sides]
+        assert len(kept) == 1 and len(sides) == len(comps) - 1, (h.edges(), boundary)
+        assert all(len(side) <= len(kept[0]) for side in sides)
+        split += bool(sides)
+        whole += not sides
     assert split > 100 and whole > 100
+
+
+def twin_blobs(first: int, second: int) -> tuple[Graph, set[int], set[int]]:
+    """Two copies of one 10-vertex cubic graph less an edge, numbered from
+    `first` and from `second`, whose freed ends are joined to x and to y,
+    which are adjacent; returns the graph less x and y, which is two equal
+    components, and the two components, the copy numbered from `first`
+    first.  Each holds two vertices of the deletion's boundary."""
+    blob = gen_random_cubic(10, 3)
+    a, b = blob.edges()[0]
+    blob.remove_edge(a, b)
+    x, y = 100, 101
+    edges = [(x, y)]
+    for off, end in ((first, x), (second, y)):
+        edges += [(u + off, v + off) for u, v in blob.edges()] + [(a + off, end), (b + off, end)]
+    g = Graph.from_edges(edges)
+    g.remove_vertices_with_undo({x, y})
+    return g, {v + first for v in blob.vertices()}, {v + second for v in blob.vertices()}
+
+
+def test_cut_off_keeps_the_cold_searches_component():
+    # the joined set grows in place, so a later search starts from all that
+    # the step proved joined; what it cuts off, in which order, and the
+    # component it keeps must still be what searches from the joined
+    # boundary vertices alone give, ties included
+    calls = cut = 0
+    for h, boundary in random_deletions():
+        sides = h.cut_off(boundary)
+        assert sides == cold_cut_off(h, boundary), (h.edges(), boundary)
+        calls += 1
+        cut += bool(sides)
+    assert calls > 500 and cut > 100
+    # two equal components, each with two boundary vertices: the boundary
+    # sorted, the higher-numbered copy's first vertex is searched for from
+    # the lower copy's two, which a search joined and so grew the set, and
+    # the tie goes to the searched side, so the lower copy is kept,
+    # whichever way round the copies are numbered.  Renamed at random, the
+    # four come in other orders, some with a search after the cut
+    for first, second in ((0, 50), (50, 0)):
+        g, one, two = twin_blobs(first, second)
+        boundary = {v for v in g.iter_vertices() if g.degree(v) < 3}
+        assert len(boundary & one) == len(boundary & two) == 2
+        sides = g.cut_off(boundary)
+        assert sides == cold_cut_off(g, boundary) == [two if first == 0 else one]
+        rng = random.Random(first)
+        for _ in range(30):
+            names = list(g.iter_vertices())
+            rng.shuffle(names)
+            renamed = dict(zip(g.iter_vertices(), names))
+            h = Graph.from_edges([(renamed[u], renamed[v]) for u, v in g.edges()])
+            b = {renamed[v] for v in boundary}
+            assert h.cut_off(b) == cold_cut_off(h, b)
 
 
 def test_step_that_deletes_the_whole_graph():

@@ -15,9 +15,11 @@ import random
 
 import pytest
 
-from conftest import bead_ring, bridge_chain, random_connected_subcubic
+from conftest import bead_ring, bridge_chain, cold_cut_off, random_connected_subcubic
 from minmatch.generators import gen_random_cubic
 from minmatch.graph import Graph
+from minmatch.reductions import ReductionStep
+from minmatch.solver import solve
 
 
 def seed_sets(g: Graph, rng: random.Random, count: int = 40):
@@ -145,3 +147,40 @@ def test_refuted_searches_read_a_thin_side_too(length):
     bridged._adj.reads = 0
     assert bridged.smaller_side([1], bridged.neighbors(x + length) - cut, cut) == (1, set(ends) - cut)
     assert bridged._adj.reads < 100, bridged._adj.reads
+
+
+def test_warm_joins_read_less_and_each_step_is_built_once(monkeypatch):
+    # on an expander each boundary vertex is found from all that the step
+    # has proved joined, so cut_off reads well under the cold searches on
+    # the same calls, with the same answer; and a rule's step is recorded as
+    # built, not copied on its way into the trace
+    reads = {"warm": 0, "cold": 0}
+    builds = 0
+    cut_off, init = Graph.cut_off, ReductionStep.__init__
+
+    def counted_cut_off(g, boundary):
+        adj = g._adj
+        g._adj = CountingAdjacency(adj)
+        try:
+            sides = cut_off(g, boundary)
+            reads["warm"] += g._adj.reads
+            g._adj.reads = 0
+            assert sides == cold_cut_off(g, boundary)
+            reads["cold"] += g._adj.reads
+        finally:
+            g._adj = adj
+        return sides
+
+    def counted_init(step, *args, **kwargs):
+        nonlocal builds
+        builds += 1
+        init(step, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "cut_off", counted_cut_off)
+    monkeypatch.setattr(ReductionStep, "__init__", counted_init)
+    for seed in range(3):
+        builds = reads["warm"] = reads["cold"] = 0
+        cert = solve(gen_random_cubic(1000, seed))
+        assert cert.valid
+        assert reads["warm"] <= 0.7 * reads["cold"], (seed, reads)
+        assert builds < 2 * len(cert.trace), (seed, builds, len(cert.trace))
