@@ -11,7 +11,7 @@ from .matching import (
     is_maximal,
     matching_within_bound,
 )
-from .oracle import OracleResult, enumerate_maximal_matchings, gamma_exact, gamma_exact_avoiding
+from .oracle import OracleResult, gamma_exact, gamma_exact_avoiding
 from .solver import (
     PendantConstraint,
     SolveCertificate,

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, Infeasible, TooLarge
+from .errors import BudgetExceeded, Infeasible
 from .graph import Edge, Graph, edge
 from .matching import Matching, as_matching
 
@@ -169,31 +169,3 @@ def gamma_exact_avoiding(g: Graph, forbidden: Edge, budget: int | None = None) -
     if res is None:
         raise Infeasible(f"no maximal matching avoids {forbidden}")
     return res
-
-
-_ENUM_LIMIT = 12
-
-
-def enumerate_maximal_matchings(g: Graph) -> list[Matching]:
-    """All maximal matchings, for cross-checking gamma_exact on tiny graphs.
-
-    A plain include/exclude search over the edges with its own maximality
-    test, so that it shares no code with the search it checks.
-    """
-    if g.n > _ENUM_LIMIT:
-        raise TooLarge(f"enumeration capped at n <= {_ENUM_LIMIT}")
-    edges = g.edges()
-    out: list[Matching] = []
-
-    def search(i: int, chosen: list[Edge], covered: set[int]) -> None:
-        if i == len(edges):
-            if all(u in covered or v in covered for u, v in edges):
-                out.append(frozenset(chosen))
-            return
-        u, v = edges[i]
-        if u not in covered and v not in covered:
-            search(i + 1, chosen + [(u, v)], covered | {u, v})
-        search(i + 1, chosen, covered)
-
-    search(0, [], set())
-    return sorted(out, key=lambda M: (len(M), sorted(M)))

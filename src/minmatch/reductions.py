@@ -8,6 +8,13 @@ re-running the case analysis.  Rules read g and never change it; a rule that
 inserts edges returns its first candidate and leaves the choice among the
 rest to the solver (see _insertion).
 
+Nearly every recipe takes one of two shapes: _plain adds no edge and
+matches a fixed edge set, and _relink adds one edge e, which a sub-matching
+that holds it trades for one fixed set while any other gains another.  Only
+the hexagon and case 2.3.2's main step write their branches by hand.  A
+configuration that comes in mirror images is oriented first, so that each
+builds its step in one place.
+
 Rule tags: DEGREE1 (pendant), BRIDGE (marker where a configuration closes
 off at a bridge; the solver assembles the split itself), ADJ_DEG2 (two
 adjacent degree-2 vertices), DEG2_TWO_DEG3 (a degree-2 vertex whose
@@ -104,6 +111,18 @@ def _step(rule, case, deleted, added, recipe, budget, variant=None, later=None) 
     return ReductionStep(rule, case, frozenset(deleted), added, recipe, budget, None, variant, later)
 
 
+def _plain(rule, case, deleted, matched, budget, variant=None) -> ReductionStep:
+    """A step that adds no edge and whose recipe matches `matched`."""
+    return _step(rule, case, deleted, (), _recipe(((), (), matched)), budget, variant)
+
+
+def _relink(rule, case, deleted, e, swap, rest, budget, variant=None, later=None) -> ReductionStep:
+    """A step that adds e: a sub-matching that holds e trades it for
+    `swap`, and any other gains `rest`."""
+    recipe = _recipe(((e,), (e,), swap), ((), (), rest))
+    return _step(rule, case, deleted, (e,), recipe, budget, variant, later)
+
+
 def bridge_step(bridge: Edge) -> ReductionStep:
     """The marker for a split at `bridge`, in (min, max) form: the solver
     picks the candidate and builds the recipe (solver._split)."""
@@ -194,13 +213,8 @@ def degree1_step(g: Graph, pendant: int, anchored: bool = False) -> ReductionSte
             "must be handled by the small-graph base case"
         )
     w = support[0]
-    return _step(
-        RULE_DEGREE1,
-        None,
-        {pendant, v, w},
-        (),
-        _recipe(((), (), ((v, w),))),
-        budget=1,
+    return _plain(
+        RULE_DEGREE1, None, {pendant, v, w}, ((v, w),), budget=1,
         variant="anchored" if anchored else None,
     )
 
@@ -223,27 +237,17 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
     (v2,) = (x for x in g.neighbors(u2) if x != u1)
 
     if v1 == v2:
-        return _step(
-            RULE_ADJ_DEG2, "triangle", {u1, u2, v1}, (),
-            _recipe(((), (), ((u1, v1),))), budget=1,
-        )
+        return _plain(RULE_ADJ_DEG2, "triangle", {u1, u2, v1}, ((u1, v1),), budget=1)
 
     if g.has_edge(v1, v2):
-        side1 = sorted(g.neighbors(v1) - {u1, v2})
-        if side1:
-            w = side1[0]
-            return _step(
-                RULE_ADJ_DEG2, "chord", {u1, u2, v1, v2, w}, (),
-                _recipe(((), (), ((u2, v2), (v1, w)))), budget=2,
-            )
-        side2 = sorted(g.neighbors(v2) - {u2, v1})
-        if not side2:
+        # orient the chord so that v1 has a third neighbour w
+        if g.neighbors(v1) <= {u1, v2}:
+            u1, u2, v1, v2 = u2, u1, v2, v1
+        side = g.neighbors(v1) - {u1, v2}
+        if not side:
             raise InternalInvariantViolation("4-vertex component reached the rule engine")
-        w = side2[0]
-        return _step(
-            RULE_ADJ_DEG2, "chord", {u1, u2, v1, v2, w}, (),
-            _recipe(((), (), ((u1, v1), (v2, w)))), budget=2,
-        )
+        w = min(side)
+        return _plain(RULE_ADJ_DEG2, "chord", {u1, u2, v1, v2, w}, ((u2, v2), (v1, w)), budget=2)
 
     # contraction applies unless it would leave a cubic graph, i.e. unless
     # every vertex other than u1, u2 has degree 3
@@ -253,13 +257,9 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
         and g.degree_bucket(2) == {u1, u2}
     )
     if not others_cubic:
-        return _step(
-            RULE_ADJ_DEG2, "contract", {u1, u2}, ((v1, v2),),
-            _recipe(
-                (((v1, v2),), ((v1, v2),), ((u1, v1), (u2, v2))),
-                ((), (), ((u1, u2),)),
-            ),
-            budget=1,
+        return _relink(
+            RULE_ADJ_DEG2, "contract", {u1, u2}, (v1, v2),
+            ((u1, v1), (u2, v2)), ((u1, u2),), budget=1,
         )
 
     w11, w12 = sorted(g.neighbors(v1) - {u1})
@@ -268,10 +268,7 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
     shared = sorted((g.neighbors(v1) & g.neighbors(v2)) - {u1, u2})
     if shared:
         w = shared[0]
-        return _step(
-            RULE_ADJ_DEG2, "shared-outer", {u1, u2, v1, v2, w}, (),
-            _recipe(((), (), ((u1, v1), (w, v2)))), budget=2,
-        )
+        return _plain(RULE_ADJ_DEG2, "shared-outer", {u1, u2, v1, v2, w}, ((u1, v1), (w, v2)), budget=2)
 
     if len({w11, w12, w21, w22}) != 4:
         raise InternalInvariantViolation("outer neighbours not distinct without a shared one")
@@ -281,9 +278,9 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
         if not intra1:
             u1, u2, v1, v2 = u2, u1, v2, v1
             (w11, w12), (w21, w22) = (w21, w22), (w11, w12)
-        return _step(
-            RULE_ADJ_DEG2, "outer-pair-edge", {u1, u2, v1, w11, w12}, (),
-            _recipe(((), (), ((u1, u2), (w11, w12)))), budget=2,
+        return _plain(
+            RULE_ADJ_DEG2, "outer-pair-edge", {u1, u2, v1, w11, w12},
+            ((u1, u2), (w11, w12)), budget=2,
         )
 
     if crossed := _crossing(g, w11, w12, w21, w22):
@@ -295,13 +292,9 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
         if not xs:
             raise InternalInvariantViolation("no relink target beside the crossing edge")
         x = xs[0]
-        return _step(
-            RULE_ADJ_DEG2, "outer-cross-edge", {u1, u2, v1, v2, w11}, ((x, w21),),
-            _recipe(
-                (((x, w21),), ((x, w21),), ((x, w11), (w21, v2), (u1, v1))),
-                ((), (), ((v1, w11), (u2, v2))),
-            ),
-            budget=2,
+        return _relink(
+            RULE_ADJ_DEG2, "outer-cross-edge", {u1, u2, v1, v2, w11}, (x, w21),
+            ((x, w11), (w21, v2), (u1, v1)), ((v1, w11), (u2, v2)), budget=2,
         )
 
     # independent outer set: anchor on the smallest outer vertex and relink
@@ -314,13 +307,9 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
 
     def build(e, later=None):
         x, wt = e
-        return _step(
-            RULE_ADJ_DEG2, "outer-independent", v0, (e,),
-            _recipe(
-                ((e,), (e,), ((x, w11), (wt, v2), (u1, v1))),
-                ((), (), ((v1, w11), (u2, v2))),
-            ),
-            budget=2, later=later,
+        return _relink(
+            RULE_ADJ_DEG2, "outer-independent", v0, e,
+            ((x, w11), (wt, v2), (u1, v1)), ((v1, w11), (u2, v2)), budget=2, later=later,
         )
 
     return _edge_insertion(g, v0, [(x, wt) for x in xs for wt in (w21, w22)], build)
@@ -337,10 +326,7 @@ def deg2_step(g: Graph) -> ReductionStep:
         )
 
     if g.has_edge(v1, v2):
-        return _step(
-            RULE_DEG2, "0", {u, v1, v2}, (),
-            _recipe(((), (), ((v1, v2),))), budget=1,
-        )
+        return _plain(RULE_DEG2, "0", {u, v1, v2}, ((v1, v2),), budget=1)
 
     common = sorted((g.neighbors(v1) & g.neighbors(v2)) - {u})
     if common:
@@ -368,10 +354,7 @@ def _deg2_case1(g, u, v1, v2, common):
         (wa,) = sorted(g.neighbors(a1) - {u, w})
         short = {u, a1, a2, wa, w}
         if _incident_edges(g, short) <= 8:
-            return _step(
-                RULE_DEG2, "1", short, (),
-                _recipe(((), (), ((a1, wa), (a2, w)))), budget=2, variant="short",
-            )
+            return _plain(RULE_DEG2, "1", short, ((a1, wa), (a2, w)), budget=2, variant="short")
     (w11,) = sorted(g.neighbors(v1) - {u, w})
     (w22,) = sorted(g.neighbors(v2) - {u, w})
     # dense surroundings: w, w11, w22 are distinct degree-3 vertices and w is
@@ -382,29 +365,15 @@ def _deg2_case1(g, u, v1, v2, common):
         if g.has_edge(w11, w22):
             raise InternalInvariantViolation("closed 7-vertex configuration above base size")
         (x111,) = sorted(g.neighbors(w11) - {v1, x12})
-        return _step(
-            RULE_DEG2, "1", {u, v1, v2, w11, w, w22, x12, x111}, (),
-            _recipe(((), (), ((w11, x111), (v1, w), (v2, w22)))),
-            budget=3, variant="deep",
+        return _plain(
+            RULE_DEG2, "1", {u, v1, v2, w11, w, w22, x12, x111},
+            ((w11, x111), (v1, w), (v2, w22)), budget=3, variant="deep",
         )
-    if not adj22:
-        e = edge(x12, w22)
-        return _step(
-            RULE_DEG2, "1", {u, v1, v2, w11, w}, (e,),
-            _recipe(
-                ((e,), (e,), ((x12, w), (v2, w22), (v1, w11))),
-                ((), (), ((v2, w), (v1, w11))),
-            ),
-            budget=2, variant="relink",
-        )
-    e = edge(x12, w11)
-    return _step(
-        RULE_DEG2, "1", {u, v1, v2, w22, w}, (e,),
-        _recipe(
-            ((e,), (e,), ((x12, w), (v1, w11), (v2, w22))),
-            ((), (), ((v1, w), (v2, w22))),
-        ),
-        budget=2, variant="relink",
+    if adj22:  # orient so that x12 is not adjacent to w22
+        v1, w11, v2, w22 = v2, w22, v1, w11
+    return _relink(
+        RULE_DEG2, "1", {u, v1, v2, w11, w}, (x12, w22),
+        ((x12, w), (v2, w22), (v1, w11)), ((v2, w), (v1, w11)), budget=2, variant="relink",
     )
 
 
@@ -412,29 +381,22 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
     """An edge inside the v1-side outer pair."""
     if crossed := _crossing(g, w11, w12, w21, w22):
         w11, w12, w21, w22 = crossed
-        return _step(
-            RULE_DEG2, "2.1", {u, v1, v2, w11, w12, w21}, (),
-            _recipe(((), (), ((v1, w11), (v2, w21)))), budget=2, variant="cross",
+        return _plain(
+            RULE_DEG2, "2.1", {u, v1, v2, w11, w12, w21}, ((v1, w11), (v2, w21)),
+            budget=2, variant="cross",
         )
     short = {u, v1, v2, w11, w12}
     if _incident_edges(g, short) <= 8:
-        return _step(
-            RULE_DEG2, "2.1", short, (),
-            _recipe(((), (), ((w11, w12), (u, v2)))), budget=2, variant="short",
-        )
+        return _plain(RULE_DEG2, "2.1", short, ((w11, w12), (u, v2)), budget=2, variant="short")
     (x11,) = sorted(g.neighbors(w11) - {v1, w12})
     (x12,) = sorted(g.neighbors(w12) - {v1, w11})
 
     def build(e, later=None):
         xa, wb = e
         w_own, w_other = (w11, w12) if xa == x11 else (w12, w11)
-        return _step(
-            RULE_DEG2, "2.1", short, (e,),
-            _recipe(
-                ((e,), (e,), ((xa, w_own), (v2, wb), (v1, w_other))),
-                ((), (), ((w11, w12), (u, v2))),
-            ),
-            budget=2, variant="rewire", later=later,
+        return _relink(
+            RULE_DEG2, "2.1", short, e, ((xa, w_own), (v2, wb), (v1, w_other)),
+            ((w11, w12), (u, v2)), budget=2, variant="rewire", later=later,
         )
 
     # x11 and x12 may be one vertex, which must give its two edges once
@@ -446,29 +408,18 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22):
     (_crossing), and no intra-pair edges."""
     short = {u, v1, v2, w12, w21}
     if _incident_edges(g, short) <= 8:
-        return _step(
-            RULE_DEG2, "2.2", short, (),
-            _recipe(((), (), ((v1, w12), (v2, w21)))), budget=2, variant="short",
-        )
+        return _plain(RULE_DEG2, "2.2", short, ((v1, w12), (v2, w21)), budget=2, variant="short")
     (x12,) = sorted(g.neighbors(w12) - {v1, w21})
     (x21,) = sorted(g.neighbors(w21) - {v2, w12})
     if g.has_edge(w11, w22) and g.has_edge(w11, x12) and g.has_edge(w22, x21):
         if x12 == x21 or g.has_edge(x12, x21) or (g.degree(x12) == 2 and g.degree(x21) == 2):
             raise InternalInvariantViolation("closed 9-vertex configuration above base size")
-        if g.degree(x21) == 3:
-            (y,) = sorted(g.neighbors(x21) - {w21, w22})
-            return _step(
-                RULE_DEG2, "2.2",
-                {u, v1, v2, w11, w12, w21, w22, x12, x21, y}, (),
-                _recipe(((), (), ((w11, w22), (u, v2), (w12, x12), (x21, y)))),
-                budget=4, variant="ten",
-            )
-        (y,) = sorted(g.neighbors(x12) - {w12, w11})
-        return _step(
-            RULE_DEG2, "2.2",
-            {u, v1, v2, w11, w12, w21, w22, x12, x21, y}, (),
-            _recipe(((), (), ((w22, w11), (u, v1), (w21, x21), (x12, y)))),
-            budget=4, variant="ten",
+        if g.degree(x21) != 3:  # orient so that x21 has degree 3
+            v1, v2, w11, w22, w12, w21, x12, x21 = v2, v1, w22, w11, w21, w12, x21, x12
+        (y,) = sorted(g.neighbors(x21) - {w21, w22})
+        return _plain(
+            RULE_DEG2, "2.2", {u, v1, v2, w11, w12, w21, w22, x12, x21, y},
+            ((w11, w22), (u, v2), (w12, x12), (x21, y)), budget=4, variant="ten",
         )
     # the edge to add, and what the recipe adds when the sub-matching holds
     # it (the first entry wins if two edges coincide)
@@ -480,9 +431,8 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22):
 
     def build(e, later=None):
         add = next(a for p, a in relinks if p == e)
-        return _step(
-            RULE_DEG2, "2.2", short, (e,),
-            _recipe(((e,), (e,), add), ((), (), ((v1, w12), (v2, w21)))),
+        return _relink(
+            RULE_DEG2, "2.2", short, e, add, ((v1, w12), (v2, w21)),
             budget=2, variant="rewire", later=later,
         )
 
@@ -491,14 +441,11 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22):
 
 def _deg2_case23(g, u, v1, v2, w11, w12, w21, w22):
     """Outer neighbours form an independent set: the tree configuration."""
-    if g.degree(w11) == 3 and g.degree(w12) == 3:
-        common3 = g.neighbors(w11) & g.neighbors(w12)
+    for a, b, wa1, wa2, wb1, wb2 in ((v1, v2, w11, w12, w21, w22), (v2, v1, w21, w22, w11, w12)):
+        # three common neighbours force both outer vertices to degree 3
+        common3 = g.neighbors(wa1) & g.neighbors(wa2)
         if len(common3) == 3:
-            return _deg2_case231(g, u, v1, v2, w11, w12, w21, w22, common3)
-    if g.degree(w21) == 3 and g.degree(w22) == 3:
-        common3 = g.neighbors(w21) & g.neighbors(w22)
-        if len(common3) == 3:
-            return _deg2_case231(g, u, v2, v1, w21, w22, w11, w12, common3)
+            return _deg2_case231(g, u, a, b, wa1, wa2, wb1, wb2, common3)
     return _deg2_case232(g, u, v1, v2, w11, w12, w21, w22)
 
 
@@ -513,18 +460,16 @@ def _deg2_case231(g, u, v1, v2, w11, w12, w21, w22, common3):
         if g.degree(x1) == 2:
             x1, x2 = x2, x1
         w2d = min(w21, w22)
-        return _step(
-            RULE_DEG2, "2.3.1", {u, v1, v2, w11, w12, w2d, x1, x2}, (),
-            _recipe(((), (), ((w11, x1), (v1, w12), (v2, w2d)))),
-            budget=3, variant="deg2-twin",
+        return _plain(
+            RULE_DEG2, "2.3.1", {u, v1, v2, w11, w12, w2d, x1, x2},
+            ((w11, x1), (v1, w12), (v2, w2d)), budget=3, variant="deg2-twin",
         )
     (y1,) = sorted(g.neighbors(x1) - {w11, w12})
     (y2,) = sorted(g.neighbors(x2) - {w11, w12})
     if y1 != y2:
-        return _step(
-            RULE_DEG2, "2.3.1", {u, v1, w11, w12, x1, x2, y1, y2}, (),
-            _recipe(((), (), ((u, v1), (x1, y1), (x2, y2)))),
-            budget=3, variant="split",
+        return _plain(
+            RULE_DEG2, "2.3.1", {u, v1, w11, w12, x1, x2, y1, y2},
+            ((u, v1), (x1, y1), (x2, y2)), budget=3, variant="split",
         )
     y = y1
     e = edge(u, y)
@@ -550,20 +495,14 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
         (x11,) = sorted(g.neighbors(w11) - {v1})
         (x12,) = sorted(g.neighbors(w12) - {v1})
         if x11 == x12:
-            return _step(
-                RULE_DEG2, "2.3.2", {u, v1, w11, w12, x11}, (),
-                _recipe(((), (), ((u, v1), (w12, x12)))),
+            return _plain(
+                RULE_DEG2, "2.3.2", {u, v1, w11, w12, x11}, ((u, v1), (w12, x12)),
                 budget=2, variant="pinch",
             )
         w2d = min(w21, w22)
-        e = edge(w11, x12)
-        return _step(
-            RULE_DEG2, "2.3.2", {u, v1, v2, w12, w2d}, (e,),
-            _recipe(
-                ((e,), (e,), ((v1, w11), (w12, x12), (v2, w2d))),
-                ((), (), ((v1, w12), (v2, w2d))),
-            ),
-            budget=2, variant="relink",
+        return _relink(
+            RULE_DEG2, "2.3.2", {u, v1, v2, w12, w2d}, (w11, x12),
+            ((v1, w11), (w12, x12), (v2, w2d)), ((v1, w12), (v2, w2d)), budget=2, variant="relink",
         )
     # each side has a degree-3 outer vertex acting as the relink hub
     if g.degree(w12) != 3:
@@ -605,21 +544,14 @@ def cubic_step(g: Graph) -> ReductionStep:
     u2 = min(g.neighbors(u1))
     common = g.neighbors(u1) & g.neighbors(u2)
     if common:
-        return _step(
-            RULE_CUBIC, "shared-neighbour", {u1, u2}, (),
-            _recipe(((), (), ((u1, u2),))), budget=1,
-        )
+        return _plain(RULE_CUBIC, "shared-neighbour", {u1, u2}, ((u1, u2),), budget=1)
     v11, v12 = sorted(g.neighbors(u1) - {u2})
     v21, v22 = sorted(g.neighbors(u2) - {u1})
 
     def build(e, later=None):
         a, b = e
-        return _step(
-            RULE_CUBIC, "crossing", {u1, u2}, (e,),
-            _recipe(
-                ((e,), (e,), ((u1, a), (u2, b))),
-                ((), (), ((u1, u2),)),
-            ),
+        return _relink(
+            RULE_CUBIC, "crossing", {u1, u2}, e, ((u1, a), (u2, b)), ((u1, u2),),
             budget=1, later=later,
         )
 

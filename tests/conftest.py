@@ -5,7 +5,7 @@ import random
 import pytest
 
 from minmatch import solver
-from minmatch.errors import InternalInvariantViolation
+from minmatch.errors import InternalInvariantViolation, TooLarge
 from minmatch.generators import enumerate_connected_subcubic, gen_gk, gen_random_cubic
 from minmatch.graph import Edge, Graph
 from minmatch.matching import Matching, as_matching, is_maximal
@@ -24,6 +24,34 @@ def random_connected_subcubic(n: int, seed: int, deletions: int = 0) -> Graph:
         if not g.is_connected():
             g.add_edge(*e)
     return g
+
+
+_ENUM_LIMIT = 12
+
+
+def enumerate_maximal_matchings(g: Graph) -> list[Matching]:
+    """All maximal matchings, for cross-checking gamma_exact on tiny graphs.
+
+    A plain include/exclude search over the edges with its own maximality
+    test, so that it shares no code with the search it checks.
+    """
+    if g.n > _ENUM_LIMIT:
+        raise TooLarge(f"enumeration capped at n <= {_ENUM_LIMIT}")
+    edges = g.edges()
+    out: list[Matching] = []
+
+    def search(i: int, chosen: list[Edge], covered: set[int]) -> None:
+        if i == len(edges):
+            if all(u in covered or v in covered for u, v in edges):
+                out.append(frozenset(chosen))
+            return
+        u, v = edges[i]
+        if u not in covered and v not in covered:
+            search(i + 1, chosen + [(u, v)], covered | {u, v})
+        search(i + 1, chosen, covered)
+
+    search(0, [], set())
+    return sorted(out, key=lambda M: (len(M), sorted(M)))
 
 
 def bridged_pair(n_side: int, seed: int) -> Graph:

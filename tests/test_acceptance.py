@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import gen_gk_optimal_matching, random_connected_subcubic
+from conftest import enumerate_maximal_matchings, gen_gk_optimal_matching, random_connected_subcubic
 from minmatch.generators import (
     enumerate_connected_subcubic,
     gen_gk,
@@ -20,7 +20,7 @@ from minmatch.generators import (
 from minmatch.graph import edge, is_k33
 from minmatch.graphio import parse_graph6, write_graph6
 from minmatch.matching import gamma_lower_bound, is_maximal, matching_within_bound
-from minmatch.oracle import enumerate_maximal_matchings, gamma_exact
+from minmatch.oracle import gamma_exact
 from minmatch.solver import PendantConstraint, solve, solve_avoiding
 
 

@@ -133,6 +133,17 @@ def test_gen_random_deterministic(capsys):
     assert out1 == out2
 
 
+def test_gen_path(capsys):
+    from minmatch.graphio import parse_graph6
+
+    code, out, err = run(capsys, ["gen", "--path", "5"])
+    assert code == 0 and err == ""
+    assert parse_graph6(out.strip()).edges() == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    code, out, err = run(capsys, ["gen", "--path", "0"])
+    assert code == 2 and out == ""
+    assert "generation error" in err
+
+
 def test_gen_bad_parameters(capsys):
     code, _, err = run(capsys, ["gen", "--cycle", "2"])
     assert code == 2

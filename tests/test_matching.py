@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import enumerate_maximal_matchings
 from minmatch.errors import Disconnected, EdgeNotInGraph, NotAMatching
 from minmatch.generators import enumerate_connected_subcubic, gen_gk, gen_named
 from minmatch.graph import Graph
@@ -11,7 +12,7 @@ from minmatch.matching import (
     is_maximal,
     matching_within_bound,
 )
-from minmatch.oracle import enumerate_maximal_matchings, gamma_exact
+from minmatch.oracle import gamma_exact
 
 
 def test_is_matching_basic():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerate_maximal_matchings
 from minmatch.errors import BudgetExceeded, Infeasible, TooLarge
 from minmatch.generators import (
     enumerate_connected_subcubic,
@@ -15,11 +16,7 @@ from minmatch.generators import (
 )
 from minmatch.graph import Graph
 from minmatch.matching import gamma_lower_bound, is_maximal
-from minmatch.oracle import (
-    enumerate_maximal_matchings,
-    gamma_exact,
-    gamma_exact_avoiding,
-)
+from minmatch.oracle import gamma_exact, gamma_exact_avoiding
 
 
 def test_gamma_known_values():

@@ -7,7 +7,9 @@ one deterministic sweep that pins the full variant checklist.
 
 import random
 
-from conftest import bead_ring, random_connected_subcubic, reduced
+import pytest
+
+from conftest import bead_ring, enumerate_maximal_matchings, random_connected_subcubic, reduced
 from minmatch import reductions
 from minmatch.generators import gen_named
 from minmatch.graph import Graph
@@ -48,11 +50,35 @@ def test_deg2_231_shared_third_neighbour_hexagon():
 
 
 def _all_maximal(g):
-    from minmatch.oracle import enumerate_maximal_matchings
-
     if g.n <= 12:
         return enumerate_maximal_matchings(g)
     return [gamma_exact(g).witness]
+
+
+_TEN = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (4, 5), (3, 6), (3, 7), (4, 7), (5, 8), (6, 8),
+        (7, 9), (9, 10), (10, 12), (10, 13), (11, 12), (11, 13), (12, 13)]
+
+
+@pytest.mark.parametrize("edges, matched", [
+    # 9 hangs on x12 = 7, so x21 = 8 has degree 2 and the step is built
+    # the other way round; then on x21
+    (_TEN, [(0, 1), (4, 5), (6, 8), (7, 9)]),
+    ([(8, 9) if e == (7, 9) else e for e in _TEN], [(0, 2), (3, 7), (4, 5), (8, 9)]),
+], ids=["9-on-x12", "9-on-x21"])
+def test_deg2_22_ten_both_orientations(edges, matched):
+    # stem 0 between v1 = 1 and v2 = 2; 3-6 is the least crossing edge, so
+    # w11, w12, w21, w22 = 4, 3, 6, 5, and 4-5, 4-7, 5-8 close the
+    # configuration around x12 = 7 and x21 = 8
+    g = Graph.from_edges(edges)
+    cert = solve(g)
+    step = cert.trace[0]
+    assert (step.rule, step.case, step.variant) == ("DEG2_TWO_DEG3", "2.2", "ten")
+    assert step.deleted == set(range(10))
+    (branch,) = step.extension.branches
+    assert sorted(branch.add) == matched
+    assert cert.valid
+    assert replay(g, cert) == cert.matching
+    assert len(cert.matching) == 5
 
 
 def test_adjacent_deg2_outer_pair_edge_direct():

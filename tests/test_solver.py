@@ -648,6 +648,49 @@ def test_replay_rejects_tampered_recipe():
         replay(g, replace(cert, trace=trace))
 
 
+def _with_step(trace, i, **changes):
+    return trace[:i] + [replace(trace[i], **changes)] + trace[i + 1:]
+
+
+def _base_witness(edges):
+    return ExtensionRecipe((ExtensionBranch((), (), tuple(edges)),))
+
+
+def test_replay_rejects_a_step_over_its_budget():
+    g = gen_named("P_n", 12)
+    cert = solve(g)
+    i = next(i for i, s in enumerate(cert.trace) if s.rule == "DEGREE1")
+    with pytest.raises(InternalInvariantViolation, match="grew by 1 > 0"):
+        replay(g, replace(cert, trace=_with_step(cert.trace, i, budget=0)))
+
+
+def test_replay_rejects_a_base_witness_over_the_bound():
+    # {01, 23} is a maximal matching of P_4, one edge more than lambda allows
+    g = gen_named("P_n", 4)
+    cert = solve(g)
+    trace = _with_step(cert.trace, 0, extension=_base_witness([(0, 1), (2, 3)]))
+    with pytest.raises(InternalInvariantViolation, match=r"6\*2 exceeds bound 11"):
+        replay(g, replace(cert, trace=trace))
+
+
+def test_replay_rejects_a_base_witness_that_holds_the_forbidden_edge():
+    # step 1 solves the gamma0 split's constrained part; this witness is a
+    # maximal matching of that part that holds its forbidden edge
+    g = random_connected_subcubic(12, 52, 2)
+    cert = solve(g)
+    assert (cert.trace[0].case, cert.trace[1].rule) == ("gamma0", "BASE_SMALL")
+    trace = _with_step(cert.trace, 1, extension=_base_witness([(1, 6), (2, 4), (7, 9)]))
+    with pytest.raises(InternalInvariantViolation, match="avoidance constraint violated"):
+        replay(g, replace(cert, trace=trace))
+
+
+def test_replay_rejects_a_trace_with_a_step_left_over():
+    g = gen_named("P_n", 12)
+    cert = solve(g)
+    with pytest.raises(InternalInvariantViolation, match="trace has unconsumed steps"):
+        replay(g, replace(cert, trace=cert.trace + cert.trace[-1:]))
+
+
 @pytest.mark.parametrize("rule", ["DEGREE1", "ADJ_DEG2", "DEG2_TWO_DEG3"])
 @pytest.mark.parametrize("tamper", ["drop_edge", "add_non_edge", "add_non_edge_within_budget"])
 def test_replay_rejects_tampered_linear_step(rule, tamper):
