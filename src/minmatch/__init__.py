@@ -1,6 +1,6 @@
 """Certified small maximal matchings in subcubic graphs."""
 
-from .graph import DegreeCensus, Edge, Graph, edge, is_k33
+from .graph import Edge, Graph, edge, is_k33
 from .matching import (
     BoundReport,
     Matching,

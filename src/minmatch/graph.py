@@ -9,7 +9,6 @@ subcubic by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -30,15 +29,6 @@ Edge = tuple[int, int]
 def edge(u: int, v: int) -> Edge:
     """Normalised (min, max) form used everywhere an edge is stored."""
     return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class DegreeCensus:
-    n: int
-    m: int
-    n1: int
-    n2: int
-    n3: int
 
 
 class Graph:
@@ -374,15 +364,6 @@ class Graph:
                 return True
             seen |= comp  # a seed in a component searched already needs no search
         return False
-
-    def degree_census(self) -> DegreeCensus:
-        return DegreeCensus(
-            n=self.n,
-            m=self._m,
-            n1=len(self._buckets[1]),
-            n2=len(self._buckets[2]),
-            n3=self.n - sum(len(b) for b in self._buckets),
-        )
 
     def validate(self) -> None:
         """Debug check: symmetry, degree cap, counter and bucket consistency."""

@@ -166,9 +166,9 @@ def certificate_dict(cert) -> dict:
     matching = sorted([u, v] for c in certs for u, v in c.matching)
     out = {
         "schema": 1,
-        "n": sum(c.bound.census.n for c in certs),
-        "m": sum(c.bound.census.m for c in certs),
-        "n1": sum(c.bound.census.n1 for c in certs),
+        "n": sum(c.bound.n for c in certs),
+        "m": sum(c.bound.m for c in certs),
+        "n1": sum(c.bound.n1 for c in certs),
         "I": sum(c.bound.cubic for c in certs),
         "K": sum(c.bound.k2 for c in certs),
         "lambda_times_6": sum(c.bound.lambda_times_6 for c in certs),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, EdgeNotInGraph, EmptyGraph, NotAMatching
-from .graph import DegreeCensus, Edge, Graph, edge, is_k33
+from .graph import Edge, Graph, edge, is_k33
 
 Matching = frozenset[Edge]
 
@@ -98,9 +98,11 @@ def _reject_foreign_edges(g: Graph, M) -> None:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The certified bound, held exactly as lambda_times_6 / 6."""
+    """A connected graph's counts, and its bound held exactly as lambda_times_6 / 6."""
 
-    census: DegreeCensus
+    n: int
+    m: int
+    n1: int  # vertices of degree 1
     cubic: int  # the indicator I
     k2: int     # the indicator K
     lambda_times_6: int
@@ -130,8 +132,8 @@ def bound_report(g: Graph, connected: bool = False) -> BoundReport:
         raise EmptyGraph("bound undefined for the empty graph")
     if not connected and not g.is_connected():
         raise Disconnected("bound defined per connected graph")
-    census = g.degree_census()
-    return BoundReport(census, int(g.is_cubic()), int(census.n == 2 and census.m == 1), lambda6(g))
+    n, m, n1, cubic = g.n, g.m, len(g.degree_bucket(1)), g.is_cubic()
+    return BoundReport(n, m, n1, int(cubic), int(n == 2 and m == 1), lambda6_of(n, m, n1, cubic))
 
 
 def gamma_lower_bound(g: Graph) -> int:

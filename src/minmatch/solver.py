@@ -148,24 +148,28 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
 
 # -- the engine ------------------------------------------------------------------
 #
-# A task is a connected graph to solve.  A step pushes a frame holding its
-# undo data, then one task per subproblem, popped in preorder (the trace
-# order): the components left by a linear step's in-place reduction, or the
-# parts of a bridge split's candidate.  Either way _carve keeps one
-# subproblem in the working graph itself (the component no search of
-# Graph.cut_off used up, or the part holding the bridge's larger side) and
-# copies only the others.
-# Unwinding a frame puts back what the carving and the reduction removed, and
-# extends the matching through the step's recipe.  The stack is the engine's
-# own, so the Python stack grows neither with n nor with the nesting depth of
-# bridges.
+# A task is a connected graph to solve.  One loop takes every step but a
+# base step: _reduced (a linear step) and _split (a BRIDGE step) each return
+# (step, undo, tasks), undo being (carved, saved, added), empty but for the
+# carving at a split.  The step pushes a frame holding its undo, then one
+# task per subproblem, popped in preorder (the trace order): the components
+# left by a linear step's in-place reduction, or the parts of a bridge
+# split's candidate.  Either way _carve keeps one subproblem in the working
+# graph itself (the component no search of Graph.cut_off used up, or the
+# part holding the bridge's larger side) and copies only the others.
+# Unwinding a frame puts back what the carving and the reduction removed
+# (_undo), and extends the matching through the step's recipe.  The stack is
+# the engine's own, so the Python stack grows neither with n nor with the
+# nesting depth of bridges.  A base step stays a leaf (_leaf), with no frame:
+# it leaves no task and nothing to undo, so a frame would only add a push and
+# a pop to every solve of a small graph, where it is the only step.
 #
 # One matching M, a mutable set, serves the whole solve.  A frame holds
 # len(M) from when its task began, so g's matching is the len(M) - start
 # edges added since.  Edges of finished parts touch no vertex of the current
 # g: parts share no vertex, save the bridge endpoint that a gamma candidate's
 # two parts share, and the constrained part, solved first, never covers it,
-# as its only edge there is the forbidden one, which is checked.  _reduce
+# as its only edge there is the forbidden one, which is checked.  _reduced
 # checks that every edge a recipe reads lies in G'.  So the recipe, the region
 # check and the forbidden-edge test in _checked read M as if it held only g's
 # matching, and an added edge that a finished part holds lies outside g.
@@ -199,8 +203,8 @@ def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
     while stack:
         item = stack.pop()
         if item[0] == "frame":
-            _, start, g, step, carved, saved, added, constraint = item
-            _undo(g, carved, saved, added)
+            _, start, g, step, undo, constraint = item
+            _undo(g, *undo)
             before = len(M)
             step.extension.apply(M)
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
@@ -211,22 +215,18 @@ def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
             M |= _leaf(g, step, constraint, steps)
             steps.append(step)
             continue
-        while step.rule != R.RULE_BRIDGE:
-            saved, added = _reduce(g, step)
-            carved, tasks = _reduced(g, saved, added)
-            if not (added and any(t[1].is_cubic() for t in tasks)):
+        while True:
+            step, undo, tasks = (_split if step.rule == R.RULE_BRIDGE else _reduced)(g, step)
+            if not (step.added_edges and any(t[1].is_cubic() for t in tasks)):
                 break
-            _undo(g, carved, saved, added)
+            _undo(g, *undo)
             rejected, step = step, next(later, None)
             if step is None:
                 raise InternalInvariantViolation(
                     f"{rejected.rule}/{rejected.case} produced a cubic component"
                 )
-        else:  # a BRIDGE step, first or after the candidates
-            step, carved, tasks = _split(g, step)
-            saved, added = {}, []
         steps.append(step)
-        stack.append(("frame", len(M), g, step, carved, saved, added, constraint))
+        stack.append(("frame", len(M), g, step, undo, constraint))
         stack.extend(reversed(tasks))
     return M
 
@@ -249,16 +249,30 @@ def _carve(g: Graph, removed, parts) -> tuple[dict, list[tuple]]:
     return g.remove_vertices_with_undo(removed), tasks
 
 
-def _reduced(g: Graph, saved: dict, added: list[Edge]) -> tuple[dict, list]:
-    """The tasks g leaves, just reduced in place from a connected graph by
-    deleting the vertices in `saved` (their undo data) and adding `added`,
-    and the undo data of carving them: the component that Graph.cut_off
-    leaves from the step's boundary stays in g and comes first, then the
-    components it cut off, by least vertex."""
+def _reduced(g: Graph, step: ReductionStep) -> tuple[ReductionStep, tuple, list[tuple]]:
+    """A linear step's reduction of connected g, in place: the step, the undo
+    data (carved, saved, added) and the tasks g leaves.  Every edge the step
+    adds, or its recipe reads, must lie in the reduced graph.  The component
+    that Graph.cut_off leaves from the step's boundary stays in g and comes
+    first, then the components it cut off, by least vertex."""
+    where = f"{step.rule}/{step.case}"
+    if step.extension is None:
+        raise InternalInvariantViolation(f"{where} carries no extension recipe")
+    added = sorted(step.added_edges)
+    read = [e for br in step.extension.branches for e in br.requires + br.remove]
+    if any(v not in g or v in step.deleted for e in added + read for v in e):
+        raise InternalInvariantViolation(f"an edge added or read by {where} leaves the graph")
+    try:
+        saved = g.remove_vertices_with_undo(step.deleted)
+        for e in added:
+            g.add_edge(*e)
+    except GraphError as exc:
+        raise InternalInvariantViolation(f"{where} does not fit the graph: {exc}") from None
     if not g.n:  # the step deleted all of g
-        return {}, []
+        return step, ({}, saved, added), []
     sides = sorted(g.cut_off(_boundary(saved, added)), key=min)
-    return _carve(g, set().union(*sides), [(None, None)] + [(side, None) for side in sides])
+    carved, tasks = _carve(g, set().union(*sides), [(None, None)] + [(side, None) for side in sides])
+    return step, (carved, saved, added), tasks
 
 
 def _boundary(saved: dict, added: list[Edge]) -> set[int]:
@@ -306,25 +320,6 @@ def _replayed(recorded: Iterator[ReductionStep]):
         return step, iter(())
 
     return source
-
-
-def _reduce(g: Graph, step: ReductionStep) -> tuple[dict, list[Edge]]:
-    """A linear step's reduction, in place; returns the undo data.  Every
-    edge the step adds, or its recipe reads, must lie in the reduced graph."""
-    where = f"{step.rule}/{step.case}"
-    if step.extension is None:
-        raise InternalInvariantViolation(f"{where} carries no extension recipe")
-    added = sorted(step.added_edges)
-    read = [e for br in step.extension.branches for e in br.requires + br.remove]
-    if any(v not in g or v in step.deleted for e in added + read for v in e):
-        raise InternalInvariantViolation(f"an edge added or read by {where} leaves the graph")
-    try:
-        saved = g.remove_vertices_with_undo(step.deleted)
-        for e in added:
-            g.add_edge(*e)
-    except GraphError as exc:
-        raise InternalInvariantViolation(f"{where} does not fit the graph: {exc}") from None
-    return saved, added
 
 
 def _leaf(g: Graph, step: ReductionStep, constraint, trace: list[ReductionStep]) -> set[Edge]:
@@ -388,14 +383,16 @@ def _checked(g: Graph, step, M, size: int, grown: int, constraint, special=False
 CANDIDATES = ("gamma0", "gamma1", "forest")  # the order that breaks ties
 
 
-def _split(g: Graph, step: ReductionStep) -> tuple[ReductionStep, dict, list[tuple]]:
-    """The bridge step to record, and g carved into its candidate's parts:
-    the candidate a recorded step names in its case (replay), else, for
-    select_rule's step, whose case is None, the smallest a-priori bound (ties
-    in the order gamma0, gamma1, forest).  Each subproblem's matching is
-    checked against its own lambda, so the sum of their floor(lambda/6), plus
-    1 for forest's bridge edge, bounds the candidate before anything is
-    solved; the construction guarantees that it meets floor(lambda(g)/6).
+def _split(g: Graph, step: ReductionStep) -> tuple[ReductionStep, tuple, list[tuple]]:
+    """As _reduced, for a bridge step: the step to record, the undo data of
+    carving g into its candidate's parts (nothing is deleted or added), and
+    their tasks.  The candidate is the one a recorded step names in its case
+    (replay), else, for select_rule's step, whose case is None, the one of
+    smallest a-priori bound (ties in the order gamma0, gamma1, forest).
+    Each subproblem's matching is checked against its own lambda, so the
+    sum of their floor(lambda/6), plus 1 for forest's bridge edge, bounds the
+    candidate before anything is solved; the construction guarantees that
+    it meets floor(lambda(g)/6).
     """
     bridge = step.bridge
     best = None
@@ -414,7 +411,7 @@ def _split(g: Graph, step: ReductionStep) -> tuple[ReductionStep, dict, list[tup
     recipe = ExtensionRecipe((ExtensionBranch((), (), (bridge,) if name == "forest" else ()),))
     step = ReductionStep(R.RULE_BRIDGE, name, frozenset(), frozenset(), recipe, None, bridge)
     carved, tasks = _carve(g, removed, parts)
-    return step, carved, tasks
+    return step, (carved, {}, []), tasks
 
 
 def _candidates(g: Graph, bridge: Edge) -> list[tuple]:
@@ -557,7 +554,9 @@ def replay(g: Graph, cert: SolveCertificate) -> Matching:
 
     The engine takes each step from the trace instead of the rules, so every
     check of a solve runs again; a trace that does not fit g, ends early or
-    has steps left over raises InternalInvariantViolation.
+    has steps left over raises InternalInvariantViolation.  A solve_avoiding
+    certificate replays without the avoided-edge check: SolveCertificate
+    does not record the constraint.
     """
     recorded = iter(cert.trace)
     M = _run(_prepare(g), None, [], _replayed(recorded))

@@ -141,10 +141,11 @@ def test_split_carves_the_winner():
             step = bridge_step(bridge)
             if not g.degree_bucket(1):  # where a split meets the bound a priori
                 h = g.copy()
-                recorded, carved, tasks = solver._split(h, step)
+                recorded, undo, tasks = solver._split(h, step)
                 parts = dict(bridge_candidates(g, bridge))[recorded.case]
                 assert [t[1:] for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
-                solver._undo(h, carved, {}, [])
+                assert undo[1:] == ({}, [])  # a split deletes and adds nothing
+                solver._undo(h, *undo)
                 assert h == g
                 h.validate()
                 solved += 1
@@ -156,10 +157,10 @@ def test_split_carves_the_winner():
                     with pytest.raises(InternalInvariantViolation, match="misses the bound a priori"):
                         solver._split(h, replace(step, case=name))
                     continue
-                recorded, carved, tasks = solver._split(h, replace(step, case=name))
-                assert recorded.case == name
+                recorded, undo, tasks = solver._split(h, replace(step, case=name))
+                assert recorded.case == name and not recorded.added_edges
                 assert [t[1:] for t in tasks] == [(g.subgraph(vs), c) for vs, c in parts]
-                solver._undo(h, carved, {}, [])
+                solver._undo(h, *undo)
                 assert h == g
                 carved_cases.add(name)
             splits += 1
@@ -175,9 +176,9 @@ def test_replay_is_the_same_engine(monkeypatch):
     count = {"reduced": 0, "split": 0, "find_bridges": 0}
     reduced, split, find = solver._reduced, solver._split, Graph.find_bridges
 
-    def counted_reduced(g, saved, added):
+    def counted_reduced(g, step):
         count["reduced"] += 1
-        return reduced(g, saved, added)
+        return reduced(g, step)
 
     def counted_split(g, step):
         count["split"] += 1

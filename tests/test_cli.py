@@ -7,6 +7,7 @@ from minmatch import cli, matching
 from minmatch.cli import main
 from minmatch.generators import gen_gk, gen_named, gen_random_cubic
 from minmatch.graphio import write_graph6
+from minmatch.oracle import OracleResult
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -302,6 +303,24 @@ def test_verify_checks_maximality_without_the_certifying_scan(tmp_path, capsys, 
     code, out, _ = run(capsys, ["verify", str(target)])
     assert code == 3
     assert json.loads(out)["failures"] == [{"id": "line:1", "property": "not_maximal"}]
+
+
+@pytest.mark.parametrize("name, gamma, properties", [
+    ("K4", 3, ["oracle_above_solver"]),  # the solver's matching has 2 edges
+    ("K4", 1, ["below_lower_bound"]),  # ceil(m / 5) = 2
+    ("K33", 2, ["equality_characterization"]),  # only 3 attains 6 gamma = 4n - m + 3
+    ("P_n", 2, ["oracle_above_solver", "noncubic_bound"]),  # P_3: 6 * 2 > 4n - m = 10
+])
+def test_verify_reports_each_oracle_check(name, gamma, properties, tmp_path, capsys, monkeypatch):
+    # an oracle that answers a doctored gamma trips exactly these checks
+    monkeypatch.setattr(cli, "gamma_exact", lambda g, budget=None: OracleResult(gamma, frozenset(), 0))
+    target = tmp_path / "g.g6"
+    target.write_text(write_graph6(gen_named(name, 3) if name == "P_n" else gen_named(name)) + "\n")
+    code, out, _ = run(capsys, ["verify", "--with-oracle", str(target)])
+    assert code == 3
+    report = json.loads(out)
+    assert report["failures"] == [{"id": "line:1", "property": p} for p in properties]
+    assert report["passed"] == 0
 
 
 def test_missing_input_file_is_one_line_exit_2(capsys):

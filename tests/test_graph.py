@@ -8,12 +8,18 @@ from minmatch.errors import (
     DegreeOverflow,
     DuplicateEdge,
     InternalInvariantViolation,
+    MissingEdge,
     PreconditionViolated,
     SelfLoop,
     UnknownVertex,
 )
 from minmatch.generators import enumerate_connected_subcubic, gen_named, gen_random_cubic
 from minmatch.graph import Graph, is_k33
+
+
+def degree3(g):
+    """The vertices of degree 3, counted from adjacency, not from the buckets."""
+    return sum(g.degree(v) == 3 for v in g.iter_vertices())
 
 
 def test_add_edge_builds_k2():
@@ -28,7 +34,7 @@ def test_add_edge_closes_cycle():
     g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
     g.add_edge(0, 3)
     assert not g.is_cubic()
-    assert g.degree_census().n2 == 4  # C4
+    assert len(g.degree_bucket(2)) == 4  # C4
 
 
 def test_add_edge_degree_overflow_on_k33():
@@ -80,7 +86,8 @@ def test_refused_restore_changes_nothing():
     before = g.copy()
     with pytest.raises(DegreeOverflow):
         g.restore_vertices(saved)
-    assert g == before and g.degree_census() == before.degree_census()
+    assert g == before and g.m == before.m
+    assert [g.degree_bucket(d) for d in range(3)] == [before.degree_bucket(d) for d in range(3)]
     g.validate()
     g.remove_vertices_with_undo([2])  # a neighbour of 0 is gone
     before = g.copy()
@@ -97,15 +104,15 @@ def test_refused_restore_changes_nothing():
 def test_remove_vertices_k33_minus_one():
     g = gen_named("K33")
     g.remove_vertices_with_undo({0})
-    c = g.degree_census()
-    assert (c.n, c.m, c.n2, c.n3) == (5, 6, 3, 2)
+    assert (g.n, g.m, len(g.degree_bucket(2))) == (5, 6, 3)
+    assert sorted(v for v in g.vertices() if g.degree(v) == 3) == [1, 2]
 
 
 def test_remove_vertices_c4_minus_one_gives_p3():
     g = gen_named("C_n", 4)
     g.remove_vertices_with_undo({3})
     assert (g.n, g.m) == (3, 2)
-    assert g.degree_census().n1 == 2
+    assert g.degree_bucket(1) == {0, 2}
 
 
 def test_remove_vertices_empty_set_is_identity():
@@ -196,18 +203,19 @@ def test_cubic_components():
 
 
 def test_degree_census_examples():
-    c = gen_named("K33").degree_census()
-    assert (c.n, c.m, c.n1, c.n2, c.n3) == (6, 9, 0, 0, 6)
-    c = gen_named("K2").degree_census()
-    assert (c.n, c.m, c.n1) == (2, 1, 2)
+    g = gen_named("K33")
+    assert (g.n, g.m, len(g.degree_bucket(1)), len(g.degree_bucket(2)), degree3(g)) == (6, 9, 0, 0, 6)
+    g = gen_named("K2")
+    assert (g.n, g.m, len(g.degree_bucket(1))) == (2, 1, 2)
 
 
 def test_census_sum_identity():
     for n in range(1, 6):
         for g in enumerate_connected_subcubic(n):
-            c = g.degree_census()
-            assert len(g.degree_bucket(0)) + c.n1 + c.n2 + c.n3 == c.n
-            assert c.n1 + 2 * c.n2 + 3 * c.n3 == 2 * c.m
+            n0, n1, n2 = map(len, map(g.degree_bucket, range(3)))
+            n3 = degree3(g)
+            assert n0 + n1 + n2 + n3 == g.n
+            assert n1 + 2 * n2 + 3 * n3 == 2 * g.m
 
 
 def test_is_k33():
@@ -233,9 +241,67 @@ def test_validate_on_generated_graphs():
 
 def test_validate_rejects_a_stale_bucket_entry():
     g = Graph.from_edges([(0, 1), (1, 2)])
-    g._buckets[2].add(99)  # not a vertex: the census would read n3 = -1
+    g._buckets[2].add(99)  # not a vertex: 4 bucket entries for 3 vertices
     with pytest.raises(InternalInvariantViolation):
         g.validate()
+
+
+def _over_degree(g):
+    # a fourth edge at the centre 0 of a star, with its own end made consistent
+    g._adj[0].add(4)
+    g._adj[4] = {0}
+    g._buckets[1].add(4)
+    g._m += 1
+
+
+def _self_loop(g):
+    g._adj[0].add(0)  # 0 goes from degree 2 to 3 and stays in bucket 2
+
+
+def _one_sided(g):
+    g._adj[0].add(3)  # 0 sees 3, but 3 does not see 0
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_over_degree, "degree of 0 exceeds 3"),
+    (_self_loop, "self-loop at 0"),
+    (_one_sided, "asymmetric edge 0-3"),
+    (lambda g: g._buckets[1].discard(1), "bucket 1 wrong for 1"),
+    (lambda g: setattr(g, "_m", g.m + 1), "edge counter 4 != 3"),
+])
+def test_validate_names_each_broken_invariant(corrupt, message):
+    # each corruption breaks one invariant of a copy of a valid graph: a star
+    # for the degree cap, else the path 1-0-2-3
+    g = Graph.from_edges([(0, 1), (0, 2), (0, 3)] if corrupt is _over_degree else [(1, 0), (0, 2), (2, 3)])
+    h = g.copy()
+    corrupt(h)
+    with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
+        h.validate()
+    g.validate()
+
+
+def test_remove_edge_refuses_a_missing_edge():
+    g = gen_named("C_n", 4)
+    with pytest.raises(MissingEdge, match=r"edge \(0, 2\) not present"):
+        g.remove_edge(2, 0)
+    assert g == gen_named("C_n", 4) and g.m == 4
+
+
+def test_restore_refuses_a_saved_vertex_of_degree_4():
+    # the other ends would each take one more edge and stay within degree 3,
+    # so only the saved vertex's own degree refuses the restore
+    g = Graph.from_edges([(0, 1), (2, 3)])
+    before = g.copy()
+    with pytest.raises(DegreeOverflow, match="vertex 9 would exceed degree 3"):
+        g.restore_vertices({9: frozenset({0, 1, 2, 3})})
+    assert g == before and g.m == before.m
+    assert [g.degree_bucket(d) for d in range(3)] == [before.degree_bucket(d) for d in range(3)]
+    g.validate()
+
+
+def test_component_of_an_unknown_vertex():
+    with pytest.raises(UnknownVertex, match="vertex 9 not in graph"):
+        gen_named("K4").component_of(9)
 
 
 @settings(max_examples=50, deadline=None)

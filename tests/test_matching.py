@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import enumerate_maximal_matchings
-from minmatch.errors import Disconnected, EdgeNotInGraph, NotAMatching
+from minmatch.errors import Disconnected, EdgeNotInGraph, EmptyGraph, NotAMatching
 from minmatch.generators import enumerate_connected_subcubic, gen_gk, gen_named
 from minmatch.graph import Graph
 from minmatch.matching import (
@@ -11,6 +11,7 @@ from minmatch.matching import (
     is_matching,
     is_maximal,
     matching_within_bound,
+    maximality_status,
 )
 from minmatch.oracle import gamma_exact
 
@@ -75,6 +76,31 @@ def test_bound_report_rejects_disconnected():
     g = Graph.from_edges([(0, 1), (2, 3)])
     with pytest.raises(Disconnected):
         bound_report(g)
+
+
+def test_bound_report_holds_its_counts():
+    # the counts the certificate writes, read off the graph, and the one
+    # formula applied to them
+    for g, counts in ((gen_named("K2"), (2, 1, 2, 0, 1)), (gen_named("K33"), (6, 9, 0, 1, 0)),
+                      (gen_named("P_n", 5), (5, 4, 2, 0, 0)), (gen_gk(3), (18, 27, 0, 1, 0))):
+        rep = bound_report(g)
+        assert (rep.n, rep.m, rep.n1, rep.cubic, rep.k2) == counts
+        assert rep.lambda_times_6 == 4 * rep.n - rep.m + 2 * rep.cubic + rep.k2 - rep.n1
+
+
+def test_bound_report_rejects_the_empty_graph():
+    with pytest.raises(EmptyGraph, match="bound undefined for the empty graph"):
+        bound_report(Graph())
+
+
+def test_region_check_finds_two_matching_edges_at_a_vertex():
+    # 1 is covered twice; the region check sees it from 1, and only from 1
+    g = gen_named("P_n", 4)
+    M = {(0, 1), (1, 2)}
+    assert maximality_status(g, M, {1}) == 1
+    assert maximality_status(g, M, {3, 1}) == 1
+    assert maximality_status(g, M, {0}) == 0  # the caller vouches for the rest
+    assert maximality_status(g, M) == 1
 
 
 def test_gamma_lower_bound():

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import bead_ring, enumerate_maximal_matchings, random_connected_subcubic, reduced
 from minmatch import reductions
+from minmatch.errors import PreconditionViolated
 from minmatch.generators import gen_named
 from minmatch.graph import Graph
 from minmatch.matching import is_maximal
@@ -238,3 +239,22 @@ def test_deg2_without_adjacent_pair_dispatches_to_deg2_rule():
     step = select_rule(g)
     assert step.rule == "DEG2_TWO_DEG3"
     assert 10 in step.deleted
+
+
+def test_pendant_rule_refuses_a_vertex_that_is_not_a_pendant():
+    g = Graph.from_edges([(0, 1), (1, 2), (1, 3), (3, 4)])
+    with pytest.raises(PreconditionViolated, match="1 is not a degree-1 vertex"):
+        reductions.degree1_step(g, 1)
+    with pytest.raises(PreconditionViolated, match="3 is not a degree-1 vertex"):
+        reductions.degree1_step(g, 3)
+    assert reductions.degree1_step(g, 0).deleted == {0, 1, 3}
+
+
+def test_deg2_rule_refuses_a_neighbour_below_degree_3():
+    # 0, the least degree-2 vertex, has neighbours of degree 2 (C_5), or one
+    # of degree 3 and one of degree 2
+    msg = "rule needs both neighbours of the degree-2 vertex at degree 3"
+    for g in (gen_named("C_n", 5), Graph.from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4)])):
+        assert 0 == min(g.degree_bucket(2))
+        with pytest.raises(PreconditionViolated, match=msg):
+            reductions.deg2_step(g)

@@ -137,7 +137,7 @@ def test_adjacent_deg2_contraction_on_c6():
     assert step.added_edges == {(2, 5)}
     h = reduced(g, step)
     assert (h.n, h.m) == (4, 4)
-    assert h.degree_census().n2 == 4  # a 4-cycle
+    assert len(h.degree_bucket(2)) == 4  # a 4-cycle
     # both extension branches add exactly one edge
     M = step.extension.apply({(3, 4), (2, 5)})
     assert len(M) == 3 and (0, 5) in M and (1, 2) in M and (2, 5) not in M
@@ -274,7 +274,7 @@ def test_rejected_candidate_is_undone_exactly(monkeypatch):
     # back as it was before the engine reduces with the next candidate
     seen = []
     carves = []
-    reduce, carve = solver._reduce, solver._carve
+    reduce, carve = solver._reduced, solver._carve
 
     def spy_reduce(g, step):
         seen.append((step.added_edges, g.copy()))
@@ -285,7 +285,7 @@ def test_rejected_candidate_is_undone_exactly(monkeypatch):
         carves.append(sorted(min(rest if p[0] is None else p[0]) for p in parts))
         return carve(g, removed, parts)
 
-    monkeypatch.setattr(solver, "_reduce", spy_reduce)
+    monkeypatch.setattr(solver, "_reduced", spy_reduce)
     monkeypatch.setattr(solver, "_carve", spy_carve)
     g = crossing_graph()
     cert = solve(g)
@@ -689,6 +689,63 @@ def test_replay_rejects_a_trace_with_a_step_left_over():
     cert = solve(g)
     with pytest.raises(InternalInvariantViolation, match="trace has unconsumed steps"):
         replay(g, replace(cert, trace=cert.trace + cert.trace[-1:]))
+
+
+def test_replay_rejects_a_linear_step_without_a_recipe():
+    g = gen_named("P_n", 12)
+    cert = solve(g)
+    assert cert.trace[0].rule == "DEGREE1"
+    with pytest.raises(InternalInvariantViolation, match="DEGREE1/None carries no extension recipe"):
+        replay(g, replace(cert, trace=_with_step(cert.trace, 0, extension=None)))
+
+
+def test_replay_rejects_a_base_step_that_misses_a_vertex():
+    g = gen_named("P_n", 4)
+    cert = solve(g)
+    trace = _with_step(cert.trace, 0, deleted=cert.trace[0].deleted - {3})
+    with pytest.raises(InternalInvariantViolation, match="base step does not cover the graph"):
+        replay(g, replace(cert, trace=trace))
+
+
+def test_replay_rejects_a_bridge_step_with_an_unknown_candidate():
+    g = random_connected_subcubic(12, 52, 2)
+    cert = solve(g)
+    assert (cert.trace[0].rule, cert.trace[0].case) == ("BRIDGE", "gamma0")
+    trace = _with_step(cert.trace, 0, case="gamma2")
+    with pytest.raises(InternalInvariantViolation, match=r"no gamma2 candidate at bridge \(1, 6\)"):
+        replay(g, replace(cert, trace=trace))
+
+
+@pytest.mark.parametrize("branch, message", [
+    (ExtensionBranch((), ((4, 5),), ()), r"extension removes \(4, 5\) not present in sub-matching"),
+    (ExtensionBranch(((4, 5),), (), ((1, 2),)), "no extension branch matched"),
+])
+def test_replay_rejects_a_recipe_that_does_not_fit_the_sub_matching(branch, message):
+    # P_12's pendant step leaves the path 3..11, whose base witness
+    # {34, 67, 9 10} lacks its edge 45: a recipe may neither remove 45 nor
+    # have only branches that require it
+    g = gen_named("P_n", 12)
+    cert = solve(g)
+    assert (4, 5) not in cert.matching and cert.trace[1].deleted == set(range(3, 12))
+    trace = _with_step(cert.trace, 0, extension=ExtensionRecipe((branch,)))
+    with pytest.raises(InternalInvariantViolation, match=message):
+        replay(g, replace(cert, trace=trace))
+
+
+def test_public_entry_points_refuse_what_they_cannot_solve():
+    with pytest.raises(InvalidConstraint, match="vertex 9 not in graph"):
+        solve_avoiding(gen_named("P_n", 4), PendantConstraint(9, (8, 9)))
+    with pytest.raises(EmptyGraph, match="cannot solve the empty graph"):
+        solve_all(Graph())
+
+
+def test_replay_of_an_avoiding_certificate():
+    # the certificate does not record the constraint, so replay runs without
+    # the avoided-edge check; the trace alone still gives the same matching
+    for n in (6, 14):
+        g = gen_named("P_n", n)
+        cert = solve_avoiding(g, PendantConstraint(0, (0, 1)))
+        assert replay(g, cert) == cert.matching and (0, 1) not in cert.matching
 
 
 @pytest.mark.parametrize("rule", ["DEGREE1", "ADJ_DEG2", "DEG2_TWO_DEG3"])
