@@ -276,6 +276,9 @@ class Graph:
         return len(self._reachable(next(iter(self._adj)))) == len(self._adj)
 
     def component_of(self, v: int) -> set[int]:
+        """The vertex set of v's component.  No code in the package calls it;
+        it stays because perfbench/tracing.targets() names it, until ROADMAP
+        item 2's benchmark revision."""
         if v not in self._adj:
             raise UnknownVertex(f"vertex {v} not in graph")
         return self._reachable(v)
@@ -284,7 +287,10 @@ class Graph:
         """All edges whose removal disconnects their component.
 
         Two-pass iterative lowlink DFS, O(n + m); no recursion so arbitrarily
-        deep graphs are fine.
+        deep graphs are fine.  No code in the package calls it: the solver
+        proves each bridge it splits at with smaller_side.  It stays as the
+        tests' Tarjan reference, and because perfbench/tracing.targets()
+        names it, until ROADMAP item 2's benchmark revision.
         """
         adj = self._adj
         preorder: dict[int, int] = {}
@@ -339,7 +345,10 @@ class Graph:
         return None if found is None else (found[0], found[1] - cut)
 
     def cubic_components(self) -> list[set[int]]:
-        """Components in which every vertex has degree exactly 3."""
+        """Components in which every vertex has degree exactly 3.  No code in
+        the package calls it: the solver reads cubic components off its
+        tasks' degree buckets.  It stays because perfbench/tracing.targets()
+        names it, until ROADMAP item 2's benchmark revision."""
         return [
             comp
             for comp in self.connected_components()
@@ -351,9 +360,9 @@ class Graph:
 
         One traversal per seed component; vertices not in g are skipped.
         No code in the package calls it: the solver reads cubic components
-        off its tasks' degree buckets.  It stays only because the benchmark's
-        trace groups name it, and goes with their next revision (ROADMAP
-        item 2).
+        off its tasks' degree buckets.  It stays because
+        perfbench/tracing.targets() names it, until ROADMAP item 2's
+        benchmark revision.
         """
         seen: set[int] = set()
         for s in vertices:

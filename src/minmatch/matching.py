@@ -27,7 +27,10 @@ def as_matching(edges) -> Matching:
 
 def is_matching(g: Graph, M) -> bool:
     """True iff the edges are pairwise vertex-disjoint; an edge that is not
-    in g raises EdgeNotInGraph."""
+    in g raises EdgeNotInGraph.  No code in the package calls it
+    (maximality_status is the one check); it stays because
+    perfbench/tracing.targets() names it, until ROADMAP item 2's benchmark
+    revision."""
     status = maximality_status(g, M)
     if status == 1:
         _reject_foreign_edges(g, M)
@@ -82,7 +85,10 @@ def maximality_status(g: Graph, M, region=None) -> int:
 
 
 def is_maximal(g: Graph, M) -> bool:
-    """True iff M is a matching and every edge of g has a covered endpoint."""
+    """True iff M is a matching and every edge of g has a covered endpoint.
+    No code in the package calls it (maximality_status is the one check);
+    it stays because perfbench/tracing.targets() names it, until ROADMAP
+    item 2's benchmark revision."""
     status = maximality_status(g, M)
     if status == 1:
         _reject_foreign_edges(g, M)

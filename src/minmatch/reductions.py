@@ -5,8 +5,8 @@ carries a data-driven recipe that turns any maximal matching of the reduced
 graph back into one of the original graph.  Recipes are branch lists tested
 against the sub-matching in order, so a recorded trace is replayable without
 re-running the case analysis.  Rules read g and never change it; a rule that
-inserts edges returns its first candidate and leaves the choice among the
-rest to the solver (see _insertion).
+inserts edges returns its first candidate that the solver has not refused,
+and the solver asks again after each refusal (see _insertion).
 
 Nearly every recipe takes one of two shapes: _plain adds no edge and
 matches a fixed edge set, and _relink adds one edge e, which a sub-matching
@@ -25,7 +25,6 @@ case), plus BASE_SMALL / K33_SPECIAL leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import InternalInvariantViolation, PreconditionViolated
 from .graph import Edge, Graph, edge
@@ -80,11 +79,7 @@ def _recipe(*branches: tuple) -> ExtensionRecipe:
 class ReductionStep:
     """One recorded step: the compared fields are what a certificate
     writes, every edge in (min, max) form.  `variant` labels the rule's
-    sub-case for coverage and is not compared; `later` is the engine's, the
-    steps to try in turn if this one leaves a cubic component (a rule's
-    other candidate insertions, set when the step is built, see
-    _insertion), and solve clears it (take_later) before it records the
-    step."""
+    sub-case for coverage and is not compared."""
 
     rule: str
     case: str | None
@@ -94,21 +89,12 @@ class ReductionStep:
     budget: int | None  # max allowed |M| - |M'| for this step
     bridge: Edge | None = None  # a BRIDGE step's bridge
     variant: str | None = field(default=None, compare=False)
-    later: Iterator[ReductionStep] | None = field(default=None, compare=False, repr=False)
-
-    def take_later(self) -> Iterator[ReductionStep]:
-        """The steps in `later`, which this clears, so that the step itself
-        can be recorded: `later` is neither compared nor hashed, so the
-        step's value does not change, and no copy is built."""
-        later = self.later
-        object.__setattr__(self, "later", None)
-        return iter(()) if later is None else later
 
 
-def _step(rule, case, deleted, added, recipe, budget, variant=None, later=None) -> ReductionStep:
+def _step(rule, case, deleted, added, recipe, budget, variant=None) -> ReductionStep:
     """A rule's step, its added edges normalised inline."""
     added = frozenset([(u, v) if u < v else (v, u) for u, v in added])
-    return ReductionStep(rule, case, frozenset(deleted), added, recipe, budget, None, variant, later)
+    return ReductionStep(rule, case, frozenset(deleted), added, recipe, budget, None, variant)
 
 
 def _plain(rule, case, deleted, matched, budget, variant=None) -> ReductionStep:
@@ -116,11 +102,11 @@ def _plain(rule, case, deleted, matched, budget, variant=None) -> ReductionStep:
     return _step(rule, case, deleted, (), _recipe(((), (), matched)), budget, variant)
 
 
-def _relink(rule, case, deleted, e, swap, rest, budget, variant=None, later=None) -> ReductionStep:
+def _relink(rule, case, deleted, e, swap, rest, budget, variant=None) -> ReductionStep:
     """A step that adds e: a sub-matching that holds e trades it for
     `swap`, and any other gains `rest`."""
     recipe = _recipe(((e,), (e,), swap), ((), (), rest))
-    return _step(rule, case, deleted, (e,), recipe, budget, variant, later)
+    return _step(rule, case, deleted, (e,), recipe, budget, variant)
 
 
 def bridge_step(bridge: Edge) -> ReductionStep:
@@ -162,19 +148,18 @@ def _crossing(g: Graph, w11, w12, w21, w22) -> tuple[int, int, int, int] | None:
 # component; the proof only needs one of a few candidates, all deleting the
 # same set, to do so.  The rule returns the step for its first candidate; the
 # solver builds G' with it and, only if a part is cubic, undoes it and asks
-# the step's `later` for the next (solver._run).
+# the rules again with its added edges among those `refused` (solver._run).
 
 
-def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) -> ReductionStep:
-    """build(*trial, later=...) for the first of `trials`, each a tuple of
-    edges between neighbours of v0 to add once v0 is deleted: one step,
-    built with the steps for the later trials, built lazily, in its
-    `later`.  Trials holding an edge of g are dropped; g is not changed.
-    Where g is bridgeless around v0, some trial is left, and one leaves no
-    cubic component (the candidate graph on the neighbours is connected
-    enough); so with no trial left, the step is a split at a bridge at v0
-    (bridge_at), and the solver offers one after the last trial too
-    (solver._offers).
+def _insertion(g: Graph, v0: set[int], refused, trials: list[tuple[Edge, ...]], build) -> ReductionStep:
+    """build(*trial) for the first of `trials`, each a tuple of edges
+    between neighbours of v0 to add once v0 is deleted, whose edge set is
+    not in `refused`.  Trials holding an edge of g are dropped; g is not
+    changed.  Where g is bridgeless around v0, some trial is left, and one
+    leaves no cubic component (the candidate graph on the neighbours is
+    connected enough); so with no trial left, the step is a split at a
+    bridge at v0 (bridge_at).  If every trial left is refused, the step is
+    the last one's, refused, which select_rule turns into such a split.
     """
     outside = set().union(*(g.neighbors(v) for v in v0)) - v0
     for trial in trials:
@@ -188,13 +173,14 @@ def _insertion(g: Graph, v0: set[int], trials: list[tuple[Edge, ...]], build) ->
         if step is None:
             raise PreconditionViolated("no candidate that is not already an edge")
         return step
-    return build(*trials[0], later=(build(*t) for t in trials[1:]))
+    trial = next((t for t in trials if frozenset(_edges(t)) not in refused), trials[-1])
+    return build(*trial)
 
 
-def _edge_insertion(g: Graph, v0: set[int], pairs: list[Edge], build) -> ReductionStep:
+def _edge_insertion(g: Graph, v0: set[int], refused, pairs: list[Edge], build) -> ReductionStep:
     """_insertion with one edge per trial, from `pairs` (no edge twice) in the
     order of their (min, max) form; build gets each pair as given."""
-    return _insertion(g, v0, [(p,) for p in sorted(pairs, key=lambda p: edge(*p))], build)
+    return _insertion(g, v0, refused, [(p,) for p in sorted(pairs, key=lambda p: edge(*p))], build)
 
 
 # -- pendant rule ---------------------------------------------------------------
@@ -221,10 +207,11 @@ def degree1_step(g: Graph, pendant: int, anchored: bool = False) -> ReductionSte
 
 # -- two adjacent degree-2 vertices ---------------------------------------------
 
-def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
+def adjacent_deg2_step(g: Graph, refused=frozenset()) -> ReductionStep | None:
     """The step for u1, the least degree-2 vertex with a degree-2 neighbour,
     and u2, its least such neighbour; None if there is none.  One pass over
-    the degree-2 bucket finds them: the dispatch's per-step cost."""
+    the degree-2 bucket finds them: the dispatch's per-step cost.  `refused`
+    holds the added-edge sets the solver has refused (_insertion)."""
     deg2 = g.degree_bucket(2)
     u1 = None
     for v in deg2:
@@ -305,19 +292,19 @@ def adjacent_deg2_step(g: Graph) -> ReductionStep | None:
     xs = sorted(g.neighbors(w11) - {v1})
     v0 = {u1, u2, v1, v2, w11}
 
-    def build(e, later=None):
+    def build(e):
         x, wt = e
         return _relink(
             RULE_ADJ_DEG2, "outer-independent", v0, e,
-            ((x, w11), (wt, v2), (u1, v1)), ((v1, w11), (u2, v2)), budget=2, later=later,
+            ((x, w11), (wt, v2), (u1, v1)), ((v1, w11), (u2, v2)), budget=2,
         )
 
-    return _edge_insertion(g, v0, [(x, wt) for x in xs for wt in (w21, w22)], build)
+    return _edge_insertion(g, v0, refused, [(x, wt) for x in xs for wt in (w21, w22)], build)
 
 
 # -- degree-2 vertex with two degree-3 neighbours --------------------------------
 
-def deg2_step(g: Graph) -> ReductionStep:
+def deg2_step(g: Graph, refused=frozenset()) -> ReductionStep:
     u = min(g.degree_bucket(2))
     v1, v2 = sorted(g.neighbors(u))
     if g.degree(v1) != 3 or g.degree(v2) != 3:
@@ -339,12 +326,12 @@ def deg2_step(g: Graph) -> ReductionStep:
         if not intra1:
             v1, v2 = v2, v1
             (w11, w12), (w21, w22) = (w21, w22), (w11, w12)
-        return _deg2_case21(g, u, v1, v2, w11, w12, w21, w22)
+        return _deg2_case21(g, refused, u, v1, v2, w11, w12, w21, w22)
 
     if crossed := _crossing(g, w11, w12, w21, w22):
-        return _deg2_case22(g, u, v1, v2, *crossed)
+        return _deg2_case22(g, refused, u, v1, v2, *crossed)
 
-    return _deg2_case23(g, u, v1, v2, w11, w12, w21, w22)
+    return _deg2_case23(g, refused, u, v1, v2, w11, w12, w21, w22)
 
 
 def _deg2_case1(g, u, v1, v2, common):
@@ -377,7 +364,7 @@ def _deg2_case1(g, u, v1, v2, common):
     )
 
 
-def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
+def _deg2_case21(g, refused, u, v1, v2, w11, w12, w21, w22):
     """An edge inside the v1-side outer pair."""
     if crossed := _crossing(g, w11, w12, w21, w22):
         w11, w12, w21, w22 = crossed
@@ -391,19 +378,19 @@ def _deg2_case21(g, u, v1, v2, w11, w12, w21, w22):
     (x11,) = sorted(g.neighbors(w11) - {v1, w12})
     (x12,) = sorted(g.neighbors(w12) - {v1, w11})
 
-    def build(e, later=None):
+    def build(e):
         xa, wb = e
         w_own, w_other = (w11, w12) if xa == x11 else (w12, w11)
         return _relink(
             RULE_DEG2, "2.1", short, e, ((xa, w_own), (v2, wb), (v1, w_other)),
-            ((w11, w12), (u, v2)), budget=2, variant="rewire", later=later,
+            ((w11, w12), (u, v2)), budget=2, variant="rewire",
         )
 
     # x11 and x12 may be one vertex, which must give its two edges once
-    return _edge_insertion(g, short, [(x, wt) for x in {x11, x12} for wt in (w21, w22)], build)
+    return _edge_insertion(g, short, refused, [(x, wt) for x in {x11, x12} for wt in (w21, w22)], build)
 
 
-def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22):
+def _deg2_case22(g, refused, u, v1, v2, w11, w12, w21, w22):
     """A crossing edge between the two outer pairs, w12-w21 the least
     (_crossing), and no intra-pair edges."""
     short = {u, v1, v2, w12, w21}
@@ -429,24 +416,23 @@ def _deg2_case22(g, u, v1, v2, w11, w12, w21, w22):
         (edge(w22, x21), ((v2, w22), (x21, w21), (v1, w12))),
     ]
 
-    def build(e, later=None):
+    def build(e):
         add = next(a for p, a in relinks if p == e)
         return _relink(
-            RULE_DEG2, "2.2", short, e, add, ((v1, w12), (v2, w21)),
-            budget=2, variant="rewire", later=later,
+            RULE_DEG2, "2.2", short, e, add, ((v1, w12), (v2, w21)), budget=2, variant="rewire",
         )
 
-    return _edge_insertion(g, short, list(dict.fromkeys(p for p, _ in relinks)), build)
+    return _edge_insertion(g, short, refused, list(dict.fromkeys(p for p, _ in relinks)), build)
 
 
-def _deg2_case23(g, u, v1, v2, w11, w12, w21, w22):
+def _deg2_case23(g, refused, u, v1, v2, w11, w12, w21, w22):
     """Outer neighbours form an independent set: the tree configuration."""
     for a, b, wa1, wa2, wb1, wb2 in ((v1, v2, w11, w12, w21, w22), (v2, v1, w21, w22, w11, w12)):
         # three common neighbours force both outer vertices to degree 3
         common3 = g.neighbors(wa1) & g.neighbors(wa2)
         if len(common3) == 3:
             return _deg2_case231(g, u, a, b, wa1, wa2, wb1, wb2, common3)
-    return _deg2_case232(g, u, v1, v2, w11, w12, w21, w22)
+    return _deg2_case232(g, refused, u, v1, v2, w11, w12, w21, w22)
 
 
 def _deg2_case231(g, u, v1, v2, w11, w12, w21, w22, common3):
@@ -484,7 +470,7 @@ def _deg2_case231(g, u, v1, v2, w11, w12, w21, w22, common3):
     )
 
 
-def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
+def _deg2_case232(g, refused, u, v1, v2, w11, w12, w21, w22):
     """No triple common neighbourhood on either side."""
     deg1s = (g.degree(w11), g.degree(w12))
     deg2s = (g.degree(w21), g.degree(w22))
@@ -517,7 +503,7 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
         raise InternalInvariantViolation("triple common neighbourhood missed earlier")
     v0 = {u, v1, v2, w12, w21}
 
-    def build(e1, e2, later=None):
+    def build(e1, e2):
         (_, q1), (_, q2) = e1, e2
         side1_in = ((e1,), ((v1, w11), (w12, q1)))
         side1_out = ((), ((v1, w12),))
@@ -527,19 +513,15 @@ def _deg2_case232(g, u, v1, v2, w11, w12, w21, w22):
         for (req1, add1) in (side1_in, side1_out):
             for (req2, add2) in (side2_in, side2_out):
                 branches.append((req1 + req2, req1 + req2, add1 + add2))
-        return _step(
-            RULE_DEG2, "2.3.2", v0, (e1, e2),
-            _recipe(*branches),
-            budget=2, variant="main", later=later,
-        )
+        return _step(RULE_DEG2, "2.3.2", v0, (e1, e2), _recipe(*branches), budget=2, variant="main")
 
     trials = [((w11, q1), (w22, q2)) for q1 in q1_cands for q2 in q2_cands]
-    return _insertion(g, v0, trials, build)
+    return _insertion(g, v0, refused, trials, build)
 
 
 # -- the cubic case --------------------------------------------------------------
 
-def cubic_step(g: Graph) -> ReductionStep:
+def cubic_step(g: Graph, refused=frozenset()) -> ReductionStep:
     u1 = min(g.iter_vertices())
     u2 = min(g.neighbors(u1))
     common = g.neighbors(u1) & g.neighbors(u2)
@@ -548,11 +530,8 @@ def cubic_step(g: Graph) -> ReductionStep:
     v11, v12 = sorted(g.neighbors(u1) - {u2})
     v21, v22 = sorted(g.neighbors(u2) - {u1})
 
-    def build(e, later=None):
+    def build(e):
         a, b = e
-        return _relink(
-            RULE_CUBIC, "crossing", {u1, u2}, e, ((u1, a), (u2, b)), ((u1, u2),),
-            budget=1, later=later,
-        )
+        return _relink(RULE_CUBIC, "crossing", {u1, u2}, e, ((u1, a), (u2, b)), ((u1, u2),), budget=1)
 
-    return _edge_insertion(g, {u1, u2}, [(a, b) for a in (v11, v12) for b in (v21, v22)], build)
+    return _edge_insertion(g, {u1, u2}, refused, [(a, b) for a in (v11, v12) for b in (v21, v22)], build)

@@ -23,8 +23,7 @@ where it does not, the failure names a bridge, at which the engine splits:
   - an insertion whose candidates are all edges of g already, or all leave
     a cubic component: the split is at the least edge at D that
     Graph.smaller_side proves a bridge (reductions.bridge_at), which the
-    rule returns, or solve's step source offers after the last candidate
-    (_next_step).
+    rule returns, or select_rule once every candidate is refused.
 At a bridge only one candidate split is solved, chosen by bound arithmetic
 before any solving, so the matching may be larger than the best candidate's,
 though always within the bound.  A split costs about its smaller side, not
@@ -42,10 +41,10 @@ side it cuts off, so connectivity is never rescanned whole.  Likewise each exten
 checked for maximality only where it can differ from the sub-matching
 (_checked); the `valid` verdict (_solve) scans it whole once.  The matching
 is one set per solve, built in place (_run).  Each step reduces g once:
-where a rule must insert edges that leave no cubic component, it offers its
-candidates in order, and the engine's test for a cubic task, read off the
-parts it builds anyway, keeps the first that passes (_run); no rule reduces
-g on trial.
+where a rule must insert edges that leave no cubic component, the engine's
+test for a cubic task, read off the parts it builds anyway, refuses a
+candidate that fails, and the rules, asked again, return the next (_run);
+no rule reduces g on trial.
 
 One engine does both solve and replay; only the source of each step
 differs, so a replayed trace passes every check a solve does.
@@ -124,16 +123,20 @@ def _check_constraint(g: Graph, c: PendantConstraint) -> None:
         raise InvalidConstraint("a single-edge graph has no avoiding maximal matching")
 
 
-def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> ReductionStep:
+def select_rule(
+    g: Graph, constraint: PendantConstraint | None = None, refused=frozenset()
+) -> ReductionStep | None:
     """First applicable reduction in priority order (callers handle n <= 9).
 
     Dispatch reads only the degree buckets; its largest cost is
     adjacent_deg2_step's one pass over the degree-2 bucket.  A rule that
-    inserts edges returns the step for its first candidate insertion, which
-    may leave a cubic component; the steps for the others are in its
-    `later`, for the engine to try in turn.  Case 2.3.1's stem, and an
+    inserts edges returns the step for its first candidate insertion whose
+    added edges are not in `refused`, the sets the engine has refused on g
+    because they left a cubic component.  Case 2.3.1's stem, and an
     insertion with no trial left, return a BRIDGE step at the bridge their
-    configuration closes off at.
+    configuration closes off at; so does a rule whose every candidate is
+    refused, at the least bridge at its deleted set (reductions.bridge_at),
+    or None if there is none.
     """
     if constraint is not None:
         _check_constraint(g, constraint)
@@ -142,8 +145,10 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
     if pendants:
         return R.degree1_step(g, min(pendants))
     if g.degree_bucket(2):
-        return R.adjacent_deg2_step(g) or R.deg2_step(g)
-    return R.cubic_step(g)
+        step = R.adjacent_deg2_step(g, refused) or R.deg2_step(g, refused)
+    else:
+        step = R.cubic_step(g, refused)
+    return R.bridge_at(g, step.deleted) if step.added_edges in refused else step
 
 
 # -- the engine ------------------------------------------------------------------
@@ -178,26 +183,27 @@ def select_rule(g: Graph, constraint: PendantConstraint | None = None) -> Reduct
 # buckets, and exact: each component of G' holds a boundary vertex, so one
 # that no added edge touches lost a degree there.  The same test picks the
 # edges a rule inserts.  A rule that must add edges avoiding a cubic
-# component offers candidates that all delete the same set (the step's
-# `later`): the engine reduces with the first, builds the tasks, and if one
-# is cubic puts g back as a frame's unwinding does (_undo) and tries the
-# next.  By the argument above, "some task is cubic" holds iff some
-# component of G' that touches the added edges is cubic, however the tasks
-# were built (one certified graph, or carved components).  So the kept step
-# is the first candidate, in the rule's order, after which no component
-# touching its added edges is cubic: a function of g alone, and with it
-# every trace.  After the last candidate, solve's source offers a split at a
-# bridge (_next_step).  Each step is built once and recorded as it is: solve's
-# source takes `later` off the rule's step before handing it over, so a trace
-# holds data only, and replay's source offers nothing after a recorded step
-# and leaves any `later` it comes with unread: the recorded step is its only
-# candidate, and one that leaves a cubic task is refused.
+# component has candidates that all delete the same set: the engine reduces
+# with the step it is given, builds the tasks, and if one is cubic puts g
+# back as a frame's unwinding does (_undo), adds the step's added edges to
+# the task's set `refused`, and asks its source again.  By the argument
+# above, "some task is cubic" holds iff some component of G' that touches
+# the added edges is cubic, however the tasks were built (one certified
+# graph, or carved components).  So the kept step is the first candidate,
+# in the rule's order, after which no component touching its added edges is
+# cubic, or once all are refused a split at a bridge (select_rule): a
+# function of g alone, and with it every trace.  A step is plain data, built
+# once and recorded as it is.  Replay's source returns None once anything is
+# refused: the recorded step is its only candidate, and one that leaves a
+# cubic task is an error.  A source that gives a refused step again ends the
+# task as None does, so that no source can make the engine loop.
 
 def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
     """Maximal matching of connected g, built in one set, appending its
-    steps to `steps`.  Each step, with the steps to try in turn if it leaves
-    a cubic task, is source(g, constraint): the rules' (_next_step, solve)
-    or a recorded trace's (_replayed, replay)."""
+    steps to `steps`.  Each step is source(g, constraint, refused), where
+    `refused` holds the added-edge sets refused on g so far and None means
+    that no candidate is left: the rules' (_next_step, solve) or a
+    recorded trace's (_replayed, replay)."""
     M: set[Edge] = set()
     stack: list[tuple] = [("task", g, constraint)]
     while stack:
@@ -210,7 +216,8 @@ def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
             _checked(g, step, M, len(M) - start, len(M) - before, constraint)
             continue
         _, g, constraint = item
-        step, later = source(g, constraint)
+        refused: set[frozenset[Edge]] = set()
+        step = source(g, constraint, refused)
         if step.rule in (R.RULE_BASE_SMALL, R.RULE_K33):
             M |= _leaf(g, step, constraint, steps)
             steps.append(step)
@@ -220,8 +227,9 @@ def _run(g: Graph, constraint, steps: list[ReductionStep], source) -> set[Edge]:
             if not (step.added_edges and any(t[1].is_cubic() for t in tasks)):
                 break
             _undo(g, *undo)
-            rejected, step = step, next(later, None)
-            if step is None:
+            refused.add(step.added_edges)
+            rejected, step = step, source(g, constraint, refused)
+            if step is None or step.added_edges in refused:
                 raise InternalInvariantViolation(
                     f"{rejected.rule}/{rejected.case} produced a cubic component"
                 )
@@ -284,40 +292,31 @@ def _boundary(saved: dict, added: list[Edge]) -> set[int]:
     return boundary
 
 
-def _next_step(g: Graph, constraint) -> tuple[ReductionStep, Iterator]:
+def _next_step(g: Graph, constraint, refused) -> ReductionStep | None:
     """Solve's step source: the oracle on small graphs, the first
-    applicable rule otherwise, recorded as built: its `later` is taken
-    off (ReductionStep.take_later) and offered after it (_offers)."""
+    applicable rule that `refused` leaves otherwise (select_rule)."""
     if g.n > BASE_SIZE:
-        step = select_rule(g, constraint)
-        return step, _offers(g, step, step.take_later())
+        return select_rule(g, constraint, refused)
     if constraint is not None:
         rule, res = R.RULE_BASE_SMALL, gamma_exact_avoiding(g, constraint.forbidden_edge)
     else:
         rule, res = R.RULE_K33 if is_k33(g) else R.RULE_BASE_SMALL, gamma_exact(g)
     # the witness's edges are in (min, max) form already
     recipe = ExtensionRecipe((ExtensionBranch((), (), tuple(sorted(res.witness))),))
-    return ReductionStep(rule, None, frozenset(g.iter_vertices()), frozenset(), recipe, None), iter(())
-
-
-def _offers(g: Graph, step: ReductionStep, later: Iterator) -> Iterator:
-    """What solve tries in turn if `step` leaves a cubic task: the rule's
-    `later` steps, then a split at the least bridge at its deleted set
-    (reductions.bridge_at; None if there is none), sought only if asked for."""
-    yield from later
-    yield R.bridge_at(g, step.deleted)
+    return ReductionStep(rule, None, frozenset(g.iter_vertices()), frozenset(), recipe, None)
 
 
 def _replayed(recorded: Iterator[ReductionStep]):
-    """Replay's step source: the trace's next step, with nothing to try
-    after it, so that it is the only candidate; a `later` it comes with is
-    not read."""
+    """Replay's step source: the trace's next step, and None once a step is
+    refused, so that a recorded step is the only candidate."""
 
-    def source(g, constraint) -> tuple[ReductionStep, Iterator]:
+    def source(g, constraint, refused) -> ReductionStep | None:
+        if refused:
+            return None
         step = next(recorded, None)
         if step is None:
             raise InternalInvariantViolation("trace ended before the graph was consumed")
-        return step, iter(())
+        return step
 
     return source
 

@@ -208,8 +208,8 @@ def test_replay_is_the_same_engine(monkeypatch):
         rejected += solved["reduced"] - linear
     assert splits >= 2 and rejected >= 1
 
-    # a recorded step is the only candidate: a `later` it comes with is not
-    # read, even where it would rescue a step that leaves a cubic graph.
+    # a recorded step is the only candidate: replay never asks the rules,
+    # even where they would rescue a step that leaves a cubic graph.
     # Petersen with the edge (0, 1) subdivided by 10; the step puts it back
     g = gen_named("PETERSEN")
     g.remove_edge(0, 1)
@@ -221,11 +221,14 @@ def test_replay_is_the_same_engine(monkeypatch):
         added_edges=frozenset({(0, 1)}),
         extension=ExtensionRecipe((ExtensionBranch((), (), ()),)), budget=1,
     )
-    later = iter([cert.trace[0]])
-    trace = [replace(back, later=later)] + cert.trace[1:]
+    assert solver.select_rule(g, refused={back.added_edges}) == cert.trace[0]
+    asked = []
+    rules = solver.select_rule
+    monkeypatch.setattr(solver, "select_rule", lambda *args: asked.append(args) or rules(*args))
+    trace = [back] + cert.trace[1:]
     with pytest.raises(InternalInvariantViolation, match="test produced a cubic component"):
         solver.replay(g, replace(cert, trace=trace))
-    assert next(later) == cert.trace[0]
+    assert asked == []
 
 
 def random_deletions():

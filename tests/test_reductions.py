@@ -213,8 +213,8 @@ def test_adjacent_pair_matches_sorted_scan_inside_solves(monkeypatch):
     rule = reductions.adjacent_deg2_step
     counts = {True: 0, False: 0}
 
-    def checked(g):
-        step = rule(g)
+    def checked(g, refused=frozenset()):
+        step = rule(g, refused)
         counts[_check_adjacent_pair(g, step)] += 1
         return step
 

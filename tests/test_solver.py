@@ -225,11 +225,17 @@ def test_select_noncubic_edge_preconditions():
         raise AssertionError("no step may be built from a bad candidate")
 
     with pytest.raises(PreconditionViolated):
-        R._insertion(g, {0, 1}, [((6, 7),)], build)  # not neighbours of v0
+        R._insertion(g, {0, 1}, set(), [((6, 7),)], build)  # not neighbours of v0
     with pytest.raises(PreconditionViolated):
-        R._insertion(g, {0, 1}, [], build)  # no candidate at all
+        R._insertion(g, {0, 1}, set(), [], build)  # no candidate at all
     with pytest.raises(PreconditionViolated):
-        R._insertion(g, {0, 1}, [((2, 3),)], build)  # already an edge of g
+        R._insertion(g, {0, 1}, set(), [((2, 3),)], build)  # already an edge of g
+    # a refused trial is passed over; with every trial refused, the last
+    refused = {frozenset({(2, 5)})}
+    trials = [((5, 2),), ((3, 4),)]
+    assert R._insertion(g, {0, 1}, refused, trials, lambda e: e) == (3, 4)
+    assert R._insertion(g, {0, 1}, refused | {frozenset({(3, 4)})}, trials, lambda e: e) == (3, 4)
+    assert R._insertion(g, {0, 1}, refused, trials[:1], lambda e: e) == (5, 2)
     assert g == gen_named("CUBE_Q3")
 
 
@@ -252,18 +258,22 @@ def test_choose_crossing_pair_rejects_cubic_closing_choice():
     bad.add_edge(3, 7)
     bad.add_edge(6, 9)
     assert bad.cubic_components() == [{6, 9, 12, 13}]
-    # the rule offers the first candidate and leaves the choice to the engine
+    # the rule gives its first candidate that is not refused, and the engine
+    # asks again with each refusal
     step = select_rule(g)
     assert (step.case, step.variant) == ("2.3.2", "main")
     assert step.added_edges == {(3, 7), (6, 9)}
-    assert [s.added_edges for s in step.later] == [
-        {(3, 7), (6, 10)}, {(3, 8), (6, 9)}, {(3, 8), (6, 10)},
-    ]
+    refused, offered = {step.added_edges}, []
+    for _ in range(3):
+        step = select_rule(g, refused=refused)
+        assert (step.case, step.variant, step.deleted) == ("2.3.2", "main", {0, 1, 2, 4, 5})
+        offered.append(step.added_edges)
+        refused.add(step.added_edges)
+    assert offered == [{(3, 7), (6, 10)}, {(3, 8), (6, 9)}, {(3, 8), (6, 10)}]
     assert g == crossing_graph()
     cert = solve(g)
     assert cert.trace[0].deleted == {0, 1, 2, 4, 5}
     assert cert.trace[0].added_edges == {(3, 7), (6, 10)}
-    assert all(s.later is None for s in cert.trace)
     assert_sound(g, cert)
     assert replay(g, cert) == cert.matching
 
@@ -316,26 +326,27 @@ def test_rejected_connected_cubic_candidate(monkeypatch):
     )
     rules = solver.select_rule
     offered = []
-    offer_later = True
+    fallback = "rules"  # what the source gives once `back` is refused
 
-    def fake(h, constraint=None):
-        step = rules(h, constraint)
+    def fake(h, constraint=None, refused=frozenset()):
         if 10 not in h:
-            return step
-        step = replace(step, later=None)
-        offered.append(step)
-        return replace(back, later=iter([step] if offer_later else []))
+            return rules(h, constraint, refused)
+        if not refused:
+            return back
+        assert refused == {back.added_edges} and len(offered) < 3  # asked once per solve
+        offered.append(rules(h, constraint, refused) if fallback == "rules" else fallback)
+        return offered[-1]
 
     monkeypatch.setattr(solver, "select_rule", fake)
     cert = solve(g)
     assert cert.trace[0] == offered[0]
     assert 10 in cert.trace[0].deleted and cert.trace[0] != back
-    assert cert.trace[0].later is None
     assert_sound(g, cert)
     assert replay(g, cert) == cert.matching
-    offer_later = False
-    with pytest.raises(InternalInvariantViolation, match="test produced a cubic component"):
-        solve(g)
+    for fallback in (None, back):  # no step left, or the refused step again
+        with pytest.raises(InternalInvariantViolation, match="test produced a cubic component"):
+            solve(g)
+    assert offered[1:] == [None, back]
 
 
 def test_choose_crossing_pair_shared_vertex():
@@ -370,7 +381,8 @@ def split_at_bridge(g, bridge, monkeypatch):
     monkeypatch.setattr(solver, "BASE_SIZE", 5)
     rules = solver.select_rule
     monkeypatch.setattr(
-        solver, "select_rule", lambda h, c=None: R.bridge_step(bridge) if h.n == g.n else rules(h, c)
+        solver, "select_rule",
+        lambda h, c=None, refused=frozenset(): R.bridge_step(bridge) if h.n == g.n else rules(h, c, refused),
     )
     cert = solve(g)
     assert_sound(g, cert)
@@ -467,8 +479,8 @@ def test_stem_of_case_231_is_split(monkeypatch):
 
 def test_split_when_every_candidate_leaves_a_cubic_part(monkeypatch):
     # the first step of this graph is a case-1 relink whose one candidate
-    # leaves a cubic part: solve's source then offers the split at the least
-    # bridge at the deleted set, and the engine takes it
+    # leaves a cubic part: asked again with it refused, select_rule returns
+    # the split at the least bridge at the deleted set, and the engine takes it
     offered = []
     bridge_at = R.bridge_at
 
@@ -966,9 +978,9 @@ def bridges_first(monkeypatch):
     the splits nested as deep as the chain is long."""
     rules = solver.select_rule
 
-    def select(g, constraint=None):
+    def select(g, constraint=None, refused=frozenset()):
         bridges = () if constraint is not None or g.degree_bucket(1) else g.find_bridges()
-        return R.bridge_step(min(bridges)) if bridges else rules(g, constraint)
+        return R.bridge_step(min(bridges)) if bridges else rules(g, constraint, refused)
 
     monkeypatch.setattr(solver, "select_rule", select)
 
@@ -1036,6 +1048,71 @@ def test_the_recorded_step_is_its_compared_fields():
     assert replace(step, variant="label") == step
 
 
+def test_the_rules_are_asked_again_after_each_refusal(monkeypatch):
+    # a step is plain data: the engine keeps the added-edge sets it refused
+    # and asks select_rule again, so on the digest corpus the rules are
+    # called once per recorded linear or bridge step, plus once per refusal
+    # (a reduction undone: one more _reduced or _split call than steps)
+    names = [f.name for f in fields(ReductionStep)]
+    assert names == ["rule", "case", "deleted", "added_edges", "extension", "budget", "bridge", "variant"]
+    count = {"select_rule": 0, "reduce": 0}
+    rules, reduce, split = solver.select_rule, solver._reduced, solver._split
+
+    def counted(name, fn):
+        def call(*args):
+            count[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(solver, "select_rule", counted("select_rule", rules))
+    monkeypatch.setattr(solver, "_reduced", counted("reduce", reduce))
+    monkeypatch.setattr(solver, "_split", counted("reduce", split))
+    steps, refusing = 0, []
+    for g in trace_corpus():
+        before = count["reduce"]
+        trace = solve(g).trace
+        taken = sum(s.rule not in ("BASE_SMALL", "K33_SPECIAL") for s in trace)
+        if count["reduce"] - before != taken:
+            refusing.append(g)
+        steps += taken
+    refusals = count["reduce"] - steps
+    assert (steps, refusals, count["select_rule"]) == (115, 1, 116)
+    assert refusing == [random_connected_subcubic(16, 971, 1)]
+
+
+def test_refused_single_candidate_without_a_bridge_is_an_error(monkeypatch):
+    # the pair of test_rejected_connected_cubic_candidate: a faked deg2 rule
+    # offers only the step that puts (0, 1) back, so once it is refused
+    # select_rule looks for a bridge at {10}, finds none, and returns None
+    g = gen_named("PETERSEN")
+    g.remove_edge(0, 1)
+    g.add_edge(0, 10)
+    g.add_edge(1, 10)
+    assert not g.find_bridges()
+    back = R._relink("DEG2_TWO_DEG3", "test", {10}, (0, 1), ((0, 10),), (), budget=1)
+    monkeypatch.setattr(R, "deg2_step", lambda h, refused=frozenset(): back)
+    assert select_rule(g, refused={back.added_edges}) is None
+    with pytest.raises(InternalInvariantViolation, match=r"^DEG2_TWO_DEG3/test produced a cubic component$"):
+        solve(g)
+
+
+def test_refused_last_trial_without_a_bridge_is_an_error(monkeypatch):
+    # a faked source refuses the crossing graph's later three candidates
+    # from the start, so the engine's one refusal leaves no trial; the graph
+    # is bridgeless, so there is no split either
+    g = crossing_graph()
+    assert not g.find_bridges()
+    rules = solver.select_rule
+    rest = {frozenset(es) for es in ([(3, 7), (6, 10)], [(3, 8), (6, 9)], [(3, 8), (6, 10)])}
+
+    def source(h, constraint=None, refused=frozenset()):
+        return rules(h, constraint, set(refused) | rest if h.n == g.n else refused)
+
+    monkeypatch.setattr(solver, "select_rule", source)
+    with pytest.raises(InternalInvariantViolation, match=r"^DEG2_TWO_DEG3/2.3.2 produced a cubic component$"):
+        solve(g)
+
+
 def step_edges(step):
     """Every edge a recorded step holds."""
     edges = list(step.added_edges)
@@ -1057,7 +1134,6 @@ def test_recorded_edges_are_normalised():
     rules = set()
     for cert in certs:
         for step in cert.trace:
-            assert step.later is None  # the engine's candidates stay out of the trace
             assert all(u < v for u, v in step_edges(step)), step
             rules.add(step.rule)
     assert {"BASE_SMALL", "BRIDGE", "DEGREE1", "ADJ_DEG2", "DEG2_TWO_DEG3", "CUBIC_FINISH"} <= rules
