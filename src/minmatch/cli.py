@@ -189,6 +189,7 @@ def _verify_one(payload) -> dict:
         record["matching_size"] = len(cert.matching)
         record["lambda_times_6"] = cert.bound.lambda_times_6
         record["gamma_lower"] = gamma_lower_bound(g)
+        record["solve_ms"] = cert.elapsed_ms
         if not cert.valid:
             failures.append("certificate_invalid")
         # a maximal matching by g.edges() alone, not the scan behind `valid`
@@ -267,6 +268,10 @@ def _batch_report(records) -> dict:
         if r.get("gamma_lower")
     ]
     coverage = Counter(rule for r in records for rule in r.get("rules", ()))
+    solve_ms = sorted(r["solve_ms"] for r in records if "solve_ms" in r)
+
+    def rank(p):  # nearest rank: the least value with at least p % of them at or below it
+        return solve_ms[-(-p * len(solve_ms) // 100) - 1] if solve_ms else None
 
     def stats(vals):
         if not vals:
@@ -287,6 +292,7 @@ def _batch_report(records) -> dict:
             "lower_ratio": stats(lower_ratios),
         },
         "rule_coverage": dict(sorted(coverage.items())),  # records whose trace used each rule
+        "solve_ms": {"p50": rank(50), "p95": rank(95), "max": rank(100)},  # over the records solved
     }
 
 

@@ -102,7 +102,7 @@ def _reject_foreign_edges(g: Graph, M) -> None:
             raise EdgeNotInGraph(f"edge {edge(u, v)} not in graph")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """A connected graph's counts, and its bound held exactly as lambda_times_6 / 6."""
 

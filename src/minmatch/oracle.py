@@ -5,6 +5,13 @@ Edges are numbered in sorted order and sets of edges are int bitsets.  The
 search is exponential; README gives measured times on random cubic graphs
 up to n = 46.
 
+Set-up reads the adjacency once.  The map from the sorted vertex ids to
+0..n-1 keeps order, so the sorted index pairs (a, b), a < b, are the
+sorted edge list, and edge i is bit i.  Most of the solver's base cases end
+within a few nodes, so set-up is much of their cost: it copies nothing of
+the graph but its edges, and maps the witness back through the sorted ids,
+each edge in (min, max) form as it comes.
+
 A search node holds its undominated edges (neither endpoint covered) as
 one bitset, `free`; taking edge wy clears the edges at w and at y.  The
 lowest set bit of `free` is the branch edge uv: u is the lowest vertex
@@ -42,10 +49,10 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, Infeasible
 from .graph import Edge, Graph, edge
-from .matching import Matching, as_matching
+from .matching import Matching
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     gamma: int
     witness: Matching
@@ -55,28 +62,34 @@ class OracleResult:
 
 class _Search:
     def __init__(self, g: Graph, forbidden: Edge | None, budget: int | None):
-        self.ids = g.vertices()
-        index = {v: i for i, v in enumerate(self.ids)}
-        # g.edges() is sorted and the id -> index map is monotone, so the
-        # pairs are (a, b) with a < b, in lexicographic order; edge i is bit i
-        self.edge_pairs = pairs = [(index[u], index[v]) for u, v in g.edges()]
-        inc = [0] * len(self.ids)  # the edges at a vertex
-        for i, (a, b) in enumerate(pairs):
-            inc[a] |= 1 << i
-            inc[b] |= 1 << i
-        near = [0] * len(self.ids)  # the edges at a neighbour of a vertex
+        adj = g._adj
+        self.ids = ids = sorted(adj)
+        index = {v: i for i, v in enumerate(ids)}
+        # g.edges() as index pairs, in the same order: edge i is bit i
+        pairs = sorted([(index[v], index[w]) for v, nbrs in adj.items() for w in nbrs if v < w])
+        self.edge_pairs = pairs
+        inc = [0] * len(ids)  # the edges at a vertex
+        bit = 1
+        for a, b in pairs:
+            inc[a] |= bit
+            inc[b] |= bit
+            bit <<= 1
+        # the one edge at both ends of the forbidden edge
+        self.forbit = forbit = 0 if forbidden is None else inc[index[forbidden[0]]] & inc[index[forbidden[1]]]
+        # the edges at a neighbour of a vertex
+        near = [0] * len(ids)
         for a, b in pairs:
             near[a] |= inc[b]
             near[b] |= inc[a]
-        self.forbit = 0
-        if forbidden is not None:
-            self.forbit = 1 << pairs.index((index[forbidden[0]], index[forbidden[1]]))
         # per edge ab: the edges that taking it dominates, to clear; the
         # edges at a or b that may be taken, the branch set of a node whose
         # branch edge is ab; the edges that share a dominating edge with ab
-        self.ndom = [~(inc[a] | inc[b]) for a, b in pairs]
-        self.kids = [(inc[a] | inc[b]) & ~self.forbit for a, b in pairs]
-        self.nblock = [~(near[a] | near[b]) for a, b in pairs]
+        self.ndom, self.kids, self.nblock = ndom, kids, nblock = [], [], []
+        for a, b in pairs:
+            at = inc[a] | inc[b]
+            ndom.append(~at)
+            kids.append(at & ~forbit)
+            nblock.append(~(near[a] | near[b]))
         self.budget = budget
         self.nodes = 0
         self.best_size: int | None = None
@@ -98,9 +111,12 @@ class _Search:
 
     def run(self) -> None:
         """Depth-first search on an explicit stack of (free, size, edge
-        taken); children are pushed highest first, so they pop lowest first."""
+        taken); children are pushed highest first, so they pop lowest first.
+        The node count and the incumbent live in locals, written back at the
+        end and before a budget cut."""
         self.seed_greedy()
         ndom, kids, nblock, budget = self.ndom, self.kids, self.nblock, self.budget
+        nodes, best_size, best = 0, self.best_size, self.best
         path: list[int] = []
         stack: list[tuple[int, int, int | None]] = [((1 << len(ndom)) - 1, 0, None)]
         while stack:
@@ -108,16 +124,17 @@ class _Search:
             if taken is not None:
                 del path[size - 1:]
                 path.append(taken)
-            self.nodes += 1
-            if budget is not None and self.nodes > budget:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                self.nodes, self.best_size, self.best = nodes, best_size, best
                 raise BudgetExceeded("oracle node budget exhausted", self.result(exact=False))
             if not free:
-                if self.best_size is None or size < self.best_size:
-                    self.best_size = size
-                    self.best = list(path)
+                if best_size is None or size < best_size:
+                    best_size = size
+                    best = list(path)
                 continue
-            if self.best_size is not None:
-                room = self.best_size - size
+            if best_size is not None:
+                room = best_size - size
                 if -(-free.bit_count() // 5) >= room:
                     continue
                 rest, packed = free, 0
@@ -133,18 +150,15 @@ class _Search:
                 e = children.bit_length() - 1
                 children ^= 1 << e
                 stack.append((free & ndom[e], size + 1, e))
+        self.nodes, self.best_size, self.best = nodes, best_size, best
 
     def result(self, exact: bool = True) -> OracleResult | None:
         if self.best_size is None:
             return None
-        pairs = (self.edge_pairs[e] for e in self.best)
-        witness = as_matching((self.ids[a], self.ids[b]) for a, b in pairs)
-        return OracleResult(
-            gamma=self.best_size,
-            witness=witness,
-            nodes_explored=self.nodes,
-            exact=exact,
-        )
+        # a < b in every pair and ids increases, so each edge is in (min, max) form
+        ids, pairs = self.ids, self.edge_pairs
+        witness = frozenset([(ids[pairs[e][0]], ids[pairs[e][1]]) for e in self.best])
+        return OracleResult(self.best_size, witness, self.nodes, exact)
 
 
 def gamma_exact(g: Graph, budget: int | None = None) -> OracleResult:

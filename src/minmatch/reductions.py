@@ -38,14 +38,14 @@ RULE_DEG2 = "DEG2_TWO_DEG3"
 RULE_CUBIC = "CUBIC_FINISH"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionBranch:
     requires: tuple[Edge, ...]  # every edge must be in the sub-matching
     remove: tuple[Edge, ...]
     add: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionRecipe:
     """First branch whose `requires` edges all lie in M' wins."""
 
@@ -75,7 +75,7 @@ def _recipe(*branches: tuple) -> ExtensionRecipe:
     return ExtensionRecipe(tuple([ExtensionBranch(_edges(q), _edges(r), _edges(a)) for q, r, a in branches]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionStep:
     """One recorded step: the compared fields are what a certificate
     writes, every edge in (min, max) form.  `variant` labels the rule's

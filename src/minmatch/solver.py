@@ -95,7 +95,7 @@ __all__ = [
 BASE_SIZE = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PendantConstraint:
     vertex: int
     forbidden_edge: Edge
@@ -324,7 +324,7 @@ def _replayed(recorded: Iterator[ReductionStep]):
 def _leaf(g: Graph, step: ReductionStep, constraint, trace: list[ReductionStep]) -> set[Edge]:
     """A base step: its recipe, applied to a fresh set, is g's matching;
     `trace` holds the steps before it."""
-    if step.extension is None or step.deleted != frozenset(g.iter_vertices()):
+    if step.extension is None or step.deleted != g._adj.keys():
         raise InternalInvariantViolation("base step does not cover the graph")
     special = constraint is None and is_k33(g)
     if (step.rule == R.RULE_K33) != special:

@@ -23,6 +23,13 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, out.out, out.err
 
 
+def timeless(out):
+    """A verify report without its solve times, which differ from run to run."""
+    report = json.loads(out)
+    assert set(report.pop("solve_ms")) == {"p50", "p95", "max"}
+    return report
+
+
 def test_solve_k33_line(capsys, monkeypatch):
     line = write_graph6(gen_named("K33"))
     code, out, _ = run(capsys, ["solve"], stdin=line + "\n", monkeypatch=monkeypatch)
@@ -196,7 +203,7 @@ def test_verify_jobs_deterministic(capsys, monkeypatch):
     )
     _, out1, _ = run(capsys, ["verify"], stdin=lines, monkeypatch=monkeypatch)
     _, out2, _ = run(capsys, ["verify", "--jobs", "2"], stdin=lines, monkeypatch=monkeypatch)
-    assert out1 == out2
+    assert timeless(out1) == timeless(out2)
 
 
 def test_verify_starts_no_more_workers_than_records(capsys, monkeypatch):
@@ -224,7 +231,7 @@ def test_verify_starts_no_more_workers_than_records(capsys, monkeypatch):
         lines = "".join(write_graph6(gen_random_cubic(16, seed)) + "\n" for seed in range(count))
         _, serial, _ = run(capsys, ["verify"], stdin=lines, monkeypatch=monkeypatch)
         _, pooled, _ = run(capsys, ["verify", "--jobs", jobs], stdin=lines, monkeypatch=monkeypatch)
-        assert pooled == serial
+        assert timeless(pooled) == timeless(serial)
     assert sizes == [3, 4]
     assert chunks == [1, 5]
 
@@ -242,7 +249,27 @@ def test_verify_reports_rule_coverage(capsys, monkeypatch):
     coverage = json.loads(outs[0])["rule_coverage"]
     assert coverage["CUBIC_FINISH"] == 2
     assert list(coverage) == sorted(coverage) and max(coverage.values()) == 2
-    assert outs[0] == outs[1]
+    assert timeless(outs[0]) == timeless(outs[1])
+
+
+def test_verify_reports_solve_time_percentiles(capsys, monkeypatch):
+    lines = "".join(write_graph6(gen_random_cubic(16, seed)) + "\n" for seed in range(3))
+    _, out, _ = run(capsys, ["verify"], stdin=lines, monkeypatch=monkeypatch)
+    times = json.loads(out)["solve_ms"]
+    assert 0 < times["p50"] <= times["p95"] <= times["max"]
+    # by nearest rank over the records solved: 21 solves that take 21..1 ms,
+    # and a bad line, which has no solve time; the ranks are ceil(21 p / 100)
+    real_solve, taken = cli.solve, iter(range(21, 0, -1))
+    monkeypatch.setattr(cli, "solve", lambda g: replace(real_solve(g), elapsed_ms=float(next(taken))))
+    lines = "".join(write_graph6(gen_named("C_n", n)) + "\n" for n in range(3, 24)) + "D~{\n"
+    code, out, _ = run(capsys, ["verify"], stdin=lines, monkeypatch=monkeypatch)
+    report = json.loads(out)
+    assert (code, report["total"], report["passed"]) == (2, 22, 21)
+    assert report["solve_ms"] == {"p50": 11.0, "p95": 20.0, "max": 21.0}
+    # no record solved: every percentile is null
+    code, out, _ = run(capsys, ["verify"], stdin="D~{\nD~{\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert json.loads(out)["solve_ms"] == {"p50": None, "p95": None, "max": None}
 
 
 def test_verify_plot_data(tmp_path, capsys, monkeypatch):

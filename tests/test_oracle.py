@@ -14,7 +14,7 @@ from minmatch.generators import (
     gen_named,
     gen_random_cubic,
 )
-from minmatch.graph import Graph
+from minmatch.graph import Graph, edge
 from minmatch.matching import gamma_lower_bound, is_maximal
 from minmatch.oracle import gamma_exact, gamma_exact_avoiding
 
@@ -237,3 +237,68 @@ def test_search_pinned():
         ]
         h.update(json.dumps(row, separators=(",", ":")).encode("ascii") + b"\n")
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+def _relabelled(g, f, rng):
+    """g with vertex v renamed f(v), its vertices and edges entered in a
+    shuffled order, so that nothing can rest on the order of insertion."""
+    vertices, edges = [f(v) for v in g.vertices()], [(f(u), f(v)) for u, v in g.edges()]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return Graph.from_edges(edges, vertices=vertices)
+
+
+def _searches(g, budget=None):
+    """(gamma, nodes explored, witness) of gamma_exact and of
+    gamma_exact_avoiding at each of the first three sorted edges, or the
+    incumbent of a search cut by its budget; None where no maximal matching
+    avoids the edge."""
+    rows = []
+    for forbidden in [None] + g.edges()[:3]:
+        try:
+            res = gamma_exact(g, budget) if forbidden is None else gamma_exact_avoiding(g, forbidden, budget)
+        except BudgetExceeded as exc:
+            res = exc.result
+        except Infeasible:
+            res = None
+        rows.append(None if res is None else (res.gamma, res.nodes_explored, res.witness, res.exact))
+    return rows
+
+
+def test_search_on_relabelled_vertices():
+    """The oracle numbers its edges through a map from vertex ids to
+    0..n-1.  Under a relabelling that keeps the order of the ids, the search
+    is the same tree: equal gamma and node counts, complete or cut by the
+    budget, and the witness is the original's, relabelled.  Under one that
+    does not, the edges are numbered otherwise and only gamma must agree."""
+    rng = random.Random(27)
+    small = [g for n in range(1, 7) for g in enumerate_connected_subcubic(n)][::40]
+    cubic = [gen_random_cubic(n, s) for n in (12, 16, 20) for s in range(2)]
+    cuts = 0
+    for g in small + cubic:
+        budgets = (None, 2, 9) if g.n >= 12 else (None,)
+        for f in (lambda v: 5 * v + 3, lambda v: v - 100):
+            h = _relabelled(g, f, rng)
+            for budget in budgets:
+                want = [None if row is None else
+                        (row[0], row[1], frozenset(edge(f(u), f(v)) for u, v in row[2]), row[3])
+                        for row in _searches(g, budget)]
+                # h.edges() is g.edges() relabelled, as f keeps order
+                assert _searches(h, budget) == want
+                cuts += sum(row is not None and not row[3] for row in want)
+        shuffle = list(range(g.n))
+        rng.shuffle(shuffle)
+        ids = {v: -i for v, i in zip(g.vertices(), shuffle)}
+        f = ids.__getitem__
+        h = _relabelled(g, f, rng)
+        assert gamma_exact(h).gamma == gamma_exact(g).gamma
+        for u, v in g.edges()[:3]:
+            try:
+                want = gamma_exact_avoiding(g, (u, v)).gamma
+            except Infeasible:
+                want = None
+            try:
+                assert gamma_exact_avoiding(h, (f(u), f(v))).gamma == want
+            except Infeasible:
+                assert want is None
+    assert cuts > 0
