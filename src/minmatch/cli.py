@@ -3,7 +3,8 @@
 stdout carries payload only (NDJSON or graph6 lines); diagnostics go to
 stderr.  An unreadable input (a missing file, a non-ASCII byte, from a file
 or stdin alike) is one stderr line, exit 2, and no record runs; so is a
-``verify --plot-data`` file that cannot be opened (``output error:``).
+``verify --plot-data`` file that cannot be opened, or a standard output
+closed before the last line is written (``output error:``).
 Otherwise every record runs: the whole edge list, or each non-blank graph6
 line (``line:N``).  ``solve`` and ``exact`` print a record's payload before
 they parse the next, and a failed record is one stderr line naming its id;
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -351,7 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # exit flushes stdout again; into devnull it adds no "Exception ignored" line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -40,7 +40,9 @@ packing are those of a pass over the sorted edges, and the tree is the one
 that such a pass would build.
 
 The search runs on an explicit stack, so its depth is not bounded by
-Python's recursion limit.
+Python's recursion limit.  Set-up, seed and search are one function,
+_branch_and_bound; gamma_exact and gamma_exact_avoiding each check their own
+input and call it once, never each other, so a search is one call of either.
 """
 
 from __future__ import annotations
@@ -60,114 +62,97 @@ class OracleResult:
     exact: bool = True
 
 
-class _Search:
-    def __init__(self, g: Graph, forbidden: Edge | None, budget: int | None):
-        adj = g._adj
-        self.ids = ids = sorted(adj)
-        index = {v: i for i, v in enumerate(ids)}
-        # g.edges() as index pairs, in the same order: edge i is bit i
-        pairs = sorted([(index[v], index[w]) for v, nbrs in adj.items() for w in nbrs if v < w])
-        self.edge_pairs = pairs
-        inc = [0] * len(ids)  # the edges at a vertex
-        bit = 1
-        for a, b in pairs:
-            inc[a] |= bit
-            inc[b] |= bit
-            bit <<= 1
-        # the one edge at both ends of the forbidden edge
-        self.forbit = forbit = 0 if forbidden is None else inc[index[forbidden[0]]] & inc[index[forbidden[1]]]
-        # the edges at a neighbour of a vertex
-        near = [0] * len(ids)
-        for a, b in pairs:
-            near[a] |= inc[b]
-            near[b] |= inc[a]
-        # per edge ab: the edges that taking it dominates, to clear; the
-        # edges at a or b that may be taken, the branch set of a node whose
-        # branch edge is ab; the edges that share a dominating edge with ab
-        self.ndom, self.kids, self.nblock = ndom, kids, nblock = [], [], []
-        for a, b in pairs:
-            at = inc[a] | inc[b]
-            ndom.append(~at)
-            kids.append(at & ~forbit)
-            nblock.append(~(near[a] | near[b]))
-        self.budget = budget
-        self.nodes = 0
-        self.best_size: int | None = None
-        self.best: list[int] | None = None
+def _branch_and_bound(g: Graph, forbidden: Edge | None, budget: int | None) -> OracleResult | None:
+    """A minimum maximal matching of g that avoids the edge `forbidden`
+    (None: any edge may be taken), or None if no maximal matching avoids it."""
+    adj = g._adj
+    ids = sorted(adj)
+    index = {v: i for i, v in enumerate(ids)}
+    # g.edges() as index pairs, in the same order: edge i is bit i
+    pairs = sorted([(index[v], index[w]) for v, nbrs in adj.items() for w in nbrs if v < w])
+    inc = [0] * len(ids)  # the edges at a vertex
+    bit = 1
+    for a, b in pairs:
+        inc[a] |= bit
+        inc[b] |= bit
+        bit <<= 1
+    # the one edge at both ends of the forbidden edge
+    forbit = 0 if forbidden is None else inc[index[forbidden[0]]] & inc[index[forbidden[1]]]
+    # the edges at a neighbour of a vertex
+    near = [0] * len(ids)
+    for a, b in pairs:
+        near[a] |= inc[b]
+        near[b] |= inc[a]
+    # per edge ab: the edges that taking it dominates, to clear; the edges at
+    # a or b that may be taken, the branch set of a node whose branch edge is
+    # ab; the edges that share a dominating edge with ab
+    ndom, kids, nblock = [], [], []
+    for a, b in pairs:
+        at = inc[a] | inc[b]
+        ndom.append(~at)
+        kids.append(at & ~forbit)
+        nblock.append(~(near[a] | near[b]))
 
-    def seed_greedy(self) -> None:
-        """Lexicographic greedy maximal matching as the initial incumbent:
-        the lowest undominated edge that is not forbidden, until none is."""
-        free = (1 << len(self.edge_pairs)) - 1
-        chosen = []
-        while rest := free & ~self.forbit:
-            e = (rest & -rest).bit_length() - 1
-            chosen.append(e)
-            free &= self.ndom[e]
-        # with a forbidden edge the greedy result may fail maximality
-        if not free:
-            self.best_size = len(chosen)
-            self.best = chosen
-
-    def run(self) -> None:
-        """Depth-first search on an explicit stack of (free, size, edge
-        taken); children are pushed highest first, so they pop lowest first.
-        The node count and the incumbent live in locals, written back at the
-        end and before a budget cut."""
-        self.seed_greedy()
-        ndom, kids, nblock, budget = self.ndom, self.kids, self.nblock, self.budget
-        nodes, best_size, best = 0, self.best_size, self.best
-        path: list[int] = []
-        stack: list[tuple[int, int, int | None]] = [((1 << len(ndom)) - 1, 0, None)]
-        while stack:
-            free, size, taken = stack.pop()
-            if taken is not None:
-                del path[size - 1:]
-                path.append(taken)
-            nodes += 1
-            if budget is not None and nodes > budget:
-                self.nodes, self.best_size, self.best = nodes, best_size, best
-                raise BudgetExceeded("oracle node budget exhausted", self.result(exact=False))
-            if not free:
-                if best_size is None or size < best_size:
-                    best_size = size
-                    best = list(path)
-                continue
-            if best_size is not None:
-                room = best_size - size
-                if -(-free.bit_count() // 5) >= room:
-                    continue
-                rest, packed = free, 0
-                while rest:
-                    packed += 1
-                    if packed == room:
-                        break
-                    rest &= nblock[(rest & -rest).bit_length() - 1]
-                if packed == room:
-                    continue
-            children = free & kids[(free & -free).bit_length() - 1]
-            while children:
-                e = children.bit_length() - 1
-                children ^= 1 << e
-                stack.append((free & ndom[e], size + 1, e))
-        self.nodes, self.best_size, self.best = nodes, best_size, best
-
-    def result(self, exact: bool = True) -> OracleResult | None:
-        if self.best_size is None:
+    def result(exact: bool) -> OracleResult | None:
+        if best_size is None:
             return None
         # a < b in every pair and ids increases, so each edge is in (min, max) form
-        ids, pairs = self.ids, self.edge_pairs
-        witness = frozenset([(ids[pairs[e][0]], ids[pairs[e][1]]) for e in self.best])
-        return OracleResult(self.best_size, witness, self.nodes, exact)
+        witness = frozenset([(ids[pairs[e][0]], ids[pairs[e][1]]) for e in best])
+        return OracleResult(best_size, witness, nodes, exact)
+
+    # the initial incumbent: the lexicographic greedy maximal matching, the
+    # lowest undominated edge that is not forbidden until none is; with a
+    # forbidden edge it may fail maximality
+    full = (1 << len(pairs)) - 1
+    free, best = full, []
+    while rest := free & ~forbit:
+        e = (rest & -rest).bit_length() - 1
+        best.append(e)
+        free &= ndom[e]
+    best_size = None if free else len(best)
+    # depth-first search on an explicit stack of (free, size, edge taken);
+    # children are pushed highest first, so they pop lowest first
+    nodes = 0
+    path: list[int] = []
+    stack: list[tuple[int, int, int | None]] = [(full, 0, None)]
+    while stack:
+        free, size, taken = stack.pop()
+        if taken is not None:
+            del path[size - 1:]
+            path.append(taken)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded("oracle node budget exhausted", result(exact=False))
+        if not free:
+            if best_size is None or size < best_size:
+                best_size = size
+                best = list(path)
+            continue
+        if best_size is not None:
+            room = best_size - size
+            if -(-free.bit_count() // 5) >= room:
+                continue
+            rest, packed = free, 0
+            while rest:
+                packed += 1
+                if packed == room:
+                    break
+                rest &= nblock[(rest & -rest).bit_length() - 1]
+            if packed == room:
+                continue
+        children = free & kids[(free & -free).bit_length() - 1]
+        while children:
+            e = children.bit_length() - 1
+            children ^= 1 << e
+            stack.append((free & ndom[e], size + 1, e))
+    return result(exact=True)
 
 
 def gamma_exact(g: Graph, budget: int | None = None) -> OracleResult:
     """Exact edge domination number with a witness matching."""
     if g.m == 0:
         return OracleResult(gamma=0, witness=frozenset(), nodes_explored=0)
-    search = _Search(g, forbidden=None, budget=budget)
-    search.run()
-    res = search.result()
+    res = _branch_and_bound(g, None, budget)
     assert res is not None  # the greedy seed guarantees an incumbent
     return res
 
@@ -177,9 +162,7 @@ def gamma_exact_avoiding(g: Graph, forbidden: Edge, budget: int | None = None) -
     forbidden = edge(*forbidden)
     if not g.has_edge(*forbidden):
         raise Infeasible(f"forbidden edge {forbidden} not in graph")
-    search = _Search(g, forbidden=forbidden, budget=budget)
-    search.run()
-    res = search.result()
+    res = _branch_and_bound(g, forbidden, budget)
     if res is None:
         raise Infeasible(f"no maximal matching avoids {forbidden}")
     return res

@@ -6,7 +6,8 @@ graph back into one of the original graph.  Recipes are branch lists tested
 against the sub-matching in order, so a recorded trace is replayable without
 re-running the case analysis.  Rules read g and never change it; a rule that
 inserts edges returns its first candidate that the solver has not refused,
-and the solver asks again after each refusal (see _insertion).
+and the solver asks again after each refusal (see _insertion), so no rule
+tests for a cubic component itself.
 
 Nearly every recipe takes one of two shapes: _plain adds no edge and
 matches a fixed edge set, and _relink adds one edge e, which a sub-matching
@@ -211,7 +212,8 @@ def adjacent_deg2_step(g: Graph, refused=frozenset()) -> ReductionStep | None:
     """The step for u1, the least degree-2 vertex with a degree-2 neighbour,
     and u2, its least such neighbour; None if there is none.  One pass over
     the degree-2 bucket finds them: the dispatch's per-step cost.  `refused`
-    holds the added-edge sets the solver has refused (_insertion)."""
+    holds the added-edge sets the solver has refused (_insertion); an outer
+    case is the step only once the contraction is refused."""
     deg2 = g.degree_bucket(2)
     u1 = None
     for v in deg2:
@@ -236,14 +238,9 @@ def adjacent_deg2_step(g: Graph, refused=frozenset()) -> ReductionStep | None:
         w = min(side)
         return _plain(RULE_ADJ_DEG2, "chord", {u1, u2, v1, v2, w}, ((u2, v2), (v1, w)), budget=2)
 
-    # contraction applies unless it would leave a cubic graph, i.e. unless
-    # every vertex other than u1, u2 has degree 3
-    others_cubic = (
-        not g.degree_bucket(0)
-        and not g.degree_bucket(1)
-        and g.degree_bucket(2) == {u1, u2}
-    )
-    if not others_cubic:
+    # v1v2 joins what u1u2 joined and keeps every other degree, so the solver
+    # refuses the contraction just when every other vertex has degree 3
+    if frozenset({edge(v1, v2)}) not in refused:
         return _relink(
             RULE_ADJ_DEG2, "contract", {u1, u2}, (v1, v2),
             ((u1, v1), (u2, v2)), ((u1, u2),), budget=1,

@@ -132,11 +132,12 @@ def select_rule(
     adjacent_deg2_step's one pass over the degree-2 bucket.  A rule that
     inserts edges returns the step for its first candidate insertion whose
     added edges are not in `refused`, the sets the engine has refused on g
-    because they left a cubic component.  Case 2.3.1's stem, and an
-    insertion with no trial left, return a BRIDGE step at the bridge their
-    configuration closes off at; so does a rule whose every candidate is
-    refused, at the least bridge at its deleted set (reductions.bridge_at),
-    or None if there is none.
+    because they left a cubic component; so the adjacent degree-2 rule
+    offers its contraction first, and an outer case only once the engine
+    has refused it.  Case 2.3.1's stem, and an insertion with no trial
+    left, return a BRIDGE step at the bridge their configuration closes off
+    at; so does a rule whose every candidate is refused, at the least bridge
+    at its deleted set (reductions.bridge_at), or None if there is none.
     """
     if constraint is not None:
         _check_constraint(g, constraint)
@@ -182,11 +183,13 @@ def select_rule(
 # No task left by a step that adds edges may be cubic, an O(1) test on its
 # buckets, and exact: each component of G' holds a boundary vertex, so one
 # that no added edge touches lost a degree there.  The same test picks the
-# edges a rule inserts.  A rule that must add edges avoiding a cubic
-# component has candidates that all delete the same set: the engine reduces
-# with the step it is given, builds the tasks, and if one is cubic puts g
-# back as a frame's unwinding does (_undo), adds the step's added edges to
-# the task's set `refused`, and asks its source again.  By the argument
+# edges a rule inserts, and alone decides whether an adjacent degree-2 pair
+# is contracted: no rule reads g whole to foresee a cubic G'.  A rule that
+# must add edges avoiding a cubic component offers one candidate at a time
+# (the contraction, then an outer case): the engine reduces with the step
+# it is given, builds the tasks, and if one is cubic puts g back as a
+# frame's unwinding does (_undo), adds the step's added edges to the task's
+# set `refused`, and asks its source again.  By the argument
 # above, "some task is cubic" holds iff some component of G' that touches
 # the added edges is cubic, however the tasks were built (one certified
 # graph, or carved components).  So the kept step is the first candidate,

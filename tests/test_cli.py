@@ -545,3 +545,31 @@ def test_cli_process_exit_status(tmp_path, command, payloads):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stdout.splitlines()) == payloads
+
+
+def test_closed_stdout_is_one_output_error():
+    # each line is about 330 KB, more than a pipe holds, so the writer meets
+    # the closed pipe on every run
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import minmatch
+
+    env = dict(os.environ, PYTHONPATH=str(Path(minmatch.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minmatch.cli", "gen", "--random-cubic", "2000", "1", "--count", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert line.rstrip(b"\n") == write_graph6(gen_random_cubic(2000, 1)).encode()
+    assert err.startswith("output error:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1

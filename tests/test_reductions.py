@@ -92,10 +92,14 @@ def test_adjacent_deg2_outer_pair_edge_direct():
         (4, 8), (5, 9), (6, 8), (6, 9), (7, 8), (7, 9),
     ])
     assert sorted(g.degree_bucket(2)) == [0, 1]
-    step = adjacent_deg2_step(g)
+    # the rule offers the contraction; the solver refuses it, as G' is cubic
+    contract = adjacent_deg2_step(g)
+    assert (contract.rule, contract.case, contract.added_edges) == ("ADJ_DEG2", "contract", {(2, 3)})
+    step = adjacent_deg2_step(g, refused={contract.added_edges})
     assert (step.rule, step.case) == ("ADJ_DEG2", "outer-pair-edge")
     cert = solve(g)
     assert cert.valid
+    assert cert.trace[0] == step
 
 
 def test_variant_checklist_on_seeded_corpus():

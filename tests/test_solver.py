@@ -501,7 +501,8 @@ def test_split_when_every_candidate_leaves_a_cubic_part(monkeypatch):
 
 
 def test_split_when_every_insertion_is_an_edge():
-    # the adjacent degree-2 pair 1, 2 between v1 = 3 and v2 = 4; the
+    # the adjacent degree-2 pair 1, 2 between v1 = 3 and v2 = 4, whose
+    # contraction leaves a cubic graph; once it is refused, the
     # outer-independent insertions would join x1 = 7 or x2 = 8 to w21 = 5 or
     # w22 = 6, all edges already, and {0, ..., 8} meets the rest only at
     # (3, 9), where the rule splits
@@ -510,7 +511,9 @@ def test_split_when_every_insertion_is_an_edge():
         (5, 7), (5, 8), (6, 7), (6, 8), (10, 12), (10, 13), (11, 12), (11, 13),
         (12, 13), (9, 10), (9, 11),
     ])
-    step = select_rule(g)
+    contract = select_rule(g)
+    assert (contract.rule, contract.case, contract.added_edges) == ("ADJ_DEG2", "contract", {(3, 4)})
+    step = select_rule(g, refused={contract.added_edges})
     assert (step.rule, step.case, step.bridge) == ("BRIDGE", None, (3, 9))
     cert = solve(g)
     assert cert.trace[0] == replace(cert.trace[0], rule="BRIDGE", bridge=(3, 9))
@@ -1076,8 +1079,41 @@ def test_the_rules_are_asked_again_after_each_refusal(monkeypatch):
             refusing.append(g)
         steps += taken
     refusals = count["reduce"] - steps
-    assert (steps, refusals, count["select_rule"]) == (115, 1, 116)
+    # both refusals are on one graph: the candidates of a case-1 relink, and
+    # a shared-outer pair's contraction
+    assert (steps, refusals, count["select_rule"]) == (115, 2, 117)
     assert refusing == [random_connected_subcubic(16, 971, 1)]
+
+
+def test_a_contraction_is_refused_exactly_when_the_rest_is_cubic(monkeypatch):
+    # adjacent_deg2_step offers the contraction without testing g's degree
+    # buckets; the engine refuses it just when every vertex but u1 and u2 has
+    # degree 3, and the rule, asked again, deletes u1 and u2 by an outer case
+    rules = solver.select_rule
+    calls = []  # (step, refused set, whether the step contracts u1u2 and the rest of g is cubic)
+
+    def source(g, constraint=None, refused=frozenset()):
+        step = rules(g, constraint, refused)
+        rest_cubic = (step is not None and step.case == "contract" and not g.degree_bucket(0)
+                      and not g.degree_bucket(1) and g.degree_bucket(2) == step.deleted)
+        calls.append((step, refused, rest_cubic))
+        return step
+
+    monkeypatch.setattr(solver, "select_rule", source)
+    graphs = trace_corpus() + [bridge_chain(3 + i % 5, i) for i in range(40)]
+    graphs += [random_connected_subcubic(n, seed, seed % 3) for n in (14, 20, 30) for seed in range(30)]
+    for g in graphs:
+        solve(g)
+    offered = refusals = 0
+    for (step, refused, rest_cubic), (after, again, _) in zip(calls, calls[1:] + [(None, None, False)]):
+        if step is None or step.case != "contract":
+            continue
+        offered += 1
+        assert (step.added_edges in refused) == rest_cubic, step
+        if rest_cubic:  # the engine asks again on the same g
+            refusals += 1
+            assert again is refused and after.rule == "ADJ_DEG2" and step.deleted <= after.deleted, after
+    assert 0 < refusals < offered
 
 
 def test_refused_single_candidate_without_a_bridge_is_an_error(monkeypatch):
